@@ -5,8 +5,9 @@
 //! Starts a PLP-Regular engine with the TCP exposition endpoint bound to an
 //! ephemeral port, drives a short TATP burst, and then scrapes every route:
 //! `/metrics` must be a valid Prometheus exposition with internally
-//! consistent histogram series and a nonzero committed counter, and each
-//! JSON route must parse.  Exits nonzero (with the offending payload on
+//! consistent histogram series, a nonzero committed counter and the
+//! inline-execution families next to the message ones, and each JSON route
+//! must parse.  Exits nonzero (with the offending payload on
 //! stderr) on any violation, so the CI step fails loudly rather than
 //! shipping an endpoint that serves garbage.
 
@@ -85,6 +86,23 @@ fn main() {
         );
     }
 
+    // Caller-runs execution: messages and inline runs are separate
+    // families, and a burst on a mostly idle engine must have run actions
+    // inline (the message families only count messages actually sent).
+    let family = |name: &str| {
+        samples
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| fail(&format!("/metrics lacks {name}"), body))
+            .value
+    };
+    let inline = family("plp_msg_inline_actions_total");
+    let inline_nanos = family("plp_msg_inline_nanoseconds_total");
+    let messages = family("plp_msg_actions_total");
+    if inline <= 0.0 || inline_nanos <= 0.0 {
+        fail("/metrics shows no inline actions after a burst", body);
+    }
+
     // Every JSON route must serve valid JSON at any moment.
     for route in [
         "/stats.json",
@@ -99,9 +117,13 @@ fn main() {
         if !json_is_valid(body) {
             fail(&format!("{route} served invalid JSON"), body);
         }
+        if route == "/stats.json" && !body.contains("\"inline_actions\":") {
+            fail("/stats.json lacks msg.inline_actions", body);
+        }
     }
     println!(
-        "obs_scrape: ok — {} samples, {committed:.0} committed, all JSON routes valid",
+        "obs_scrape: ok — {} samples, {committed:.0} committed, {inline:.0} actions inline, \
+         {messages:.0} messages, all JSON routes valid",
         samples.len()
     );
 }

@@ -11,9 +11,10 @@
 //!
 //! * the conventional engine runs all actions inline on the client thread,
 //!   with centralized locking and latched page accesses;
-//! * the partitioned engines ship each action to the worker thread that owns
-//!   the routing key's partition, where it runs with thread-local locking and
-//!   (for PLP) latch-free page accesses.
+//! * the partitioned engines run each action under the claim of the partition
+//!   that owns its routing key — on the calling thread when the partition is
+//!   idle, on the partition's worker thread otherwise — with thread-local
+//!   locking and (for PLP) latch-free page accesses.
 
 use crate::catalog::TableId;
 use crate::error::EngineError;

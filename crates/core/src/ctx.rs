@@ -184,10 +184,13 @@ impl DataContext for ConventionalCtx<'_> {
     }
 }
 
-/// Data context used by a partition worker thread (logical-only and PLP
-/// designs): thread-local locking and design-dependent page access modes.
-/// Log records are accumulated locally and shipped back to the coordinating
-/// thread with the action's reply.
+/// Data context of whichever thread holds a partition's claim (logical-only
+/// and PLP designs): thread-local locking and design-dependent page access
+/// modes.  Log records are accumulated locally and handed back to the
+/// coordinating thread with the action's reply.  The action's locks are
+/// released when the context drops — also when the action unwinds, so a
+/// panicking action cannot leave the partition's lock table poisoned with
+/// entries nobody will release.
 pub struct PartitionCtx<'a> {
     db: &'a Database,
     design: Design,
@@ -233,8 +236,8 @@ impl<'a> PartitionCtx<'a> {
 
     fn local_lock(&mut self, table: TableId, key: u64, mode: LockMode) {
         // Thread-local locking: no critical section, no contention.  Conflicts
-        // cannot arise because the worker executes one action at a time and
-        // releases the action's locks when it finishes (see `take_log`).
+        // cannot arise because the claim holder executes one action at a time
+        // and the action's locks are released when it finishes (see `Drop`).
         let _ = self
             .local_locks
             .acquire(self.txn_id, LockId::Key(table.0, key), mode);
@@ -242,8 +245,13 @@ impl<'a> PartitionCtx<'a> {
 
     /// Log records accumulated by the action, handed back to the coordinator.
     pub fn take_log(&mut self) -> Vec<LogRecord> {
-        self.local_locks.release_all(self.txn_id);
         std::mem::take(&mut self.log)
+    }
+}
+
+impl Drop for PartitionCtx<'_> {
+    fn drop(&mut self) {
+        self.local_locks.release_all(self.txn_id);
     }
 }
 

@@ -260,6 +260,17 @@ impl std::fmt::Debug for Database {
     }
 }
 
+/// The group-commit flusher thread owns an `Arc` of its `LogManager`, so it
+/// would outlive a database that is dropped without [`Engine::shutdown`]
+/// (which stops it explicitly); stop it with the last database handle.
+///
+/// [`Engine::shutdown`]: crate::engine::Engine::shutdown
+impl Drop for Database {
+    fn drop(&mut self) {
+        self.log.stop_flusher();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,8 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 use plp_instrument::trace::now_nanos;
 use plp_instrument::{
-    obs_enabled, FlightRecorder, ObsServer, PhaseBreakdown, SlowTxn, TraceEvent, TraceRing,
+    obs_enabled, CsCategory, FlightRecorder, ObsServer, PhaseBreakdown, SlowTxn, TraceEvent,
+    TraceRing,
 };
 use plp_lock::AgentLockCache;
 use plp_txn::Transaction;
@@ -24,7 +25,7 @@ use crate::error::EngineError;
 use crate::partition::PartitionManager;
 use crate::reply::{BatchReplySlot, ReplySlot};
 use crate::request::{ErrorCode, Op, Request, Response};
-use crate::worker::{ActionReply, WorkerRequest};
+use crate::worker::{obs_now, ActionReply, WorkerRequest};
 use crossbeam::channel::LaneSender;
 
 /// A running instance of one execution design over one database.
@@ -445,10 +446,11 @@ impl Engine {
         }
     }
 
-    /// Shut down the checkpointer, DLB controller and worker threads
-    /// (idempotent; also happens on drop).  With a log device attached, a
-    /// final checkpoint is cut and the log flushed, so a clean shutdown
-    /// recovers without replaying the whole history's tail.
+    /// Shut down the checkpointer, DLB controller, worker threads and the
+    /// WAL group-commit flusher (idempotent; also happens on drop).  With a
+    /// log device attached, a final checkpoint is cut and the log flushed,
+    /// so a clean shutdown recovers without replaying the whole history's
+    /// tail.
     pub fn shutdown(&mut self) {
         if let Some(mut obs) = self.obs.take() {
             obs.stop();
@@ -477,6 +479,10 @@ impl Engine {
         if let Some(pm) = &self.partition_mgr {
             pm.shutdown();
         }
+        // Last: nothing above can append any more.  The flusher thread owns
+        // an `Arc` of its `LogManager`, so without this it would outlive the
+        // engine, waking every 100 µs for the rest of the process.
+        self.db.log_manager().stop_flusher();
     }
 }
 
@@ -649,15 +655,16 @@ pub struct Session<'e> {
     reply_pool: Vec<ReplySlot<ActionReply>>,
     /// Recycled batch rendezvous (slot plus its reply `Vec`), same idea.
     batch_pool: Vec<BatchReplySlot<ActionReply>>,
-    /// One SPSC fast lane per worker, created on the first partitioned
-    /// dispatch.  The session is the lane's unique producer; the worker
+    /// One SPSC fast lane per worker, created the first time this session
+    /// has to *send* (a session that always finds its partitions idle never
+    /// needs them).  The session is the lane's unique producer; the worker
     /// drains lanes ahead of the shared MPMC queue.
     lanes: Vec<LaneSender<WorkerRequest>>,
 }
 
-/// One in-flight dispatch of the current stage: either a single action or a
-/// whole per-worker batch, remembered with the stage indices its replies
-/// scatter back into.
+/// One in-flight *message* of the current stage (a group the session could
+/// not run itself): either a single action or a whole per-worker batch,
+/// remembered with the stage indices its replies scatter back into.
 enum Pending {
     Single {
         index: usize,
@@ -730,14 +737,14 @@ impl Session<'_> {
     /// outputs of all its actions, or the abort reason.
     pub fn execute(&mut self, plan: TransactionPlan) -> Result<Vec<ActionOutput>, EngineError> {
         let start = Instant::now();
-        let trace_start = if obs_enabled() { now_nanos() } else { 0 };
+        let trace_start = obs_now();
         let db = self.engine.db.clone();
         let mut txn = db.txn_manager().begin();
         let txn_id = txn.id();
-        // Per-phase round-trip attribution, accumulated across every message
-        // the transaction dispatches (partitioned designs; the conventional
-        // design has no round trips, so only the commit-time WAL wait below
-        // lands here).
+        // Per-phase attribution, accumulated across every action group the
+        // transaction runs inline or dispatches (partitioned designs; the
+        // conventional design has no groups, so only the commit-time WAL
+        // wait below lands here).
         let mut phases = PhaseBreakdown::default();
         let result = if self.engine.design.is_partitioned() {
             self.execute_partitioned(&db, &mut txn, plan, &mut phases)
@@ -750,7 +757,7 @@ impl Session<'_> {
                     Design::Conventional { .. } => Some(db.lock_manager().as_ref()),
                     _ => None,
                 };
-                let commit_t0 = if obs_enabled() { now_nanos() } else { 0 };
+                let commit_t0 = obs_now();
                 db.txn_manager()
                     .commit_with(&mut txn, locks, Some(db.breakdown()));
                 db.breakdown().finish_txn(start.elapsed());
@@ -761,8 +768,8 @@ impl Session<'_> {
                     self.ring
                         .event(TraceEvent::Txn, txn_id, trace_start, now - trace_start);
                     // One histogram store per phase per *transaction* (the
-                    // reply loop only accumulates), so the sums still equal
-                    // `action_roundtrip`'s sum exactly while the per-message
+                    // stage loop only accumulates), so the sums still equal
+                    // `action_roundtrip`'s sum exactly while the per-group
                     // hot path stays free of extra stores.
                     if self.engine.design.is_partitioned() {
                         phases.record_roundtrip_phases(db.stats().latency());
@@ -791,7 +798,7 @@ impl Session<'_> {
                     self.ring.instant_at(TraceEvent::Abort, txn_id, now);
                     self.ring
                         .event(TraceEvent::Txn, txn_id, trace_start, now - trace_start);
-                    // An aborted transaction's dispatched messages are in
+                    // An aborted transaction's groups are in
                     // `action_roundtrip` too, so their phases must land in
                     // the histograms for the sums to keep reconciling.
                     if self.engine.design.is_partitioned() {
@@ -855,42 +862,73 @@ impl Session<'_> {
         // before moving ownership, so no stage ever runs under boundaries
         // different from its predecessors'.
         let _ticket = pm.txn_ticket();
-        // Lazily wire one SPSC fast lane per worker; the worker count is
-        // fixed for the engine's lifetime, so this runs once per session.
-        if self.lanes.len() != pm.worker_count() {
-            self.lanes = (0..pm.worker_count())
-                .map(|i| pm.worker(i).fast_lane())
-                .collect();
-        }
         // Arc clone so trace spans can live across the mutable borrows of the
         // reply pools below (one refcount bump per transaction).
         let ring = self.ring.clone();
+        let stats = db.stats();
+        let txn_id = txn.id();
         let mut all_outputs = Vec::new();
         let mut total_actions = 0u32;
         // The lowest-indexed failing action of the current stage (a
         // deterministic choice that does not depend on how actions were
-        // grouped into batches).
+        // grouped, or on which thread ran them).
         let mut abort: Option<(usize, EngineError)> = None;
         loop {
-            // Dispatch the whole stage, then wait at the rendezvous point.
-            // The dispatch guard pins the routing tables for the route+send
-            // window so a concurrent (DLB-triggered) repartition can never
-            // slip between routing an action and enqueueing it; it is
-            // dropped before blocking on replies.
-            let stats = db.stats();
             let num_actions = plan.actions.len();
+            // Replies scatter back into stage order by original index.
+            let mut stage_slots: Vec<Option<ActionOutput>> = Vec::with_capacity(num_actions);
+            stage_slots.resize_with(num_actions, || None);
+            let mut consume = |index: usize,
+                               reply: ActionReply,
+                               stage_slots: &mut Vec<Option<ActionOutput>>,
+                               txn: &mut Transaction| {
+                let ActionReply { result, log, .. } = reply;
+                // Merge the action's log records into the transaction so the
+                // commit record covers them (one consolidated insert).
+                for record in log {
+                    db.log_manager().log_record(txn.log_handle_mut(), record);
+                }
+                match result {
+                    Ok(out) => stage_slots[index] = Some(out),
+                    Err(e) => {
+                        if abort.as_ref().is_none_or(|(i, _)| index < *i) {
+                            abort = Some((index, e));
+                        }
+                    }
+                }
+            };
+            // Every group ends the same way whichever thread ran it: its
+            // session-observed time lands in `action_roundtrip`, and its
+            // phases — reply wait derived as the remainder, so the four sum
+            // to that time exactly (all reads come off one clock) — are
+            // accumulated.  The phase histograms record once per
+            // *transaction* (see `execute`), keeping this path free of
+            // further histogram stores.
+            let mut settle = |observed: u64, mut phases: PhaseBreakdown| {
+                stats.latency().action_roundtrip.record(observed);
+                if obs_enabled() {
+                    phases.reply_nanos = observed.saturating_sub(phases.total());
+                    txn_phases.merge(&phases);
+                }
+            };
+            // Run or dispatch the whole stage, then wait at the rendezvous
+            // point for whatever was dispatched.  The dispatch guard pins the
+            // routing tables and ownership for the route → run-or-send
+            // window, so a concurrent (DLB-triggered) repartition can never
+            // slip between routing an action and executing or enqueueing it;
+            // it is dropped before blocking on replies.
             let mut pending: Vec<Pending> = Vec::new();
-            // One timestamp opens the dispatch span (which covers routing),
-            // and one closes it AND feeds the stage_dispatch histogram: on
-            // this path recording cost is gated by fig_obs, so adjacent
-            // events share clock reads and per-message instants (sends,
-            // wakes) are left to the workers' own execute spans.
-            let stage_t0 = if obs_enabled() { now_nanos() } else { 0 };
+            // One timestamp opens the dispatch span (which covers routing and
+            // the groups this session runs itself), and one closes it AND
+            // feeds the stage_dispatch histogram: on this path recording cost
+            // is gated by fig_obs, so adjacent events share clock reads.
+            let stage_t0 = obs_now();
+            let mut inline_nanos = 0u64;
             {
                 let _gate = pm.dispatch_guard();
-                // Group the stage's actions by routed worker: each worker
-                // gets ONE message (and one reply wakeup) per stage instead
-                // of one per action.  Stage fan-out is small, so a linear
+                // Group the stage's actions by routed worker: each partition
+                // is claimed (or messaged, and woken) ONCE per stage instead
+                // of once per action.  Stage fan-out is small, so a linear
                 // scan beats a map.
                 let mut groups: Vec<(usize, Vec<usize>, Vec<ActionFn>)> = Vec::new();
                 for (index, action) in plan.actions.into_iter().enumerate() {
@@ -905,6 +943,38 @@ impl Session<'_> {
                     }
                 }
                 for (worker, indices, mut actions) in groups {
+                    // Caller runs: an idle partition (claim free, nothing
+                    // queued for its worker) is executed right here, through
+                    // the same `run_group` the worker uses.  The claim is the
+                    // one critical section this group costs.
+                    if let Some(mut partition) = pm.worker(worker).try_claim() {
+                        stats.cs().enter(CsCategory::MessagePassing, false);
+                        let started = obs_now();
+                        let ran = actions.len() as u64;
+                        let mut phases = PhaseBreakdown::default();
+                        let mut targets = indices.iter();
+                        let finished =
+                            partition.run_group(&ring, txn_id, started, 0, actions, |reply| {
+                                phases.merge(&reply.phases);
+                                let index = *targets.next().expect("one reply per action");
+                                consume(index, reply, &mut stage_slots, txn);
+                            });
+                        drop(partition);
+                        let observed = finished.saturating_sub(started);
+                        inline_nanos += observed;
+                        stats.msg().inline_ran(ran, observed);
+                        settle(observed, phases);
+                        continue;
+                    }
+                    // Contended: pay the message.  Lazily wire one SPSC fast
+                    // lane per worker the first time this session sends at
+                    // all; the worker count is fixed for the engine's
+                    // lifetime.
+                    if self.lanes.is_empty() {
+                        self.lanes = (0..pm.worker_count())
+                            .map(|i| pm.worker(i).fast_lane())
+                            .collect();
+                    }
                     let lane = self.lanes.get(worker);
                     if actions.len() == 1 {
                         // Singleton groups keep the cheaper per-action slot.
@@ -926,7 +996,7 @@ impl Session<'_> {
                         // worker never sees a timestamp from its future.
                         let sent_at = now_nanos();
                         let fast = pm.worker(worker).send_action(
-                            txn.id(),
+                            txn_id,
                             run,
                             &mut slot,
                             lane,
@@ -953,7 +1023,7 @@ impl Session<'_> {
                         let batched = actions.len() as u64;
                         let sent_at = now_nanos();
                         let fast = pm.worker(worker).send_batch(
-                            txn.id(),
+                            txn_id,
                             actions,
                             &mut slot,
                             lane,
@@ -969,7 +1039,8 @@ impl Session<'_> {
                     }
                 }
             }
-            let dispatch_end = if obs_enabled() { now_nanos() } else { 0 };
+            let dispatch_end = obs_now();
+            let num_pending = pending.len();
             if obs_enabled() {
                 ring.event(
                     TraceEvent::Dispatch,
@@ -977,66 +1048,36 @@ impl Session<'_> {
                     stage_t0,
                     dispatch_end - stage_t0,
                 );
-                stats
-                    .latency()
-                    .stage_dispatch
-                    .record(dispatch_end - stage_t0);
+                // Route + enqueue of a stage that sent something — not the
+                // execution the session did in between, which
+                // `phase_execute` already has.  A stage that ran entirely
+                // inline dispatched nothing.
+                if num_pending > 0 {
+                    stats
+                        .latency()
+                        .stage_dispatch
+                        .record((dispatch_end - stage_t0).saturating_sub(inline_nanos));
+                }
             }
-            // Scatter replies back into stage order by original index.
-            let mut stage_slots: Vec<Option<ActionOutput>> = Vec::with_capacity(num_actions);
-            stage_slots.resize_with(num_actions, || None);
-            let mut consume = |index: usize,
-                               reply: ActionReply,
-                               stage_slots: &mut Vec<Option<ActionOutput>>,
-                               txn: &mut Transaction| {
-                let ActionReply { result, log, .. } = reply;
-                // Merge the action's log records into the transaction so the
-                // commit record covers them (one consolidated insert).
-                for record in log {
-                    db.log_manager().log_record(txn.log_handle_mut(), record);
-                }
-                match result {
-                    Ok(out) => stage_slots[index] = Some(out),
-                    Err(e) => {
-                        if abort.as_ref().is_none_or(|(i, _)| index < *i) {
-                            abort = Some((index, e));
-                        }
-                    }
-                }
-            };
-            let num_pending = pending.len();
             // The wake that consumes each reply stamps `wait_end`, so the
             // ReplyWait span closes without a clock read of its own.
             let mut wait_end = dispatch_end;
             for p in pending {
-                match p {
+                let (sent_at, phases) = match p {
                     Pending::Single {
                         index,
                         mut slot,
                         sent_at,
                     } => {
                         let reply = slot.wait();
-                        let woke = now_nanos();
-                        let rt = woke.saturating_sub(sent_at);
-                        stats.msg().roundtrip(rt);
-                        stats.latency().action_roundtrip.record(rt);
-                        wait_end = woke;
+                        wait_end = now_nanos();
                         if self.reply_pool.len() < REPLY_POOL_MAX {
                             self.reply_pool.push(slot);
                         }
                         let reply = reply.map_err(|_| EngineError::Shutdown)?;
-                        if obs_enabled() {
-                            // The reply-wait phase is the round trip's
-                            // remainder, so the four phases sum to `rt`
-                            // exactly (all reads come off the same clock).
-                            // Accumulated only — the phase histograms record
-                            // once per *transaction* (see `execute`), keeping
-                            // this reply loop free of histogram stores.
-                            let mut mp = reply.phases;
-                            mp.reply_nanos = rt.saturating_sub(mp.total());
-                            txn_phases.merge(&mp);
-                        }
+                        let phases = reply.phases;
                         consume(index, reply, &mut stage_slots, txn);
+                        (sent_at, phases)
                     }
                     Pending::Batch {
                         indices,
@@ -1044,27 +1085,15 @@ impl Session<'_> {
                         sent_at,
                     } => {
                         let replies = slot.wait();
-                        let woke = now_nanos();
-                        let rt = woke.saturating_sub(sent_at);
-                        stats.msg().roundtrip(rt);
-                        stats.latency().action_roundtrip.record(rt);
-                        wait_end = woke;
+                        wait_end = now_nanos();
                         let mut replies = replies.map_err(|_| EngineError::Shutdown)?;
                         debug_assert_eq!(replies.len(), indices.len(), "one reply per action");
-                        // Like the singleton arm: sum the batch's worker-side
-                        // phases (queue wait rides on the first reply only),
-                        // derive reply-wait as the remainder of the one
-                        // round trip this batch cost.
-                        let mut mp = PhaseBreakdown::default();
+                        // Sum the batch's worker-side phases (queue wait
+                        // rides on the first reply only).
+                        let mut phases = PhaseBreakdown::default();
                         for (index, reply) in indices.iter().copied().zip(replies.drain(..)) {
-                            if obs_enabled() {
-                                mp.merge(&reply.phases);
-                            }
+                            phases.merge(&reply.phases);
                             consume(index, reply, &mut stage_slots, txn);
-                        }
-                        if obs_enabled() {
-                            mp.reply_nanos = rt.saturating_sub(mp.total());
-                            txn_phases.merge(&mp);
                         }
                         // Hand the (now empty) reply Vec back to the slot so
                         // the next batch reuses its capacity.
@@ -1072,10 +1101,14 @@ impl Session<'_> {
                         if self.batch_pool.len() < BATCH_POOL_MAX {
                             self.batch_pool.push(slot);
                         }
+                        (sent_at, phases)
                     }
-                }
+                };
+                let rt = wait_end.saturating_sub(sent_at);
+                stats.msg().roundtrip(rt);
+                settle(rt, phases);
             }
-            if obs_enabled() {
+            if obs_enabled() && num_pending > 0 {
                 ring.event(
                     TraceEvent::ReplyWait,
                     num_pending as u64,

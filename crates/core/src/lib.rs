@@ -14,9 +14,11 @@
 //!
 //! The [`engine::Engine`] front-end accepts [`action::TransactionPlan`]s (the
 //! directed graphs of Section 3.1, produced by the workload crate), executes
-//! them inline (conventional) or by routing actions to partition worker
-//! threads (partitioned designs), and reports every critical section, page
-//! latch and wait into the shared instrumentation registry.
+//! them inline (conventional) or by routing actions to logical partitions
+//! (partitioned designs) — where the session runs an action group itself if
+//! it can claim the partition idle, and messages the partition's worker
+//! thread otherwise (see [`worker`]) — and reports every critical section,
+//! page latch and wait into the shared instrumentation registry.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

@@ -6,10 +6,10 @@
 //! race partition workers mutating every counter, and each response must
 //! still parse, carry internally-consistent histogram series, and show a
 //! monotonically non-decreasing committed-transaction counter.  Second, the
-//! per-phase round-trip attribution must reconcile: queue + lock + execute +
-//! reply is derived to equal the observed round trip per message, so the
-//! phase histogram sums must equal the `action_roundtrip` sum exactly once
-//! the engine is quiesced.
+//! per-phase attribution must reconcile: queue + lock + execute + reply is
+//! derived to equal the session-observed time of every action group —
+//! messaged or run inline by the session — so the phase histogram sums must
+//! equal the `action_roundtrip` sum exactly once the engine is quiesced.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -164,36 +164,84 @@ fn phase_histograms_reconcile_with_roundtrip() {
         return;
     }
     let mut engine = test_engine();
+    let stats = engine.db().stats().clone();
+    // `action_roundtrip` records the session-observed time of every action
+    // *group* — one per (worker, stage), whether the session ran it itself
+    // or sent it as a message; each mixed plan is two groups — while the
+    // phase histograms record the merged breakdown once per transaction
+    // (a phase a transaction spent no time in is not recorded, so execute
+    // counts transactions and the waits count those that waited).
+    // Reply wait is derived as each group's remainder before merging, so
+    // the four phase sums reconcile with the round-trip sum exactly.
+    let reconcile = |txns: u64| {
+        let latency = stats.latency().snapshot();
+        assert_eq!(latency.action_roundtrip.count, 2 * txns);
+        assert_eq!(latency.phase_execute.count, txns);
+        assert!(latency.phase_queue_wait.count <= txns);
+        assert!(latency.phase_reply_wait.count <= txns);
+        assert_eq!(
+            latency.phase_lock_wait.count, 0,
+            "thread-local locks never block"
+        );
+        let phase_sum = latency.phase_queue_wait.sum
+            + latency.phase_lock_wait.sum
+            + latency.phase_execute.sum
+            + latency.phase_reply_wait.sum;
+        assert_eq!(
+            phase_sum, latency.action_roundtrip.sum,
+            "phase attribution must decompose the observed time exactly"
+        );
+        latency
+    };
+
+    // One session on an idle engine: every group runs inline — no message,
+    // no queue wait, no reply wait; the whole observed time is execution.
     {
         let mut session = engine.session();
         for k in 0..200u64 {
             session.execute(mixed_plan(k)).expect("transaction");
         }
     }
-    let latency = engine.db().stats().latency().snapshot();
-    // `action_roundtrip` records once per dispatched message (each mixed
-    // plan is one batch + one singleton = two messages), while the phase
-    // histograms record the merged breakdown once per transaction...
-    assert_eq!(latency.action_roundtrip.count, 400);
-    for phase in [
-        &latency.phase_queue_wait,
-        &latency.phase_lock_wait,
-        &latency.phase_execute,
-        &latency.phase_reply_wait,
-    ] {
-        assert_eq!(phase.count, 200);
-    }
-    // ...and the reply-wait phase is derived as each round trip's remainder
-    // before merging, so the four phase sums still reconcile with the
-    // round-trip sum exactly.
-    let phase_sum = latency.phase_queue_wait.sum
-        + latency.phase_lock_wait.sum
-        + latency.phase_execute.sum
-        + latency.phase_reply_wait.sum;
+    let msg = stats.snapshot().msg;
+    assert_eq!(msg.actions, 0, "an idle engine sends no messages");
+    assert_eq!(msg.inline_actions, 600);
+    let latency = reconcile(200);
     assert_eq!(
-        phase_sum, latency.action_roundtrip.sum,
-        "phase attribution must decompose the round trip exactly"
+        latency.phase_queue_wait.count + latency.phase_reply_wait.count,
+        0
     );
+    assert_eq!(latency.phase_execute.sum, latency.action_roundtrip.sum);
+
+    // Four sessions on two partitions collide: some groups take the message
+    // path (rounds repeat, bounded, until one has), and the same invariant
+    // holds over the mix.
+    for _round in 0..50 {
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let engine = &engine;
+                scope.spawn(move || {
+                    let mut session = engine.session();
+                    for k in 0..200u64 {
+                        session
+                            .execute(mixed_plan(t * 1000 + k))
+                            .expect("transaction");
+                    }
+                });
+            }
+        });
+        if stats.snapshot().msg.actions > 0 {
+            break;
+        }
+    }
+    let snapshot = stats.snapshot();
+    assert!(
+        snapshot.msg.actions > 0,
+        "no group was ever messaged: {:?}",
+        snapshot.msg
+    );
+    let latency = reconcile(snapshot.committed);
+    assert!(latency.phase_queue_wait.sum + latency.phase_reply_wait.sum > 0);
+
     // The endpoint exports the same equality.
     let addr = engine.obs_addr().expect("endpoint configured");
     let (status, body) = http_get(addr, "/metrics");
@@ -211,5 +259,14 @@ fn phase_histograms_reconcile_with_roundtrip() {
     .sum();
     let roundtrip = sample_value(&samples, "plp_latency_action_roundtrip_nanoseconds_sum");
     assert_eq!(exported, roundtrip, "exported phase sums must reconcile");
+    // Messages and inline runs are told apart in the exposition.
+    assert_eq!(
+        sample_value(&samples, "plp_msg_actions_total"),
+        snapshot.msg.actions as f64
+    );
+    assert_eq!(
+        sample_value(&samples, "plp_msg_inline_actions_total"),
+        snapshot.msg.inline_actions as f64
+    );
     engine.shutdown();
 }

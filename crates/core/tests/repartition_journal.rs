@@ -326,18 +326,25 @@ fn repartition_drains_inflight_multistage_transactions() {
     // must always run under the same boundaries its stage 1 was routed with
     // (the drain closes the stage-2-loses-locks hole).  Without the drain
     // this test trips latch-free ownership panics / lost thread-local locks.
+    // The sessions run their groups inline whenever the partition is idle —
+    // i.e. almost always, on both sides of the moving cut — so the drain and
+    // the dispatch gate's write side must exclude *execution on the session
+    // thread*, not only enqueues.
     let engine = Arc::new(aligned_engine(Design::PlpRegular));
     let stop = AtomicBool::new(false);
     let committed = AtomicU64::new(0);
 
-    std::thread::scope(|scope| {
+    let bumps: Vec<Vec<u64>> = std::thread::scope(|scope| {
         let eng = &engine;
         let stop = &stop;
         let committed = &committed;
+        let mut sessions = Vec::new();
         for t in 0..2u64 {
-            scope.spawn(move || {
+            sessions.push(scope.spawn(move || {
                 let mut session = eng.session();
                 let mut i = 0u64;
+                // Acknowledged stage-2 updates per key.
+                let mut bumped = vec![0u64; 512];
                 while !stop.load(Ordering::Relaxed) {
                     i += 1;
                     let k1 = (i * 13 + t * 101) % 512;
@@ -373,8 +380,10 @@ fn repartition_drains_inflight_multistage_transactions() {
                     });
                     session.execute(plan).expect("multi-stage txn must commit");
                     committed.fetch_add(1, Ordering::Relaxed);
+                    bumped[k4 as usize] += 1;
                 }
-            });
+                bumped
+            }));
         }
         scope.spawn(move || {
             // Bounce the boundaries back and forth while the load runs.
@@ -386,6 +395,10 @@ fn repartition_drains_inflight_multistage_transactions() {
             }
             stop.store(true, Ordering::Relaxed);
         });
+        sessions
+            .into_iter()
+            .map(|s| s.join().expect("session thread"))
+            .collect()
     });
     assert!(committed.load(Ordering::Relaxed) > 0);
     // All sibling tables stayed aligned with the final cut.
@@ -393,4 +406,18 @@ fn repartition_drains_inflight_multistage_transactions() {
     assert_eq!(pm.bounds(ROOT), vec![0, 256]);
     assert_eq!(pm.bounds(SIBLING_A), vec![0, 1024]);
     assert_eq!(pm.bounds(SIBLING_B), vec![0, 2048]);
+    // The load really ran on the session threads, nothing is left in flight,
+    // and no row or acknowledged update went missing while ownership moved
+    // under it: byte 0 of each root row counts its stage-2 updates.
+    let msg = engine.db().stats().snapshot().msg;
+    assert!(msg.inline_actions > 0, "sessions never ran inline: {msg:?}");
+    assert_eq!(pm.inflight_txns(), 0);
+    for k in 0..512u64 {
+        let row = read_transaction(&engine, ROOT, k).expect("root row lost");
+        let expected: u64 = bumps.iter().map(|b| b[k as usize]).sum();
+        assert_eq!(row[0], b'r'.wrapping_add(expected as u8), "root key {k}");
+        assert_eq!(&row[1..], &format!("root-{k}").as_bytes()[1..]);
+        assert!(read_transaction(&engine, SIBLING_A, k * 4).is_some());
+        assert!(read_transaction(&engine, SIBLING_B, k * 8).is_some());
+    }
 }

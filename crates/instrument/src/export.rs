@@ -321,7 +321,7 @@ pub fn prometheus_exposition(stats: &StatsSnapshot, latency: &LatencySnapshot) -
 
     e.counter(
         "plp_msg_actions_total",
-        "Action round trips measured.",
+        "Action round trips measured (messages actually sent).",
         stats.msg.actions,
     );
     e.counter(
@@ -393,6 +393,16 @@ pub fn prometheus_exposition(stats: &StatsSnapshot, latency: &LatencySnapshot) -
         "plp_msg_lane_fallbacks_total",
         "Dispatches that fell back to the shared MPMC queue.",
         stats.msg.lane_fallbacks,
+    );
+    e.counter(
+        "plp_msg_inline_actions_total",
+        "Actions a session ran itself on an idle partition (no message sent).",
+        stats.msg.inline_actions,
+    );
+    e.counter(
+        "plp_msg_inline_nanoseconds_total",
+        "Session-observed time running inline actions.",
+        stats.msg.inline_nanos,
     );
 
     e.counter(
@@ -741,7 +751,8 @@ pub fn stats_json(stats: &StatsSnapshot, latency: &LatencySnapshot) -> String {
     out.push_str(&format!(
         "\"msg\":{{\"actions\":{},\"roundtrip_nanos\":{},\"reply_reuses\":{},\
          \"reply_allocs\":{},\"parks\":{},\"wakeups\":{},\"batches\":{},\"batch_actions\":{},\
-         \"lane_hits\":{},\"lane_fallbacks\":{}}},",
+         \"lane_hits\":{},\"lane_fallbacks\":{},\"inline_actions\":{},\
+         \"inline_nanos\":{}}},",
         stats.msg.actions,
         stats.msg.roundtrip_nanos,
         stats.msg.reply_reuses,
@@ -751,7 +762,9 @@ pub fn stats_json(stats: &StatsSnapshot, latency: &LatencySnapshot) -> String {
         stats.msg.batches,
         stats.msg.batch_actions,
         stats.msg.lane_hits,
-        stats.msg.lane_fallbacks
+        stats.msg.lane_fallbacks,
+        stats.msg.inline_actions,
+        stats.msg.inline_nanos
     ));
     out.push_str(&format!(
         "\"server\":{{\"connections_accepted\":{},\"connections_closed\":{},\
@@ -811,6 +824,7 @@ mod tests {
         r.wal().fsync();
         r.msg().roundtrip(1_500);
         r.msg().batch_sent(4, true);
+        r.msg().inline_ran(3, 900);
         r.server().connection_accepted();
         r.server().connection_accepted();
         r.server().connection_closed();
@@ -841,6 +855,8 @@ mod tests {
         assert_eq!(get("plp_txn_aborted_total"), 1.0);
         assert_eq!(get("plp_msg_actions_total"), 1.0);
         assert_eq!(get("plp_msg_roundtrip_nanoseconds_total"), 1_500.0);
+        assert_eq!(get("plp_msg_inline_actions_total"), 3.0);
+        assert_eq!(get("plp_msg_inline_nanoseconds_total"), 900.0);
         assert_eq!(get("plp_smo_wait_nanoseconds_total"), 250.0);
         assert_eq!(get("plp_dlb_observed_imbalance"), 1.75);
         assert_eq!(get("plp_server_connections_accepted_total"), 2.0);
@@ -929,6 +945,7 @@ h_count 6\n";
         assert!(json.contains("\"committed\":2"));
         assert!(json.contains("\"lock_mgr\""));
         assert!(json.contains("\"action_roundtrip\""));
+        assert!(json.contains("\"inline_actions\":3,\"inline_nanos\":900"));
         assert!(json.contains("\"server\":{\"connections_accepted\":2"));
         assert!(json.contains("\"active_connections\":1"));
         // Empty registries also serialize cleanly.

@@ -62,15 +62,24 @@ impl PhaseBreakdown {
     }
 
     /// Record the four round-trip phases into the per-phase histograms.
-    /// Zeros are recorded too.  The engine calls this once per *transaction*
-    /// on the merged breakdown, so phase sums reconcile exactly against
-    /// `action_roundtrip` while counts are per-txn (`wal` is recorded at
-    /// its own site).
+    /// The engine calls this once per *transaction* on the merged breakdown,
+    /// so phase sums reconcile exactly against `action_roundtrip` (`wal` is
+    /// recorded at its own site).  A phase the transaction spent no time in
+    /// is not recorded: a transaction whose groups all ran inline has no
+    /// queue or reply wait, and three shared-cache-line stores saying so
+    /// were the largest single recording cost on that path (`fig_obs`).
+    /// A phase's count is therefore the transactions that *had* the phase.
     pub fn record_roundtrip_phases(&self, latency: &crate::LatencyStats) {
-        latency.phase_queue_wait.record(self.queue_nanos);
-        latency.phase_lock_wait.record(self.lock_nanos);
-        latency.phase_execute.record(self.exec_nanos);
-        latency.phase_reply_wait.record(self.reply_nanos);
+        for (histogram, nanos) in [
+            (&latency.phase_queue_wait, self.queue_nanos),
+            (&latency.phase_lock_wait, self.lock_nanos),
+            (&latency.phase_execute, self.exec_nanos),
+            (&latency.phase_reply_wait, self.reply_nanos),
+        ] {
+            if nanos != 0 {
+                histogram.record(nanos);
+            }
+        }
     }
 
     fn json(&self) -> String {
@@ -378,9 +387,10 @@ mod tests {
         };
         b.record_roundtrip_phases(&l);
         let s = l.snapshot();
-        // All four round-trip phases record (zeros included); wal does not.
+        // The round-trip phases the transaction spent time in record; a
+        // zero phase and wal do not.
         assert_eq!(s.phase_queue_wait.count, 1);
-        assert_eq!(s.phase_lock_wait.count, 1);
+        assert_eq!(s.phase_lock_wait.count, 0);
         assert_eq!(s.phase_execute.count, 1);
         assert_eq!(s.phase_reply_wait.count, 1);
         assert_eq!(s.phase_wal_flush.count, 0);

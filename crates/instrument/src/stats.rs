@@ -809,6 +809,12 @@ pub struct MsgStats {
     /// Dispatches that went over the shared MPMC queue instead (lane full,
     /// or the session has no lane to that worker).
     lane_fallbacks: AtomicU64,
+    /// Actions a session ran itself after claiming an idle partition — no
+    /// message was sent for them, so none of the counters above moved.
+    inline_actions: AtomicU64,
+    /// Session-observed time running those actions (claim held → last
+    /// action done); zero in `obs-stub` builds, which read no clock there.
+    inline_nanos: AtomicU64,
 }
 
 impl MsgStats {
@@ -852,6 +858,13 @@ impl MsgStats {
         self.dispatch_sent(fast_lane);
     }
 
+    /// Record one action group a session ran inline.
+    #[inline]
+    pub fn inline_ran(&self, actions: u64, nanos: u64) {
+        self.inline_actions.fetch_add(actions, Ordering::Relaxed);
+        self.inline_nanos.fetch_add(nanos, Ordering::Relaxed);
+    }
+
     /// Fold in a delta of the channel layer's slow-path counters.
     pub fn queue_activity(&self, enqueue_spins: u64, dequeue_spins: u64, parks: u64, wakeups: u64) {
         self.enqueue_spins
@@ -877,6 +890,8 @@ impl MsgStats {
             batch_size_buckets: Self::legacy_buckets(&self.batch_hist.snapshot()),
             lane_hits: self.lane_hits.load(Ordering::Relaxed),
             lane_fallbacks: self.lane_fallbacks.load(Ordering::Relaxed),
+            inline_actions: self.inline_actions.load(Ordering::Relaxed),
+            inline_nanos: self.inline_nanos.load(Ordering::Relaxed),
         }
     }
 
@@ -894,6 +909,8 @@ impl MsgStats {
         self.batch_hist.reset();
         self.lane_hits.store(0, Ordering::Relaxed);
         self.lane_fallbacks.store(0, Ordering::Relaxed);
+        self.inline_actions.store(0, Ordering::Relaxed);
+        self.inline_nanos.store(0, Ordering::Relaxed);
     }
 
     /// Full actions-per-batch distribution (quantile-capable superset of the
@@ -944,12 +961,37 @@ pub struct MsgStatsSnapshot {
     pub batch_size_buckets: [u64; 5],
     pub lane_hits: u64,
     pub lane_fallbacks: u64,
+    pub inline_actions: u64,
+    pub inline_nanos: u64,
 }
 
 impl MsgStatsSnapshot {
-    /// Mean coordinator-observed round-trip time per action.
+    /// Mean coordinator-observed round-trip time per *message* — under
+    /// caller-runs execution that is the contended tail only; see
+    /// [`Self::mean_action_nanos`] for the cost of an action on either path.
     pub fn mean_roundtrip_nanos(&self) -> f64 {
         self.roundtrip_nanos as f64 / self.actions.max(1) as f64
+    }
+
+    /// Actions that travelled in a message (a batch message carries several).
+    pub fn messaged_actions(&self) -> u64 {
+        self.actions.saturating_sub(self.batches) + self.batch_actions
+    }
+
+    /// Mean session-observed time per action over both paths: message round
+    /// trips plus inline runs, over the actions either carried.
+    pub fn mean_action_nanos(&self) -> f64 {
+        (self.roundtrip_nanos + self.inline_nanos) as f64
+            / (self.messaged_actions() + self.inline_actions).max(1) as f64
+    }
+
+    /// Fraction of actions a session ran itself instead of sending.
+    pub fn inline_share(&self) -> f64 {
+        let total = self.messaged_actions() + self.inline_actions;
+        if total == 0 {
+            return 0.0;
+        }
+        self.inline_actions as f64 / total as f64
     }
 
     /// Fraction of dispatches served from the reply pool (steady state → 1).
@@ -1000,6 +1042,8 @@ impl MsgStatsSnapshot {
             ],
             lane_hits: self.lane_hits.saturating_sub(earlier.lane_hits),
             lane_fallbacks: self.lane_fallbacks.saturating_sub(earlier.lane_fallbacks),
+            inline_actions: self.inline_actions.saturating_sub(earlier.inline_actions),
+            inline_nanos: self.inline_nanos.saturating_sub(earlier.inline_nanos),
         }
     }
 }
@@ -1383,6 +1427,30 @@ mod tests {
         // Empty stats report 0, not NaN.
         assert_eq!(MsgStats::new().snapshot().mean_roundtrip_nanos(), 0.0);
         assert_eq!(MsgStats::new().snapshot().reply_pool_hit_rate(), 0.0);
+        assert_eq!(MsgStats::new().snapshot().mean_action_nanos(), 0.0);
+        assert_eq!(MsgStats::new().snapshot().inline_share(), 0.0);
+    }
+
+    #[test]
+    fn msg_stats_cost_per_action_spans_both_paths() {
+        let m = MsgStats::new();
+        // One singleton message, one 3-action batch message, 4 inline actions.
+        m.roundtrip(10_000);
+        m.batch_sent(3, true);
+        m.roundtrip(20_000);
+        m.inline_ran(1, 500);
+        m.inline_ran(3, 1_500);
+        let s = m.snapshot();
+        assert_eq!(s.actions, 2, "plp_msg_actions_total counts messages only");
+        assert_eq!(s.messaged_actions(), 4);
+        assert_eq!(s.inline_actions, 4);
+        assert!((s.inline_share() - 0.5).abs() < f64::EPSILON);
+        assert!((s.mean_roundtrip_nanos() - 15_000.0).abs() < f64::EPSILON);
+        assert!((s.mean_action_nanos() - 32_000.0 / 8.0).abs() < f64::EPSILON);
+        let d = m.snapshot().delta(&s);
+        assert_eq!((d.inline_actions, d.inline_nanos), (0, 0));
+        m.reset();
+        assert_eq!(m.snapshot().inline_actions, 0);
     }
 
     #[test]

@@ -157,8 +157,9 @@ pub enum TraceEvent {
     /// Reserved: the hot path folds routing into [`TraceEvent::Dispatch`] to
     /// keep per-transaction recording inside the `fig_obs` overhead gate.
     Route = 2,
-    /// Dispatch of one stage: route + enqueue on every target worker
-    /// (session ring; arg = actions).
+    /// Dispatch of one stage: route, then run inline or enqueue for every
+    /// target partition (session ring; arg = actions).  Inline
+    /// [`TraceEvent::ExecuteAction`] spans nest inside it.
     Dispatch = 3,
     /// One action enqueued on a worker's SPSC fast lane (arg = worker).
     /// Reserved off the hot path (see [`TraceEvent::Route`]); the lane/queue
@@ -170,15 +171,19 @@ pub enum TraceEvent {
     /// One batched dispatch enqueued (arg = actions in the batch).
     /// Reserved off the hot path (see [`TraceEvent::LaneSend`]).
     BatchDispatch = 6,
-    /// Waiting for all of a stage's replies (session ring; arg = replies).
+    /// Waiting for all of a stage's replies (session ring; arg = replies);
+    /// not recorded for a stage that sent no message.
     ReplyWait = 7,
     /// One reply consumed (session ring; arg = worker).  Reserved off the
     /// hot path: each reply's arrival shows as the worker span's end, and
     /// the stage's wait window as [`TraceEvent::ReplyWait`].
     ReplyWake = 8,
-    /// One action executing on a worker (worker ring; arg = txn id).
+    /// One action executing (arg = txn id), on the ring of the thread that
+    /// ran it: the worker's for a message, the session's for a group it ran
+    /// inline — rings are single-writer.
     ExecuteAction = 9,
-    /// One dispatch batch executing on a worker (worker ring; arg = actions).
+    /// One multi-action group executing (same ring as its actions; arg =
+    /// actions).
     ExecuteBatch = 10,
     /// Transaction committed (session ring; arg = txn id).
     Commit = 11,

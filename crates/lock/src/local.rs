@@ -1,11 +1,12 @@
 //! Thread-local lock tables for the logically-partitioned designs.
 //!
 //! Under data-oriented execution (and therefore under PLP), each logical
-//! partition is served by exactly one worker thread, and the partition manager
-//! routes every action touching a key range to its owning worker.  Isolation
-//! within the partition therefore does not need a shared lock table: the
-//! worker keeps a *private* lock table, which costs no critical sections at
-//! all — this is precisely why the "Logical" and "PLP" bars of Figure 1 have
+//! partition is served by exactly one thread at a time, and the partition
+//! manager routes every action touching a key range to its owning partition.
+//! Isolation within the partition therefore does not need a shared lock
+//! table: the partition keeps a *private* lock table, reachable only by the
+//! thread currently acting for it, which costs no critical sections at all —
+//! this is precisely why the "Logical" and "PLP" bars of Figure 1 have
 //! (almost) no lock-manager component.
 //!
 //! The table still performs real conflict checking, because a multi-action
@@ -30,8 +31,8 @@ pub enum LocalLockOutcome {
     },
 }
 
-/// A lock table private to one partition worker.  No interior synchronization
-/// — the owning thread is the only user.
+/// A lock table private to one partition.  No interior synchronization — the
+/// thread acting for the partition (one at a time) is the only user.
 #[derive(Debug, Default)]
 pub struct LocalLockTable {
     heads: HashMap<LockId, Vec<(u64, LockMode)>>,

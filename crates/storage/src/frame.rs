@@ -5,10 +5,13 @@
 //! * the page bytes,
 //! * an instrumented **page latch** (reader-writer lock) used by the
 //!   conventional and logical-only designs,
-//! * an **owner tag** used by the PLP designs: when a partition worker owns the
-//!   frame it may access the page without taking the latch at all (the paper's
-//!   "latch-free" accesses), because the partition manager guarantees that all
-//!   requests touching this page are executed by that single thread.
+//! * an **owner tag** used by the PLP designs: when a partition owns the frame,
+//!   the thread acting for that partition may access the page without taking
+//!   the latch at all (the paper's "latch-free" accesses), because the engine
+//!   guarantees that requests touching this page are executed by one thread
+//!   *at a time* — whoever holds the partition's claim, a mutex whose
+//!   release/acquire orders one holder's page writes before the next holder's
+//!   accesses (`plp-core`'s `worker` module and `docs/concurrency.md`).
 //!
 //! Both access paths report into the shared [`StatsRegistry`]: latched accesses
 //! count page-latch acquisitions (and contention) by page kind, owner accesses
@@ -135,8 +138,8 @@ impl Frame {
     // ------------------------------------------------------------------
 
     /// Assign the frame to a partition owner.  Called by the partition manager
-    /// while the affected partitions are quiesced; afterwards only the owner
-    /// thread touches the page.
+    /// while the affected partitions are quiesced; afterwards only the holder
+    /// of that partition's claim touches the page.
     pub fn set_owner(&self, token: OwnerToken) {
         self.owner.store(token.0, Ordering::Release);
     }
@@ -213,27 +216,31 @@ impl Frame {
     // Owner (latch-free) access — the PLP path
     // ------------------------------------------------------------------
 
-    /// Latch-free shared access by the owning partition thread.
+    /// Latch-free shared access by the thread acting for the owning partition.
     ///
     /// # Panics
-    /// Panics if `token` does not match the frame's current owner.  The PLP
-    /// partition manager guarantees that only the owner thread ever calls this,
-    /// so the check is a cheap guard against routing bugs, not a
+    /// Panics if `token` does not match the frame's current owner.  The engine
+    /// guarantees that only the holder of the owning partition's claim ever
+    /// calls this, so the check is a cheap guard against routing bugs, not a
     /// synchronization mechanism.
     pub fn owned_ref(&self, token: OwnerToken) -> &Page {
         self.check_owner(token);
         self.stats.latches().bypassed(self.kind);
         // SAFETY: the owner protocol guarantees this thread is the only one
-        // accessing the page while the token matches.
+        // accessing the page while the token matches: the token is reachable
+        // only through the owning partition's claim, which one thread holds
+        // at a time and whose hand-over is a mutex release → acquire.
         unsafe { &*self.data.get() }
     }
 
-    /// Latch-free exclusive access by the owning partition thread.
+    /// Latch-free exclusive access by the thread acting for the owning
+    /// partition.
     ///
     /// # Safety contract (enforced by the partition manager)
-    /// The caller must be the single thread to which this frame's partition is
-    /// assigned.  The owner-token check catches accidental misuse (wrong
-    /// routing) but cannot catch two threads deliberately sharing a token.
+    /// The caller must be the one thread currently acting for this frame's
+    /// partition (in `plp-core`: the holder of the partition's claim).  The
+    /// owner-token check catches accidental misuse (wrong routing) but cannot
+    /// catch two threads deliberately sharing a token.
     #[allow(clippy::mut_from_ref)]
     pub fn owned_mut(&self, token: OwnerToken) -> &mut Page {
         self.check_owner(token);

@@ -521,6 +521,19 @@ impl<T> Sender<T> {
                 .wait_until(|| !sh.is_full() || sh.disconnected_receivers());
         }
     }
+
+    /// Whether the main queue is empty (fast lanes are separate: see
+    /// [`Sender::lane_ready`]).  A snapshot, like the receiver's.
+    pub fn is_empty(&self) -> bool {
+        self.shared.is_empty()
+    }
+
+    /// Whether any fast lane currently holds a message — the producer-side
+    /// twin of [`Receiver::lane_ready`], for senders that decide between
+    /// enqueueing and doing the work themselves.
+    pub fn lane_ready(&self) -> bool {
+        self.shared.lane_ready()
+    }
 }
 
 impl<T> Receiver<T> {

@@ -848,6 +848,27 @@ pub(crate) fn mutex_lock(ctx: &Ctx, addr: usize) {
     }
 }
 
+/// Non-blocking acquire: `true` when the calling thread now holds the lock.
+/// A schedule point like every other lock operation, so the checker explores
+/// both outcomes wherever another thread could hold the lock.
+pub(crate) fn mutex_try_lock(ctx: &Ctx, addr: usize) -> bool {
+    schedule_point(ctx, false);
+    let mut ex = lock_ex(ctx);
+    if ex.abort {
+        drop(ex);
+        abort_unwind();
+    }
+    let me = ctx.tid;
+    let m = ex.mutexes.entry(addr).or_default();
+    if m.held_by.is_some() {
+        return false;
+    }
+    m.held_by = Some(me);
+    let mclock = m.clock.clone();
+    ex.threads[me].clock.join(&mclock);
+    true
+}
+
 fn mutex_unlock_locked(ex: &mut ExecState, me: usize, addr: usize) {
     let clock = ex.threads[me].clock.clone();
     let m = ex.mutexes.entry(addr).or_default();

@@ -12,7 +12,10 @@
 //! must make progress through notifications, or the deadlock detector fires.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::{Condvar as StdCondvar, LockResult, MutexGuard as StdMutexGuard, PoisonError};
+use std::sync::{
+    Condvar as StdCondvar, LockResult, MutexGuard as StdMutexGuard, PoisonError, TryLockError,
+    TryLockResult,
+};
 use std::time::Duration;
 
 pub use crate::atomic;
@@ -67,6 +70,40 @@ impl<T> Mutex<T> {
                 inner: Some(p.into_inner()),
                 model_locked,
             })),
+        }
+    }
+
+    /// Acquire the lock if it is free.  Under the model the runtime decides
+    /// (and records) ownership; the wrapped std mutex is then free by the
+    /// baton argument in the module docs.
+    pub fn try_lock(&self) -> TryLockResult<MutexGuard<'_, T>> {
+        // During teardown (a failed execution unwinding) the model no longer
+        // schedules; the wrapped std mutex alone decides, without blocking.
+        let model_locked = match rt::ctx().filter(|_| !std::thread::panicking()) {
+            Some(ctx) => {
+                if !rt::mutex_try_lock(&ctx, addr(self)) {
+                    return Err(TryLockError::WouldBlock);
+                }
+                true
+            }
+            None => false,
+        };
+        let guard = |g| MutexGuard {
+            lock: self,
+            inner: Some(g),
+            model_locked,
+        };
+        let attempt = if model_locked {
+            self.std.lock().map_err(TryLockError::Poisoned)
+        } else {
+            self.std.try_lock()
+        };
+        match attempt {
+            Ok(g) => Ok(guard(g)),
+            Err(TryLockError::Poisoned(p)) => Err(TryLockError::Poisoned(PoisonError::new(guard(
+                p.into_inner(),
+            )))),
+            Err(TryLockError::WouldBlock) => Err(TryLockError::WouldBlock),
         }
     }
 

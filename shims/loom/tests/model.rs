@@ -54,6 +54,41 @@ fn mutex_provides_mutual_exclusion() {
     });
 }
 
+/// `try_lock` is a schedule point with both outcomes reachable: some
+/// execution sees the lock held and backs off, none ever sees two holders.
+#[test]
+fn try_lock_explores_both_outcomes_and_excludes() {
+    static BACKED_OFF: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+    loom::model(|| {
+        let m = Arc::new(Mutex::new(0u32));
+        let m2 = m.clone();
+        let holder = loom::thread::spawn(move || {
+            let mut g = unpoison(m2.lock());
+            let read = *g;
+            loom::thread::yield_now();
+            *g = read + 1;
+        });
+        let took = match m.try_lock() {
+            Ok(mut g) => {
+                let read = *g;
+                loom::thread::yield_now();
+                *g = read + 1;
+                1
+            }
+            Err(_) => {
+                BACKED_OFF.store(true, std::sync::atomic::Ordering::Relaxed);
+                0
+            }
+        };
+        holder.join().unwrap();
+        assert_eq!(*unpoison(m.lock()), 1 + took);
+    });
+    assert!(
+        BACKED_OFF.load(std::sync::atomic::Ordering::Relaxed),
+        "no explored execution found the lock held"
+    );
+}
+
 #[test]
 fn release_acquire_publication_is_clean() {
     loom::model(|| {
