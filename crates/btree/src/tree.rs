@@ -230,6 +230,8 @@ impl BTree {
         mut f: impl FnMut(&plp_storage::Page) -> R,
     ) -> Result<(PageId, R), BTreeError> {
         let mut leaf = self.descend(key, access)?;
+        #[cfg(test)]
+        tests::after_descent();
         loop {
             let out = leaf.with_read_access(access, |page| {
                 let next = NodeView::next_leaf(page);
@@ -255,6 +257,8 @@ impl BTree {
         mut f: impl FnMut(&mut plp_storage::Page) -> R,
     ) -> Result<(PageId, R), BTreeError> {
         let mut leaf = self.descend(key, access)?;
+        #[cfg(test)]
+        tests::after_descent();
         loop {
             let out = leaf.with_write_access(access, |page| {
                 let next = NodeView::next_leaf(page);
@@ -753,10 +757,82 @@ impl std::fmt::Debug for BTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::sync::mpsc;
+
+    thread_local! {
+        /// One-shot pause point between a descent and the leaf latch, set per
+        /// thread: the window in which a concurrent split can change the page
+        /// the descent arrived at.
+        static AFTER_DESCENT: RefCell<Option<Box<dyn FnOnce()>>> = const { RefCell::new(None) };
+    }
+
+    /// Run (and clear) the calling thread's pause hook, if one is set.
+    pub(super) fn after_descent() {
+        if let Some(hook) = AFTER_DESCENT.with(|h| h.borrow_mut().take()) {
+            hook();
+        }
+    }
 
     fn tree(max_entries: usize) -> BTree {
         let pool = BufferPool::new_shared(StatsRegistry::new_shared());
         BTree::create(pool, max_entries)
+    }
+
+    /// A tree whose root is a full leaf (keys 0, 10, 20, 30 at the minimum
+    /// fan-out of 4): the next insert splits it and grows the root in place.
+    fn full_root_leaf() -> Arc<BTree> {
+        let t = Arc::new(tree(4));
+        for k in [0u64, 10, 20, 30] {
+            t.insert(k, k, Access::Latched).unwrap();
+        }
+        assert_eq!(t.height(), 1);
+        t
+    }
+
+    /// Run `op` on a thread that parks right after its descent reached the
+    /// root-as-leaf, grow the root from this thread, then let `op` latch the
+    /// page it descended to — which is now an interior node.
+    fn race_root_grow<R: Send + 'static>(
+        t: &Arc<BTree>,
+        op: impl FnOnce(&BTree) -> R + Send + 'static,
+    ) -> R {
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let racer = {
+            let t = t.clone();
+            std::thread::spawn(move || {
+                AFTER_DESCENT.with(|h| {
+                    *h.borrow_mut() = Some(Box::new(move || {
+                        parked_tx.send(()).unwrap();
+                        go_rx.recv().unwrap();
+                    }))
+                });
+                op(&t)
+            })
+        };
+        parked_rx.recv().expect("racer descended");
+        t.insert(100, 100, Access::Latched).unwrap();
+        assert_eq!(t.height(), 2, "the root grew while the racer was parked");
+        go_tx.send(()).unwrap();
+        racer.join().expect("racer thread")
+    }
+
+    #[test]
+    fn insert_racing_a_root_grow_lands_in_a_leaf() {
+        let t = full_root_leaf();
+        race_root_grow(&t, |t| t.insert(15, 15, Access::Latched)).expect("insert");
+        t.validate();
+        assert_eq!(t.probe(15, Access::Latched).unwrap(), Some(15));
+        assert_eq!(t.entry_count(), 6);
+    }
+
+    #[test]
+    fn probe_racing_a_root_grow_finds_the_key() {
+        let t = full_root_leaf();
+        let found = race_root_grow(&t, |t| t.probe(0, Access::Latched)).expect("probe");
+        assert_eq!(found, Some(0));
+        t.validate();
     }
 
     #[test]
