@@ -59,6 +59,12 @@ impl std::fmt::Display for BTreeError {
 
 impl std::error::Error for BTreeError {}
 
+/// A broken structural invariant, reported instead of asserted so a release
+/// build fails the operation rather than writing through it.
+fn corrupt(what: String) -> BTreeError {
+    BTreeError::Storage(StorageError::Corrupt(what))
+}
+
 /// Information about one leaf split, reported to the caller so that
 /// heap-placement invariants (PLP-Leaf) can be restored via the callback
 /// mechanism described in Section 3.3 of the paper.
@@ -215,14 +221,33 @@ impl BTree {
         }
     }
 
-    /// Apply a read-only operation to the leaf that covers `key`.
+    /// Whether the latched `page` a descent arrived at is the leaf covering
+    /// `key`: `Err(Some(next))` means move right, `Err(None)` restart the
+    /// descent.
     ///
-    /// The descent does not hold parent latches, so a racing split may have
-    /// moved the key range to a right sibling between reading the parent and
-    /// latching the leaf.  Each leaf carries a *high key* (exclusive upper
-    /// bound, Blink-tree style); whenever `key` falls outside it the operation
-    /// moves right along the leaf chain — the check happens *inside* the
-    /// latched closure, so it cannot race with the split itself.
+    /// The descent does not hold parent latches, so between reading a parent
+    /// and latching the child a racing split may have moved the key range to
+    /// a right sibling — each leaf carries a *high key* (exclusive upper
+    /// bound, Blink-tree style), and a key outside it moves right along the
+    /// leaf chain.  The split may also have grown the root, which re-inits
+    /// the fixed root page in place as an interior node: a descent that
+    /// stopped at the root-as-leaf finds an interior node here and starts
+    /// over.  Both checks run *inside* the latched closure, so they cannot
+    /// race with the split itself.
+    fn covering_step(page: &plp_storage::Page, key: u64) -> Result<(), Option<PageId>> {
+        if !NodeView::is_leaf(page) {
+            return Err(None);
+        }
+        let next = NodeView::next_leaf(page);
+        if !NodeView::covers(page, key) && next.is_valid() {
+            Err(Some(next))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Apply a read-only operation to the leaf that covers `key` (see
+    /// [`Self::covering_step`] for how it copes with racing splits).
     fn with_covering_leaf_read<R>(
         &self,
         key: u64,
@@ -234,22 +259,18 @@ impl BTree {
         tests::after_descent();
         loop {
             let out = leaf.with_read_access(access, |page| {
-                let next = NodeView::next_leaf(page);
-                if !NodeView::covers(page, key) && next.is_valid() {
-                    Err(next)
-                } else {
-                    Ok(f(page))
-                }
+                Self::covering_step(page, key).map(|()| f(page))
             });
             match out {
                 Ok(r) => return Ok((leaf.id(), r)),
-                Err(next) => leaf = self.frame(next)?,
+                Err(Some(next)) => leaf = self.frame(next)?,
+                Err(None) => leaf = self.descend(key, access)?,
             }
         }
     }
 
-    /// Apply a mutating operation to the leaf that covers `key` (same move
-    /// right protocol as [`Self::with_covering_leaf_read`]).
+    /// Apply a mutating operation to the leaf that covers `key` (same
+    /// protocol as [`Self::with_covering_leaf_read`]).
     fn with_covering_leaf_write<R>(
         &self,
         key: u64,
@@ -261,16 +282,12 @@ impl BTree {
         tests::after_descent();
         loop {
             let out = leaf.with_write_access(access, |page| {
-                let next = NodeView::next_leaf(page);
-                if !NodeView::covers(page, key) && next.is_valid() {
-                    Err(next)
-                } else {
-                    Ok(f(page))
-                }
+                Self::covering_step(page, key).map(|()| f(page))
             });
             match out {
                 Ok(r) => return Ok((leaf.id(), r)),
-                Err(next) => leaf = self.frame(next)?,
+                Err(Some(next)) => leaf = self.frame(next)?,
+                Err(None) => leaf = self.descend(key, access)?,
             }
         }
     }
@@ -397,10 +414,12 @@ impl BTree {
             Done,
             Duplicate,
             Full,
+            NotCovering,
         }
         let attempt = leaf.with_write_access(access, |page| {
-            debug_assert!(NodeView::covers(page, key));
-            if NodeView::search(page, key).is_ok() {
+            if !NodeView::is_leaf(page) || !NodeView::covers(page, key) {
+                Attempt::NotCovering
+            } else if NodeView::search(page, key).is_ok() {
                 Attempt::Duplicate
             } else if NodeView::insert(page, key, value, self.max_entries) {
                 Attempt::Done
@@ -416,6 +435,12 @@ impl BTree {
                     leaf_split: None,
                 })
             }
+            Attempt::NotCovering => {
+                return Err(corrupt(format!(
+                    "descent under the SMO mutex reached {}, not the leaf covering key {key}",
+                    leaf.id()
+                )))
+            }
             Attempt::Full => {}
         }
 
@@ -428,7 +453,7 @@ impl BTree {
         // reachable, so both halves provably have room.
         let new_leaf = self.alloc_node(0, access);
         let mut moved = Vec::new();
-        let (separator, old_next, into_new) = leaf.with_write_access(access, |old| {
+        let (separator, old_next, into_new, inserted) = leaf.with_write_access(access, |old| {
             let n = NodeView::entry_count(old);
             let split_at = n / 2;
             let separator = new_leaf.with_page_mut(|newp| {
@@ -450,9 +475,14 @@ impl BTree {
             } else {
                 NodeView::insert(old, key, value, self.max_entries)
             };
-            debug_assert!(inserted, "leaf must have room after split");
-            (separator, old_next, into_new)
+            (separator, old_next, into_new, inserted)
         });
+        if !inserted {
+            return Err(corrupt(format!(
+                "leaf {} has no room for key {key} after its split",
+                leaf.id()
+            )));
+        }
         if old_next.is_valid() {
             let next_frame = self.frame(old_next)?;
             next_frame.with_write_access(access, |p| NodeView::set_prev_leaf(p, new_leaf.id()));
@@ -518,7 +548,12 @@ impl BTree {
         let ok = target.with_write_access(access, |page| {
             NodeView::insert(page, separator, new_child.0, self.max_entries)
         });
-        debug_assert!(ok, "interior node must have room after split");
+        if !ok {
+            return Err(corrupt(format!(
+                "interior node {} has no room for separator {separator} after its split",
+                target.id()
+            )));
+        }
         // Recurse upward with the pushed-up separator.
         self.insert_into_parent(path, child_idx - 1, push_up, new_parent.id(), access)
     }
@@ -544,12 +579,12 @@ impl BTree {
             NodeView::set_leftmost_child(rootp, left.id());
             NodeView::insert(rootp, separator, new_child.0, self.max_entries);
         });
-        // If the old root was a leaf, the left child keeps its leaf links; the
-        // new right sibling's prev pointer must be redirected to it.
+        // If the old root was a leaf, the left child inherits its leaf links
+        // (next = `new_child`, set by the split); the new right sibling's prev
+        // pointer must be redirected to it.
         if root_level == 0 {
             let right = self.frame(new_child)?;
             right.with_write_access(access, |p| NodeView::set_prev_leaf(p, left.id()));
-            left.with_page_mut(|p| NodeView::set_next_leaf(p, new_child));
         }
         Ok(())
     }
@@ -576,6 +611,30 @@ impl BTree {
         }
     }
 
+    /// Visit leaves in key order, starting at the one covering `lo`, until
+    /// `visit` returns `false` or the chain ends.  The first leaf is located
+    /// and read under one latch, so a root that grows in between cannot hand
+    /// the walk an interior node.
+    fn walk_leaves(
+        &self,
+        lo: u64,
+        access: Access,
+        mut visit: impl FnMut(&plp_storage::Page) -> bool,
+    ) -> Result<(), BTreeError> {
+        let mut step = |page: &plp_storage::Page| {
+            if visit(page) {
+                NodeView::next_leaf(page)
+            } else {
+                PageId::INVALID
+            }
+        };
+        let (_, mut next) = self.with_covering_leaf_read(lo, access, &mut step)?;
+        while next.is_valid() {
+            next = self.frame(next)?.with_read_access(access, &mut step);
+        }
+        Ok(())
+    }
+
     /// Collect all entries with `lo <= key <= hi`.
     pub fn range_scan(
         &self,
@@ -584,29 +643,18 @@ impl BTree {
         access: Access,
     ) -> Result<Vec<(u64, u64)>, BTreeError> {
         let mut out = Vec::new();
-        let mut leaf_id = self.locate_leaf(lo, access)?;
-        loop {
-            let frame = self.frame(leaf_id)?;
-            let (next, done) = frame.with_read_access(access, |page| {
-                let mut done = false;
-                for i in 0..NodeView::entry_count(page) {
-                    let k = NodeView::key_at(page, i);
-                    if k < lo {
-                        continue;
-                    }
-                    if k > hi {
-                        done = true;
-                        break;
-                    }
+        self.walk_leaves(lo, access, |page| {
+            for i in 0..NodeView::entry_count(page) {
+                let k = NodeView::key_at(page, i);
+                if k > hi {
+                    return false;
+                }
+                if k >= lo {
                     out.push((k, NodeView::value_at(page, i)));
                 }
-                (NodeView::next_leaf(page), done)
-            });
-            if done || !next.is_valid() {
-                break;
             }
-            leaf_id = next;
-        }
+            true
+        })?;
         Ok(out)
     }
 
@@ -616,22 +664,14 @@ impl BTree {
         access: Access,
         mut f: impl FnMut(u64, u64),
     ) -> Result<usize, BTreeError> {
-        let mut leaf_id = self.first_leaf(access)?;
         let mut count = 0;
-        loop {
-            let frame = self.frame(leaf_id)?;
-            let next = frame.with_read_access(access, |page| {
-                for i in 0..NodeView::entry_count(page) {
-                    f(NodeView::key_at(page, i), NodeView::value_at(page, i));
-                    count += 1;
-                }
-                NodeView::next_leaf(page)
-            });
-            if !next.is_valid() {
-                break;
+        self.walk_leaves(0, access, |page| {
+            for i in 0..NodeView::entry_count(page) {
+                f(NodeView::key_at(page, i), NodeView::value_at(page, i));
+                count += 1;
             }
-            leaf_id = next;
-        }
+            true
+        })?;
         Ok(count)
     }
 
@@ -833,6 +873,14 @@ mod tests {
         let found = race_root_grow(&t, |t| t.probe(0, Access::Latched)).expect("probe");
         assert_eq!(found, Some(0));
         t.validate();
+    }
+
+    #[test]
+    fn range_scan_racing_a_root_grow_sees_every_key() {
+        let t = full_root_leaf();
+        let hits = race_root_grow(&t, |t| t.range_scan(0, 30, Access::Latched)).expect("scan");
+        let keys: Vec<u64> = hits.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, vec![0, 10, 20, 30]);
     }
 
     #[test]
