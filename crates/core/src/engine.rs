@@ -12,18 +12,18 @@ use plp_instrument::{
     obs_enabled, CsCategory, FlightRecorder, ObsServer, PhaseBreakdown, SlowTxn, TraceEvent,
     TraceRing,
 };
-use plp_lock::AgentLockCache;
+use plp_lock::{AgentLockCache, LockManager};
 use plp_txn::Transaction;
 use plp_wal::{CheckpointData, Lsn};
 
-use crate::action::{ActionFn, ActionOutput, TransactionPlan};
+use crate::action::{ActionFn, ActionOutput, PlanContinuation, TransactionPlan};
 use crate::catalog::{Design, EngineConfig, TableId, TableSpec};
 use crate::ctx::ConventionalCtx;
 use crate::database::Database;
 use crate::dlb::{HistogramSet, LoadBalancerHandle};
 use crate::error::EngineError;
 use crate::partition::PartitionManager;
-use crate::reply::{BatchReplySlot, ReplySlot};
+use crate::reply::BatchReplySlot;
 use crate::request::{ErrorCode, Op, Request, Response};
 use crate::worker::{obs_now, ActionReply, WorkerRequest};
 use crossbeam::channel::LaneSender;
@@ -426,7 +426,6 @@ impl Engine {
             sli,
             ring,
             reply_pool: Vec::new(),
-            batch_pool: Vec::new(),
             lanes: Vec::new(),
         }
     }
@@ -636,14 +635,10 @@ impl std::fmt::Debug for Engine {
     }
 }
 
-/// How many pooled reply slots a session keeps between stages.  Stages are
-/// small (a handful of actions), so this is comfortably above the steady
-/// state while bounding a pathological stage's footprint.
-const REPLY_POOL_MAX: usize = 128;
-
-/// How many pooled batch-reply slots a session keeps.  At most one batch per
-/// worker is in flight per stage, so this only needs to cover the fan-out.
-const BATCH_POOL_MAX: usize = 16;
+/// How many pooled reply slots a session keeps between stages.  A stage
+/// sends at most one message per worker, so this covers the fan-out of any
+/// stage on up to this many partitions while bounding the pool's footprint.
+const REPLY_POOL_MAX: usize = 16;
 
 /// Per-client-thread execution handle.
 pub struct Session<'e> {
@@ -652,11 +647,10 @@ pub struct Session<'e> {
     /// This session's trace timeline (one chrome://tracing row); transaction,
     /// dispatch and reply-wait spans land here.
     ring: Arc<TraceRing>,
-    /// Recycled reply rendezvous for the partitioned hot path: after warm-up
-    /// every action dispatch reuses a slot instead of allocating a channel.
-    reply_pool: Vec<ReplySlot<ActionReply>>,
-    /// Recycled batch rendezvous (slot plus its reply `Vec`), same idea.
-    batch_pool: Vec<BatchReplySlot<ActionReply>>,
+    /// Recycled reply rendezvous (slot plus its reply `Vec`) for the
+    /// message path: after warm-up every message reuses one instead of
+    /// allocating.
+    reply_pool: Vec<BatchReplySlot<ActionReply>>,
     /// One SPSC fast lane per worker, created the first time this session
     /// has to *send* (a session that always finds its partitions idle never
     /// needs them).  The session is the lane's unique producer; the worker
@@ -665,22 +659,36 @@ pub struct Session<'e> {
 }
 
 /// One in-flight *message* of the current stage (a group the session could
-/// not run itself): either a single action or a whole per-worker batch,
-/// remembered with the stage indices its replies scatter back into.
-enum Pending {
-    Single {
-        index: usize,
-        slot: ReplySlot<ActionReply>,
-        /// `now_nanos()` at dispatch — the trace clock, so the reply wake
-        /// derives both the round-trip duration and its trace timestamp
-        /// from a single clock read.
-        sent_at: u64,
-    },
-    Batch {
-        indices: Vec<usize>,
-        slot: BatchReplySlot<ActionReply>,
-        sent_at: u64,
-    },
+/// not run itself), remembered with the stage indices its replies scatter
+/// back into.
+struct Pending {
+    indices: Vec<usize>,
+    slot: BatchReplySlot<ActionReply>,
+    /// `now_nanos()` at dispatch — the trace clock, so the reply wake derives
+    /// both the round-trip duration and its trace timestamp from a single
+    /// clock read.
+    sent_at: u64,
+}
+
+/// Close one stage: plan the next one (the continuation borrows this stage's
+/// outputs), then move the outputs into the transaction's result — no clones.
+/// `None` when the transaction has no further work.
+fn next_stage(
+    then: Option<PlanContinuation>,
+    stage_outputs: Vec<ActionOutput>,
+    all_outputs: &mut Vec<ActionOutput>,
+) -> Option<TransactionPlan> {
+    let next = then.map(|cont| cont(&stage_outputs));
+    all_outputs.extend(stage_outputs);
+    next.filter(|plan| !plan.actions.is_empty() || plan.then.is_some())
+}
+
+/// The central lock manager, for the one design family that uses it.
+fn central_locks(db: &Database, design: Design) -> Option<&LockManager> {
+    match design {
+        Design::Conventional { .. } => Some(db.lock_manager().as_ref()),
+        _ => None,
+    }
 }
 
 impl Session<'_> {
@@ -755,13 +763,12 @@ impl Session<'_> {
         };
         match result {
             Ok(outputs) => {
-                let locks = match self.engine.design {
-                    Design::Conventional { .. } => Some(db.lock_manager().as_ref()),
-                    _ => None,
-                };
                 let commit_t0 = obs_now();
-                db.txn_manager()
-                    .commit_with(&mut txn, locks, Some(db.breakdown()));
+                db.txn_manager().commit_with(
+                    &mut txn,
+                    central_locks(&db, self.engine.design),
+                    Some(db.breakdown()),
+                );
                 db.breakdown().finish_txn(start.elapsed());
                 if obs_enabled() {
                     let now = now_nanos();
@@ -789,11 +796,8 @@ impl Session<'_> {
                 Ok(outputs)
             }
             Err(e) => {
-                let locks = match self.engine.design {
-                    Design::Conventional { .. } => Some(db.lock_manager().as_ref()),
-                    _ => None,
-                };
-                db.txn_manager().abort_with(&mut txn, locks);
+                db.txn_manager()
+                    .abort_with(&mut txn, central_locks(&db, self.engine.design));
                 db.breakdown().finish_txn(start.elapsed());
                 if obs_enabled() {
                     let now = now_nanos();
@@ -827,20 +831,9 @@ impl Session<'_> {
                 let mut ctx = ConventionalCtx::new(db, txn, self.sli.as_mut(), db.breakdown());
                 stage_outputs.push((action.run)(&mut ctx)?);
             }
-            // Plan the next stage (it borrows this stage's outputs), then
-            // move the outputs into the transaction result — no clones.
-            match plan.then {
-                Some(cont) => {
-                    plan = cont(&stage_outputs);
-                    all_outputs.extend(stage_outputs);
-                    if plan.actions.is_empty() && plan.then.is_none() {
-                        break;
-                    }
-                }
-                None => {
-                    all_outputs.extend(stage_outputs);
-                    break;
-                }
+            match next_stage(plan.then, stage_outputs, &mut all_outputs) {
+                Some(next) => plan = next,
+                None => break,
             }
         }
         txn.set_action_count(total_actions);
@@ -944,7 +937,7 @@ impl Session<'_> {
                         None => groups.push((worker, vec![index], vec![action.run])),
                     }
                 }
-                for (worker, indices, mut actions) in groups {
+                for (worker, indices, actions) in groups {
                     // Caller runs: an idle partition (claim free, nothing
                     // queued for its worker) is executed right here, through
                     // the same `run_group` the worker uses.  The claim is the
@@ -977,68 +970,34 @@ impl Session<'_> {
                             .map(|i| pm.worker(i).fast_lane())
                             .collect();
                     }
-                    let lane = self.lanes.get(worker);
-                    if actions.len() == 1 {
-                        // Singleton groups keep the cheaper per-action slot.
-                        let mut slot = match self.reply_pool.pop() {
-                            Some(slot) => {
-                                stats.msg().reply_reused();
-                                slot
-                            }
-                            None => {
-                                stats.msg().reply_allocated();
-                                ReplySlot::new()
-                            }
-                        };
-                        let run = actions.pop().expect("singleton group");
-                        // One clock read serves as the round-trip origin,
-                        // the send event's timestamp AND the queue-wait
-                        // baseline the worker subtracts from its dequeue
-                        // time — taken just *before* the enqueue so the
-                        // worker never sees a timestamp from its future.
-                        let sent_at = now_nanos();
-                        let fast = pm.worker(worker).send_action(
-                            txn_id,
-                            run,
-                            &mut slot,
-                            lane,
-                            stats.as_ref(),
-                            sent_at,
-                        );
-                        stats.msg().dispatch_sent(fast);
-                        pending.push(Pending::Single {
-                            index: indices[0],
-                            slot,
-                            sent_at,
-                        });
-                    } else {
-                        let mut slot = match self.batch_pool.pop() {
-                            Some(slot) => {
-                                stats.msg().reply_reused();
-                                slot
-                            }
-                            None => {
-                                stats.msg().reply_allocated();
-                                BatchReplySlot::new()
-                            }
-                        };
-                        let batched = actions.len() as u64;
-                        let sent_at = now_nanos();
-                        let fast = pm.worker(worker).send_batch(
-                            txn_id,
-                            actions,
-                            &mut slot,
-                            lane,
-                            stats.as_ref(),
-                            sent_at,
-                        );
-                        stats.msg().batch_sent(batched, fast);
-                        pending.push(Pending::Batch {
-                            indices,
-                            slot,
-                            sent_at,
-                        });
-                    }
+                    let mut slot = match self.reply_pool.pop() {
+                        Some(slot) => {
+                            stats.msg().reply_reused();
+                            slot
+                        }
+                        None => {
+                            stats.msg().reply_allocated();
+                            BatchReplySlot::new()
+                        }
+                    };
+                    // One clock read serves as the round-trip origin AND the
+                    // queue-wait baseline the worker subtracts from its
+                    // dequeue time — taken just *before* the enqueue so the
+                    // worker never sees a timestamp from its future.
+                    let sent_at = now_nanos();
+                    pm.worker(worker).send(
+                        txn_id,
+                        actions,
+                        &mut slot,
+                        self.lanes.get(worker),
+                        stats,
+                        sent_at,
+                    );
+                    pending.push(Pending {
+                        indices,
+                        slot,
+                        sent_at,
+                    });
                 }
             }
             let dispatch_end = obs_now();
@@ -1064,48 +1023,29 @@ impl Session<'_> {
             // The wake that consumes each reply stamps `wait_end`, so the
             // ReplyWait span closes without a clock read of its own.
             let mut wait_end = dispatch_end;
-            for p in pending {
-                let (sent_at, phases) = match p {
-                    Pending::Single {
-                        index,
-                        mut slot,
-                        sent_at,
-                    } => {
-                        let reply = slot.wait();
-                        wait_end = now_nanos();
-                        if self.reply_pool.len() < REPLY_POOL_MAX {
-                            self.reply_pool.push(slot);
-                        }
-                        let reply = reply.map_err(|_| EngineError::Shutdown)?;
-                        let phases = reply.phases;
-                        consume(index, reply, &mut stage_slots, txn);
-                        (sent_at, phases)
-                    }
-                    Pending::Batch {
-                        indices,
-                        mut slot,
-                        sent_at,
-                    } => {
-                        let replies = slot.wait();
-                        wait_end = now_nanos();
-                        let mut replies = replies.map_err(|_| EngineError::Shutdown)?;
-                        debug_assert_eq!(replies.len(), indices.len(), "one reply per action");
-                        // Sum the batch's worker-side phases (queue wait
-                        // rides on the first reply only).
-                        let mut phases = PhaseBreakdown::default();
-                        for (index, reply) in indices.iter().copied().zip(replies.drain(..)) {
-                            phases.merge(&reply.phases);
-                            consume(index, reply, &mut stage_slots, txn);
-                        }
-                        // Hand the (now empty) reply Vec back to the slot so
-                        // the next batch reuses its capacity.
-                        slot.recycle(replies);
-                        if self.batch_pool.len() < BATCH_POOL_MAX {
-                            self.batch_pool.push(slot);
-                        }
-                        (sent_at, phases)
-                    }
-                };
+            for Pending {
+                indices,
+                mut slot,
+                sent_at,
+            } in pending
+            {
+                let replies = slot.wait();
+                wait_end = now_nanos();
+                let mut replies = replies.map_err(|_| EngineError::Shutdown)?;
+                debug_assert_eq!(replies.len(), indices.len(), "one reply per action");
+                // Sum the group's worker-side phases (queue wait rides on the
+                // first reply only).
+                let mut phases = PhaseBreakdown::default();
+                for (index, reply) in indices.iter().copied().zip(replies.drain(..)) {
+                    phases.merge(&reply.phases);
+                    consume(index, reply, &mut stage_slots, txn);
+                }
+                // Hand the (now empty) reply Vec back to the slot so the next
+                // message reuses its capacity.
+                slot.recycle(replies);
+                if self.reply_pool.len() < REPLY_POOL_MAX {
+                    self.reply_pool.push(slot);
+                }
                 let rt = wait_end.saturating_sub(sent_at);
                 stats.msg().roundtrip(rt);
                 settle(rt, phases);
@@ -1126,20 +1066,9 @@ impl Session<'_> {
                 .into_iter()
                 .map(|o| o.expect("no abort, so every action produced an output"))
                 .collect();
-            // Plan the next stage (it borrows this stage's outputs), then
-            // move the outputs into the transaction result — no clones.
-            match plan.then {
-                Some(cont) => {
-                    plan = cont(&stage_outputs);
-                    all_outputs.extend(stage_outputs);
-                    if plan.actions.is_empty() && plan.then.is_none() {
-                        break;
-                    }
-                }
-                None => {
-                    all_outputs.extend(stage_outputs);
-                    break;
-                }
+            match next_stage(plan.then, stage_outputs, &mut all_outputs) {
+                Some(next) => plan = next,
+                None => break,
             }
         }
         txn.set_action_count(total_actions);

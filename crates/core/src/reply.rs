@@ -3,10 +3,10 @@
 //! Before PR 5 every action allocated a fresh `bounded(1)` channel (an `Arc`,
 //! a mutex and a `VecDeque`) just to carry one reply back to the
 //! coordinator.  A [`ReplySlot`] replaces that: a reusable single-value
-//! rendezvous the coordinator keeps in a per-session pool, so the steady
-//! state of the hot path allocates nothing — dispatching an action clones an
-//! `Arc` already in the pool and every other step is an atomic on memory
-//! that already exists.
+//! rendezvous the coordinator keeps in a per-session pool (wrapped in a
+//! [`BatchReplySlot`], see "Batch framing"), so the steady state of the hot
+//! path allocates nothing — sending a message clones an `Arc` already in the
+//! pool and every other step is an atomic on memory that already exists.
 //!
 //! # Protocol
 //!
@@ -53,20 +53,22 @@
 //!
 //! # Batch framing
 //!
-//! Batched dispatch (one [`crate::worker::WorkerRequest::Batch`] per
-//! (worker, stage)) rides the same protocol: a [`BatchReplySlot`] is a
+//! The engine's one message shape (a
+//! [`crate::worker::WorkerRequest::Run`] per (worker, stage), a singleton
+//! group being a `Run` of one) is answered through a [`BatchReplySlot`]: a
 //! `ReplySlot<Vec<T>>` plus a recycled `Vec` that shuttles between the
 //! coordinator and the worker.  The worker pushes one reply per action into
-//! the promise-side buffer as it executes the batch *in order*, then
+//! the promise-side buffer as it executes the group *in order*, then
 //! publishes the whole buffer with a single `fulfill` — one state swap and
-//! at most one unpark per batch, no matter how many actions it carried.
+//! at most one unpark per message, no matter how many actions it carried.
 //! Per-action results and log records are preserved element-wise; dropping
-//! the promise mid-batch closes the round exactly like the single-action
-//! protocol (partial replies are discarded and the coordinator observes
-//! [`ReplyClosed`]).  Because the batch value is just `Vec<T>`, the batch
-//! path adds **no new atomic protocol** — the model tests for `ReplySlot`
+//! the promise mid-group closes the round exactly like the plain slot
+//! (partial replies are discarded and the coordinator observes
+//! [`ReplyClosed`]).  Because the carried value is just `Vec<T>`, the
+//! wrapper adds **no new atomic protocol** — the model tests for `ReplySlot`
 //! cover it; `model_batchreply_collects_then_single_wake` additionally pins
-//! the wrapper's hand-over-everything-once behavior.
+//! the wrapper's hand-over-everything-once behavior.  [`ReplySlot`] itself
+//! stays the rendezvous primitive underneath.
 //!
 //! This module is model-checked: `cargo test -p plp-core --features
 //! loom-model model_` explores the fulfill/wait rendezvous and the
@@ -294,9 +296,9 @@ pub struct BatchReplySlot<T> {
 }
 
 /// Fulfilling side of one batch round, shipped to the worker inside a
-/// [`crate::worker::WorkerRequest::Batch`].  The worker [`push`es][Self::push]
+/// [`crate::worker::WorkerRequest::Run`].  The worker [`push`es][Self::push]
 /// one reply per action, then [`finish`es][Self::finish] — a single wake for
-/// the whole batch.  Dropping it before `finish` closes the round.
+/// the whole group.  Dropping it before `finish` closes the round.
 pub struct BatchReplyPromise<T> {
     promise: ReplyPromise<Vec<T>>,
     buf: Vec<T>,

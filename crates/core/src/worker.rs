@@ -13,9 +13,9 @@
 //! queued or in a fast lane ([`WorkerHandle::try_claim`]) — runs the stage's
 //! action group itself, on its own thread, through the same
 //! [`PartitionState::run_group`] the worker uses, and pays no message at
-//! all.  Otherwise it enqueues a [`WorkerRequest`] exactly as before, and the
+//! all.  Otherwise it sends the group as one message (below), and the
 //! partition's worker thread takes the claim with a blocking `lock` around
-//! every request it executes (actions, batches, page cleaning).  The choice
+//! every request it executes (action groups, page cleaning).  The choice
 //! is made from what the session observes, never from configuration, so the
 //! message exchange — the *fixed-contention* communication of Figure 1's
 //! "Message passing" component — is paid only when a partition is contended.
@@ -36,22 +36,23 @@
 //!
 //! # The message path
 //!
-//! The request queue is the channel shim's lock-free MPMC queue, and the
-//! reply leg is a pooled [`ReplySlot`] rendezvous (no per-action channel
-//! allocation — see [`crate::reply`]).
-//!
-//! A multi-action stage pays one message per *worker*, not per action: the
-//! coordinator groups a stage's actions by routed worker and sends a single
-//! [`WorkerRequest::Batch`] carrying the action closures in dispatch order
-//! plus one [`BatchReplyPromise`].  The worker executes the batch strictly
-//! in order (so a batch behaves exactly like the equivalent sequence of
-//! `Action` messages from the same sender), pushing one [`ActionReply`] per
-//! action — per-action results, log records and abort outcomes survive
-//! batching — and wakes the coordinator once with `finish`.
+//! A contended group pays one message of one shape: a [`WorkerRequest::Run`]
+//! carrying the group's action closures in dispatch order plus one
+//! [`BatchReplyPromise`], sent by [`WorkerHandle::send`].  The coordinator
+//! groups a stage's actions by routed worker first, so a stage pays one
+//! message per *worker*, not per action, and a singleton group is a `Run` of
+//! one.  The request queue is the channel shim's lock-free MPMC queue; the
+//! reply leg is a pooled [`BatchReplySlot`] rendezvous whose reply `Vec` is
+//! recycled across rounds, so the steady state allocates nothing per message
+//! (see [`crate::reply`]).  The worker executes the group strictly in order
+//! through [`PartitionState::run_group`] — a `Run` of *n* behaves exactly
+//! like *n* messages from the same sender — pushing one [`ActionReply`] per
+//! action (per-action results, log records and abort outcomes survive
+//! grouping), and wakes the coordinator once with `finish`.
 //!
 //! # Fast lanes and control ordering
 //!
-//! Sessions send actions/batches through a dedicated single-producer lane
+//! Sessions send `Run` messages through a dedicated single-producer lane
 //! per worker ([`WorkerHandle::fast_lane`], backed by the channel shim's
 //! SPSC ring) and fall back to the MPMC queue when the lane is full.
 //! Control messages (clean, quiesce, shutdown) always ride the MPMC queue.
@@ -87,7 +88,7 @@ use crate::ctx::PartitionCtx;
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::primitives::{Mutex, MutexGuard};
-use crate::reply::{BatchReplyPromise, BatchReplySlot, ReplyPromise, ReplySlot};
+use crate::reply::{BatchReplyPromise, BatchReplySlot};
 
 /// Slots in each session's per-worker SPSC fast lane.  Deep enough that a
 /// pipelined session never overflows it in practice; overflow just means the
@@ -109,22 +110,16 @@ pub struct ActionReply {
 
 /// Requests a worker can serve.
 pub enum WorkerRequest {
-    /// Execute a transaction action on behalf of `txn_id`.
-    Action {
-        txn_id: u64,
-        run: ActionFn,
-        reply: ReplyPromise<ActionReply>,
-        /// Coordinator's [`now_nanos`] read just before the enqueue; the
-        /// worker subtracts it from the timestamp at which it holds the
-        /// claim to attribute queue-wait time.
-        enqueued_at: u64,
-    },
-    /// Execute a stage's actions for `txn_id` strictly in order, replying
-    /// once for the whole batch (see the module's "The message path").
-    Batch {
+    /// Execute one stage's action group for `txn_id` strictly in order,
+    /// replying once for the whole group (see the module's "The message
+    /// path").
+    Run {
         txn_id: u64,
         actions: Vec<ActionFn>,
         reply: BatchReplyPromise<ActionReply>,
+        /// Coordinator's [`now_nanos`] read just before the enqueue; the
+        /// worker subtracts it from the timestamp at which it holds the
+        /// claim to attribute queue-wait time.
         enqueued_at: u64,
     },
     /// Clean the given (owned) pages — the PLP page-cleaning path.
@@ -171,7 +166,7 @@ impl PartitionState {
         txn_id: u64,
         started: u64,
         queue_nanos: u64,
-        actions: impl IntoIterator<Item = ActionFn>,
+        actions: Vec<ActionFn>,
         mut reply: impl FnMut(ActionReply),
     ) -> u64 {
         let mut prev = started;
@@ -277,40 +272,15 @@ impl WorkerHandle {
         self.sender.fast_lane(LANE_CAP)
     }
 
-    /// Send an action to this worker, preferring `lane` when given (falling
-    /// back to the MPMC queue when the ring is full).  The reply arrives
-    /// through `slot` (opened for one round here); the coordinator waits on
-    /// the slot at the stage's rendezvous point and can then reuse it — the
-    /// steady state allocates nothing.  Returns whether the message took the
-    /// fast lane.
-    pub fn send_action(
-        &self,
-        txn_id: u64,
-        run: ActionFn,
-        slot: &mut ReplySlot<ActionReply>,
-        lane: Option<&LaneSender<WorkerRequest>>,
-        stats: &plp_instrument::StatsRegistry,
-        enqueued_at: u64,
-    ) -> bool {
-        let reply = slot.promise();
-        // The enqueue is the coordinator's half of the message-passing
-        // critical section pair.
-        stats.cs().enter(CsCategory::MessagePassing, false);
-        self.dispatch(
-            WorkerRequest::Action {
-                txn_id,
-                run,
-                reply,
-                enqueued_at,
-            },
-            lane,
-        )
-    }
-
-    /// Send a whole stage's worth of actions for this worker as one message
-    /// (see the module's "The message path").  Returns whether the batch
-    /// took the fast lane.
-    pub fn send_batch(
+    /// Send one stage's action group for this worker as one [`WorkerRequest::Run`]
+    /// (see the module's "The message path"), preferring `lane` when given
+    /// and falling back to the MPMC queue when the ring is full.  The replies
+    /// arrive through `slot` (opened for one round here); the coordinator
+    /// waits on the slot at the stage's rendezvous point and can then reuse
+    /// it — the steady state allocates nothing.  The send does all of the
+    /// message's accounting: the coordinator's half of the message-passing
+    /// critical-section pair and [`plp_instrument::MsgStats::sent`].
+    pub fn send(
         &self,
         txn_id: u64,
         actions: Vec<ActionFn>,
@@ -318,29 +288,24 @@ impl WorkerHandle {
         lane: Option<&LaneSender<WorkerRequest>>,
         stats: &plp_instrument::StatsRegistry,
         enqueued_at: u64,
-    ) -> bool {
-        debug_assert!(!actions.is_empty(), "empty batch");
-        let reply = slot.promise(actions.len());
+    ) {
+        debug_assert!(!actions.is_empty(), "empty action group");
+        let count = actions.len() as u64;
+        let req = WorkerRequest::Run {
+            txn_id,
+            reply: slot.promise(actions.len()),
+            actions,
+            enqueued_at,
+        };
         stats.cs().enter(CsCategory::MessagePassing, false);
-        self.dispatch(
-            WorkerRequest::Batch {
-                txn_id,
-                actions,
-                reply,
-                enqueued_at,
-            },
-            lane,
-        )
-    }
-
-    fn dispatch(&self, req: WorkerRequest, lane: Option<&LaneSender<WorkerRequest>>) -> bool {
-        match lane {
+        let fast_lane = match lane {
             Some(lane) => lane.send(req).expect("worker alive"),
             None => {
                 self.sender.send(req).expect("worker alive");
                 false
             }
-        }
+        };
+        stats.msg().sent(count, fast_lane);
     }
 
     /// Route a page-cleaning batch to this worker.
@@ -409,44 +374,25 @@ fn worker_loop(
     // stats registry, so a flight-recorder dump still sees this worker's
     // last events after the thread has died (e.g. from an action panic).
     let ring = db.stats().trace().register(format!("worker-{index}"));
-    // A message's actions run under the claim, which is released on return —
-    // before the caller publishes the reply (module docs).
-    let run_message = |txn_id,
-                       enqueued_at: u64,
-                       actions: &mut dyn Iterator<Item = ActionFn>,
-                       reply: &mut dyn FnMut(ActionReply)| {
-        let mut partition = state.lock();
-        let started = obs_now();
-        let waited = started.saturating_sub(enqueued_at);
-        partition.run_group(&ring, txn_id, started, waited, actions, reply);
-    };
-    // Executes one data-plane request (actions, batches, cleaning).  Control
+    // Executes one data-plane request (an action group or cleaning).  Control
     // messages never reach this — they are matched in the loop below.
     let execute = |req: WorkerRequest| match req {
-        WorkerRequest::Action {
-            txn_id,
-            run,
-            reply,
-            enqueued_at,
-        } => {
-            let mut answer = None;
-            run_message(txn_id, enqueued_at, &mut std::iter::once(run), &mut |r| {
-                answer = Some(r)
-            });
-            // The reply is the worker's half of the message-passing pair.
-            db.stats().cs().enter(CsCategory::MessagePassing, false);
-            reply.fulfill(answer.expect("one reply per action"));
-        }
-        WorkerRequest::Batch {
+        WorkerRequest::Run {
             txn_id,
             actions,
             mut reply,
             enqueued_at,
         } => {
-            run_message(txn_id, enqueued_at, &mut actions.into_iter(), &mut |r| {
-                reply.push(r)
-            });
-            // One message-passing critical section and one wake per batch.
+            // The group runs under the claim, which is released before the
+            // reply is published (module docs).
+            {
+                let mut partition = state.lock();
+                let started = obs_now();
+                let waited = started.saturating_sub(enqueued_at);
+                partition.run_group(&ring, txn_id, started, waited, actions, |r| reply.push(r));
+            }
+            // The reply is the worker's half of the message-passing pair:
+            // one critical section and one wake per message.
             db.stats().cs().enter(CsCategory::MessagePassing, false);
             reply.finish();
         }
@@ -548,6 +494,7 @@ mod tests {
 #[cfg(all(test, any(plp_loom, feature = "loom-model")))]
 mod model_tests {
     use super::*;
+    use crate::reply::{ReplyPromise, ReplySlot};
     use loom::sync::atomic::{AtomicBool, Ordering};
     use loom::sync::Arc;
 

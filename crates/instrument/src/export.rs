@@ -361,12 +361,12 @@ pub fn prometheus_exposition(stats: &StatsSnapshot, latency: &LatencySnapshot) -
     );
     e.counter(
         "plp_msg_batches_total",
-        "Batched dispatches sent.",
+        "Messages that carried more than one action.",
         stats.msg.batches,
     );
     e.counter(
         "plp_msg_batch_actions_total",
-        "Actions carried inside batched dispatches.",
+        "Actions carried inside multi-action messages.",
         stats.msg.batch_actions,
     );
     e.family(
@@ -823,7 +823,7 @@ mod tests {
         r.wal().flushed(3, 96);
         r.wal().fsync();
         r.msg().roundtrip(1_500);
-        r.msg().batch_sent(4, true);
+        r.msg().sent(4, true);
         r.msg().inline_ran(3, 900);
         r.server().connection_accepted();
         r.server().connection_accepted();

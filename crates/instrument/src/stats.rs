@@ -775,13 +775,16 @@ impl ServerStatsSnapshot {
 /// paper's Figure 1 "Message passing" component, now measured in time as
 /// well as in counts).
 ///
-/// The round-trip and reply-pool counters are recorded by the coordinator in
-/// `plp-core`; the queue counters (spins, parks, wakeups) are slow-path
-/// counters folded in from the channel shim by
+/// Every counter here except the inline pair moves only when a session sends
+/// a message: one per action group it could not run itself, whatever the
+/// group's size.  The round-trip, send and reply-pool counters are recorded
+/// by the coordinator in `plp-core`; the queue counters (spins, parks,
+/// wakeups) are slow-path counters folded in from the channel shim by
 /// `Database::sync_channel_metrics`.
 #[derive(Debug, Default)]
 pub struct MsgStats {
-    /// Action round trips measured (dispatch → reply consumed).
+    /// Message round trips measured (send → replies consumed); one per
+    /// message, however many actions it carried.
     actions: AtomicU64,
     /// Total coordinator-observed round-trip time.
     roundtrip_nanos: AtomicU64,
@@ -797,18 +800,20 @@ pub struct MsgStats {
     parks: AtomicU64,
     /// Wakeups actually issued (skipped when no one sleeps).
     wakeups: AtomicU64,
-    /// Batched dispatches sent (one `WorkerRequest::Batch` each).
+    /// Messages that carried more than one action (a singleton message is
+    /// not a batch).
     batches: AtomicU64,
-    /// Actions carried inside batched dispatches.
+    /// Actions carried inside those multi-action messages.
     batch_actions: AtomicU64,
-    /// Full actions-per-batch distribution. The legacy 5-bucket view in
-    /// [`MsgStatsSnapshot::batch_size_buckets`] is recomputed from this
-    /// exactly (all five legacy boundaries fall on histogram bucket edges).
+    /// Full actions-per-message distribution of the multi-action messages.
+    /// The legacy 5-bucket view in [`MsgStatsSnapshot::batch_size_buckets`]
+    /// is recomputed from this exactly (all five legacy boundaries fall on
+    /// histogram bucket edges).
     batch_hist: crate::histogram::Histogram,
-    /// Dispatches (single or batch) that took a session's SPSC fast lane.
+    /// Messages that took a session's SPSC fast lane.
     lane_hits: AtomicU64,
-    /// Dispatches that went over the shared MPMC queue instead (lane full,
-    /// or the session has no lane to that worker).
+    /// Messages that went over the shared MPMC queue instead (lane full, or
+    /// the session has no lane to that worker).
     lane_fallbacks: AtomicU64,
     /// Actions a session ran itself after claiming an idle partition — no
     /// message was sent for them, so none of the counters above moved.
@@ -840,23 +845,20 @@ impl MsgStats {
         self.reply_allocs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a single-action dispatch and which path it took.
+    /// Record one message carrying `actions` actions and which path it took.
+    /// Only a message of more than one action counts as a batch.
     #[inline]
-    pub fn dispatch_sent(&self, fast_lane: bool) {
+    pub fn sent(&self, actions: u64, fast_lane: bool) {
+        if actions > 1 {
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            self.batch_actions.fetch_add(actions, Ordering::Relaxed);
+            self.batch_hist.record(actions);
+        }
         if fast_lane {
             self.lane_hits.fetch_add(1, Ordering::Relaxed);
         } else {
             self.lane_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Record one batched dispatch carrying `actions` actions.
-    #[inline]
-    pub fn batch_sent(&self, actions: u64, fast_lane: bool) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_actions.fetch_add(actions, Ordering::Relaxed);
-        self.batch_hist.record(actions);
-        self.dispatch_sent(fast_lane);
     }
 
     /// Record one action group a session ran inline.
@@ -974,7 +976,8 @@ impl MsgStatsSnapshot {
         self.roundtrip_nanos as f64 / self.actions.max(1) as f64
     }
 
-    /// Actions that travelled in a message (a batch message carries several).
+    /// Actions that travelled in a message: one per singleton message plus
+    /// every action of the multi-action ones.
     pub fn messaged_actions(&self) -> u64 {
         self.actions.saturating_sub(self.batches) + self.batch_actions
     }
@@ -995,7 +998,7 @@ impl MsgStatsSnapshot {
         self.inline_actions as f64 / total as f64
     }
 
-    /// Fraction of dispatches served from the reply pool (steady state → 1).
+    /// Fraction of messages served from the reply pool (steady state → 1).
     pub fn reply_pool_hit_rate(&self) -> f64 {
         let total = self.reply_reuses + self.reply_allocs;
         if total == 0 {
@@ -1004,7 +1007,8 @@ impl MsgStatsSnapshot {
         self.reply_reuses as f64 / total as f64
     }
 
-    /// Mean actions carried per batched dispatch (0 when no batches).
+    /// Mean actions carried per multi-action message (0 when there were
+    /// none).
     pub fn mean_actions_per_batch(&self) -> f64 {
         if self.batches == 0 {
             return 0.0;
@@ -1012,7 +1016,7 @@ impl MsgStatsSnapshot {
         self.batch_actions as f64 / self.batches as f64
     }
 
-    /// Fraction of dispatches that took an SPSC fast lane.
+    /// Fraction of messages that took an SPSC fast lane.
     pub fn lane_hit_rate(&self) -> f64 {
         let total = self.lane_hits + self.lane_fallbacks;
         if total == 0 {
@@ -1435,14 +1439,21 @@ mod tests {
     #[test]
     fn msg_stats_cost_per_action_spans_both_paths() {
         let m = MsgStats::new();
-        // One singleton message, one 3-action batch message, 4 inline actions.
+        // One singleton message, one 3-action message, 4 inline actions.
+        m.sent(1, false);
         m.roundtrip(10_000);
-        m.batch_sent(3, true);
+        m.sent(3, true);
         m.roundtrip(20_000);
         m.inline_ran(1, 500);
         m.inline_ran(3, 1_500);
         let s = m.snapshot();
         assert_eq!(s.actions, 2, "plp_msg_actions_total counts messages only");
+        assert_eq!(
+            (s.batches, s.batch_actions),
+            (1, 3),
+            "only the multi-action message is a batch"
+        );
+        assert_eq!((s.lane_hits, s.lane_fallbacks), (1, 1));
         assert_eq!(s.messaged_actions(), 4);
         assert_eq!(s.inline_actions, 4);
         assert!((s.inline_share() - 0.5).abs() < f64::EPSILON);

@@ -31,9 +31,10 @@ use crate::report::json_string_literal;
 /// Events per ring. At 4 words/event this is 8 KiB per traced thread.
 pub const DEFAULT_RING_EVENTS: usize = 256;
 
-/// Rings retained by a [`TraceRegistry`]; registrations beyond this are
-/// still handed a working ring, it just isn't dumped (bounds memory when a
-/// process churns through many short-lived sessions).
+/// Rings retained by a [`TraceRegistry`] (bounds memory when a process
+/// churns through many short-lived sessions).  At the cap a registration
+/// evicts the oldest ring whose thread is gone; when every retained ring is
+/// still live, the new ring works but isn't dumped.
 const MAX_RINGS: usize = 512;
 
 const WORDS_PER_EVENT: usize = 4;
@@ -153,59 +154,36 @@ mod tsc {
 pub enum TraceEvent {
     /// Whole client transaction (session ring; arg = txn id).
     Txn = 1,
-    /// Routing one stage's actions to workers (session ring; arg = actions).
-    /// Reserved: the hot path folds routing into [`TraceEvent::Dispatch`] to
-    /// keep per-transaction recording inside the `fig_obs` overhead gate.
-    Route = 2,
     /// Dispatch of one stage: route, then run inline or enqueue for every
     /// target partition (session ring; arg = actions).  Inline
     /// [`TraceEvent::ExecuteAction`] spans nest inside it.
-    Dispatch = 3,
-    /// One action enqueued on a worker's SPSC fast lane (arg = worker).
-    /// Reserved off the hot path (see [`TraceEvent::Route`]); the lane/queue
-    /// split is still counted in the message statistics.
-    LaneSend = 4,
-    /// One action enqueued on a worker's MPMC queue (arg = worker).
-    /// Reserved off the hot path (see [`TraceEvent::LaneSend`]).
-    QueueSend = 5,
-    /// One batched dispatch enqueued (arg = actions in the batch).
-    /// Reserved off the hot path (see [`TraceEvent::LaneSend`]).
-    BatchDispatch = 6,
+    Dispatch = 2,
     /// Waiting for all of a stage's replies (session ring; arg = replies);
     /// not recorded for a stage that sent no message.
-    ReplyWait = 7,
-    /// One reply consumed (session ring; arg = worker).  Reserved off the
-    /// hot path: each reply's arrival shows as the worker span's end, and
-    /// the stage's wait window as [`TraceEvent::ReplyWait`].
-    ReplyWake = 8,
+    ReplyWait = 3,
     /// One action executing (arg = txn id), on the ring of the thread that
     /// ran it: the worker's for a message, the session's for a group it ran
     /// inline — rings are single-writer.
-    ExecuteAction = 9,
+    ExecuteAction = 4,
     /// One multi-action group executing (same ring as its actions; arg =
     /// actions).
-    ExecuteBatch = 10,
+    ExecuteBatch = 5,
     /// Transaction committed (session ring; arg = txn id).
-    Commit = 11,
+    Commit = 6,
     /// Transaction aborted (session ring; arg = txn id).
-    Abort = 12,
+    Abort = 7,
     /// One group-commit batch flushed (flusher ring; arg = records).
-    LogFlush = 13,
+    LogFlush = 8,
     /// Repartition drain + move (arg = table id).
-    Repartition = 14,
+    Repartition = 9,
 }
 
 impl TraceEvent {
     pub fn name(self) -> &'static str {
         match self {
             TraceEvent::Txn => "txn",
-            TraceEvent::Route => "route",
             TraceEvent::Dispatch => "dispatch",
-            TraceEvent::LaneSend => "lane_send",
-            TraceEvent::QueueSend => "queue_send",
-            TraceEvent::BatchDispatch => "batch_dispatch",
             TraceEvent::ReplyWait => "reply_wait",
-            TraceEvent::ReplyWake => "reply_wake",
             TraceEvent::ExecuteAction => "execute",
             TraceEvent::ExecuteBatch => "execute_batch",
             TraceEvent::Commit => "commit",
@@ -218,19 +196,14 @@ impl TraceEvent {
     fn from_u8(v: u8) -> Option<Self> {
         Some(match v {
             1 => TraceEvent::Txn,
-            2 => TraceEvent::Route,
-            3 => TraceEvent::Dispatch,
-            4 => TraceEvent::LaneSend,
-            5 => TraceEvent::QueueSend,
-            6 => TraceEvent::BatchDispatch,
-            7 => TraceEvent::ReplyWait,
-            8 => TraceEvent::ReplyWake,
-            9 => TraceEvent::ExecuteAction,
-            10 => TraceEvent::ExecuteBatch,
-            11 => TraceEvent::Commit,
-            12 => TraceEvent::Abort,
-            13 => TraceEvent::LogFlush,
-            14 => TraceEvent::Repartition,
+            2 => TraceEvent::Dispatch,
+            3 => TraceEvent::ReplyWait,
+            4 => TraceEvent::ExecuteAction,
+            5 => TraceEvent::ExecuteBatch,
+            6 => TraceEvent::Commit,
+            7 => TraceEvent::Abort,
+            8 => TraceEvent::LogFlush,
+            9 => TraceEvent::Repartition,
             _ => return None,
         })
     }
@@ -459,6 +432,13 @@ impl TraceRegistry {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let ring = Arc::new(TraceRing::new(id, label.into(), capacity));
         let mut rings = self.rings.lock();
+        if rings.len() >= MAX_RINGS {
+            // Only the registry holds a dead thread's ring; never evict a
+            // live one.
+            if let Some(dead) = rings.iter().position(|r| Arc::strong_count(r) == 1) {
+                rings.remove(dead);
+            }
+        }
         if rings.len() < MAX_RINGS {
             rings.push(ring.clone());
         }
@@ -576,7 +556,7 @@ mod tests {
         let reg = TraceRegistry::default();
         let ring = reg.register_with_capacity("w", 8);
         for i in 0..20u64 {
-            ring.instant(TraceEvent::ReplyWake, i);
+            ring.instant(TraceEvent::Commit, i);
         }
         let events = ring.read();
         assert_eq!(events.len(), 8);
@@ -599,6 +579,36 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ph\":\"i\""));
         assert!(crate::report::json_is_valid(&json), "invalid JSON: {json}");
+    }
+
+    #[test]
+    fn registry_at_the_cap_evicts_the_oldest_dead_ring_only() {
+        let reg = TraceRegistry::default();
+        let live: Vec<_> = (0..MAX_RINGS / 2)
+            .map(|i| reg.register(format!("live-{i}")))
+            .collect();
+        for i in 0..MAX_RINGS - live.len() {
+            drop(reg.register(format!("dead-{i}")));
+        }
+        // A long-lived engine keeps tracing new sessions past the cap: each
+        // one replaces the oldest ring nobody writes to any more.
+        let newest = reg.register("newest");
+        let labels: Vec<String> = reg.read_all().into_iter().map(|(l, _)| l).collect();
+        assert_eq!(labels.len(), MAX_RINGS);
+        assert_eq!(labels.last().map(String::as_str), Some("newest"));
+        assert!(!labels.contains(&"dead-0".to_string()));
+        assert!(labels.contains(&"dead-1".to_string()));
+        // With every retained ring live, nothing is evicted.
+        let more_live: Vec<_> = (0..MAX_RINGS)
+            .map(|i| reg.register(format!("more-{i}")))
+            .collect();
+        let labels: Vec<String> = reg.read_all().into_iter().map(|(l, _)| l).collect();
+        assert_eq!(labels.len(), MAX_RINGS);
+        assert!(live
+            .iter()
+            .chain(std::iter::once(&newest))
+            .all(|r| labels.contains(&r.label().to_string())));
+        assert!(!labels.contains(&more_live.last().unwrap().label().to_string()));
     }
 
     #[test]

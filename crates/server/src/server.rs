@@ -231,6 +231,12 @@ fn accept_loop(
 ) {
     let mut next_conn = 1u64;
     while !stop.load(Ordering::SeqCst) {
+        // Join readers whose connection has ended, on every accept and on
+        // every idle tick: otherwise a server that saw N disconnects and no
+        // new client keeps N thread handles until `stop`.
+        for done in readers.lock().unwrap().extract_if(.., |h| h.is_finished()) {
+            let _ = done.join();
+        }
         match listener.accept() {
             Ok((stream, _)) => {
                 let conn = next_conn;
@@ -445,5 +451,45 @@ fn writer_loop(write_rx: Receiver<WriterMsg>, stats: Arc<StatsRegistry>) {
     // Final drain: anything still buffered goes out before the threads join.
     for (_, stream) in streams.iter_mut() {
         let _ = stream.flush();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use plp_core::{Design, EngineConfig, TableSpec};
+    use std::time::Instant;
+
+    #[test]
+    fn finished_connection_threads_are_reaped_without_new_clients() {
+        let engine = Engine::start_shared(
+            EngineConfig::new(Design::PlpRegular).with_partitions(2),
+            &[TableSpec::new(0, "kv", 1 << 10)],
+        );
+        let mut server = Server::serve(
+            Arc::clone(&engine),
+            ServerConfig::default().with_executors(1),
+        )
+        .expect("bind");
+        for _ in 0..8 {
+            drop(TcpStream::connect(server.addr()).expect("connect"));
+        }
+        // Every connection is accepted, then ends; no client comes after the
+        // last one, so only the accept loop's idle tick can reap its reader.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let stats = engine.db().stats();
+        loop {
+            let closed = stats.server().snapshot().connections_closed;
+            let retained = server.readers.lock().unwrap().len();
+            if closed == 8 && retained == 0 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{closed} of 8 connections closed, {retained} reader handles retained"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        server.stop();
     }
 }
