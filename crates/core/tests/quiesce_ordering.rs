@@ -44,13 +44,15 @@ fn group_of_eight(executed: &Arc<AtomicU64>) -> Vec<ActionFn> {
 }
 
 /// Wait for a round and check it carries one successful reply per action,
-/// in dispatch order, with the given values.
+/// in dispatch order, with the given values; hand the storage back to the
+/// slot for its next round.
 fn expect_values(slot: &mut BatchReplySlot<ActionReply>, values: &[u64]) {
-    let replies = slot.wait().expect("replies");
+    let mut replies = slot.wait().expect("replies");
     assert_eq!(replies.len(), values.len(), "one reply per action");
-    for (reply, value) in replies.into_iter().zip(values) {
+    for (reply, value) in replies.drain(..).zip(values) {
         assert_eq!(reply.result.expect("action ok").values, vec![*value]);
     }
+    slot.recycle(replies);
 }
 
 fn msg(engine: &Engine) -> MsgStatsSnapshot {
@@ -126,11 +128,10 @@ fn quiesce_resume_cycles_with_interleaved_actions() {
         let run = counted(&executed, round, Duration::ZERO);
         worker.send(round, vec![run], &mut slot, None, &stats, 0);
         let resume = worker.quiesce();
-        // The action enqueued before the quiesce is already answered.
+        // The action enqueued before the quiesce is already answered, and the
+        // reused slot hands this round's reply to this round.
         assert!(slot.ready(), "round {round}: reply missing at quiesce ack");
-        let replies = slot.wait().expect("reply");
-        assert_eq!(replies.len(), 1);
-        slot.recycle(replies);
+        expect_values(&mut slot, &[round]);
         drop(resume); // dropping the resume sender also resumes the worker
     }
     assert_eq!(executed.load(Ordering::SeqCst), 20);
