@@ -9,10 +9,10 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 use plp_instrument::trace::now_nanos;
 use plp_instrument::{
-    obs_enabled, CsCategory, FlightRecorder, ObsServer, PhaseBreakdown, SlowTxn, TraceEvent,
-    TraceRing,
+    obs_enabled, CsCategory, FlightRecorder, ObsServer, PhaseBreakdown, SlowTxn, TimeBucket,
+    TraceEvent, TraceRing,
 };
-use plp_lock::{AgentLockCache, LockManager};
+use plp_lock::AgentLockCache;
 use plp_txn::Transaction;
 use plp_wal::{CheckpointData, Lsn};
 
@@ -683,14 +683,6 @@ fn next_stage(
     next.filter(|plan| !plan.actions.is_empty() || plan.then.is_some())
 }
 
-/// The central lock manager, for the one design family that uses it.
-fn central_locks(db: &Database, design: Design) -> Option<&LockManager> {
-    match design {
-        Design::Conventional { .. } => Some(db.lock_manager().as_ref()),
-        _ => None,
-    }
-}
-
 impl Session<'_> {
     /// Execute one declarative [`Request`] and return its [`Response`] —
     /// the value-typed entry point shared by in-process callers and the
@@ -761,59 +753,60 @@ impl Session<'_> {
         } else {
             self.execute_conventional(&db, &mut txn, plan)
         };
-        match result {
-            Ok(outputs) => {
-                let commit_t0 = obs_now();
-                db.txn_manager().commit_with(
-                    &mut txn,
-                    central_locks(&db, self.engine.design),
-                    Some(db.breakdown()),
-                );
-                db.breakdown().finish_txn(start.elapsed());
-                if obs_enabled() {
-                    let now = now_nanos();
-                    phases.wal_nanos = now.saturating_sub(commit_t0);
-                    self.ring.instant_at(TraceEvent::Commit, txn_id, now);
-                    self.ring
-                        .event(TraceEvent::Txn, txn_id, trace_start, now - trace_start);
-                    // One histogram store per phase per *transaction* (the
-                    // stage loop only accumulates), so the sums still equal
-                    // `action_roundtrip`'s sum exactly while the per-group
-                    // hot path stays free of extra stores.
-                    if self.engine.design.is_partitioned() {
-                        phases.record_roundtrip_phases(db.stats().latency());
+        let commit_t0 = obs_now();
+        let result = match result {
+            Ok(outputs) => match db.txn_manager().commit(&mut txn) {
+                Ok(waited) => {
+                    if !waited.is_zero() {
+                        db.breakdown().add(TimeBucket::LogWait, waited);
                     }
-                    // One relaxed atomic load for the fast majority; only
-                    // candidates for the top-K reservoir take its lock.
-                    db.stats().slow().offer(SlowTxn {
-                        txn_id,
-                        started_at_nanos: trace_start,
-                        total_nanos: now - trace_start,
-                        actions: outputs.len() as u32,
-                        phases,
-                    });
+                    Ok(outputs)
                 }
-                Ok(outputs)
-            }
+                Err(e) => Err(EngineError::Log(e)),
+            },
             Err(e) => {
-                db.txn_manager()
-                    .abort_with(&mut txn, central_locks(&db, self.engine.design));
-                db.breakdown().finish_txn(start.elapsed());
-                if obs_enabled() {
-                    let now = now_nanos();
-                    self.ring.instant_at(TraceEvent::Abort, txn_id, now);
-                    self.ring
-                        .event(TraceEvent::Txn, txn_id, trace_start, now - trace_start);
-                    // An aborted transaction's groups are in
-                    // `action_roundtrip` too, so their phases must land in
-                    // the histograms for the sums to keep reconciling.
-                    if self.engine.design.is_partitioned() {
-                        phases.record_roundtrip_phases(db.stats().latency());
-                    }
-                }
+                db.txn_manager().abort(&mut txn);
                 Err(e)
             }
+        };
+        // Central locks (only the conventional design records any) go once
+        // the log commit or abort has returned.
+        let held = txn.take_locks();
+        if !held.is_empty() {
+            db.lock_manager().release_all(txn_id, &held);
         }
+        db.breakdown().finish_txn(start.elapsed());
+        if obs_enabled() {
+            let now = now_nanos();
+            let outcome = match result {
+                Ok(_) => TraceEvent::Commit,
+                Err(_) => TraceEvent::Abort,
+            };
+            self.ring.instant_at(outcome, txn_id, now);
+            self.ring
+                .event(TraceEvent::Txn, txn_id, trace_start, now - trace_start);
+            // One histogram store per phase per *transaction* (the stage
+            // loop only accumulates), so the sums still equal
+            // `action_roundtrip`'s sum exactly while the per-group hot path
+            // stays free of extra stores.  An aborted transaction's groups
+            // are in `action_roundtrip` too, so their phases land as well.
+            if self.engine.design.is_partitioned() {
+                phases.record_roundtrip_phases(db.stats().latency());
+            }
+            if let Ok(outputs) = &result {
+                phases.wal_nanos = now.saturating_sub(commit_t0);
+                // One relaxed atomic load for the fast majority; only
+                // candidates for the top-K reservoir take its lock.
+                db.stats().slow().offer(SlowTxn {
+                    txn_id,
+                    started_at_nanos: trace_start,
+                    total_nanos: now - trace_start,
+                    actions: outputs.len() as u32,
+                    phases,
+                });
+            }
+        }
+        result
     }
 
     fn execute_conventional(

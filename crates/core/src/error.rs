@@ -3,6 +3,7 @@
 use plp_btree::tree::BTreeError;
 use plp_lock::LockError;
 use plp_storage::StorageError;
+use plp_wal::LogFailed;
 
 use crate::catalog::TableId;
 
@@ -17,6 +18,9 @@ pub enum EngineError {
     NoSuchTable(TableId),
     /// Underlying storage failure.
     Storage(StorageError),
+    /// The log device failed: the commit is not durable.  Answered on the
+    /// wire as [`crate::ErrorCode::Storage`].
+    Log(LogFailed),
     /// The engine has been shut down.
     Shutdown,
     /// Crash recovery could not complete (unreadable log, configuration
@@ -64,6 +68,7 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::NoSuchTable(t) => write!(f, "no such table {t:?}"),
             EngineError::Storage(e) => write!(f, "storage error: {e}"),
+            EngineError::Log(e) => write!(f, "{e}"),
             EngineError::Shutdown => write!(f, "engine is shut down"),
             EngineError::Recovery(reason) => write!(f, "recovery failed: {reason}"),
         }

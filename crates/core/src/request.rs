@@ -280,7 +280,7 @@ impl From<&EngineError> for ErrorCode {
             EngineError::Abort(_) => ErrorCode::Abort,
             EngineError::DuplicateKey { .. } => ErrorCode::DuplicateKey,
             EngineError::NoSuchTable(_) => ErrorCode::NoSuchTable,
-            EngineError::Storage(_) => ErrorCode::Storage,
+            EngineError::Storage(_) | EngineError::Log(_) => ErrorCode::Storage,
             EngineError::Shutdown => ErrorCode::Shutdown,
             EngineError::Recovery(_) => ErrorCode::Recovery,
         }
@@ -399,6 +399,10 @@ mod tests {
             (EngineError::NoSuchTable(TableId(2)), ErrorCode::NoSuchTable),
             (
                 EngineError::Storage(StorageError::PageNotFound(PageId(3))),
+                ErrorCode::Storage,
+            ),
+            (
+                EngineError::Log(plp_wal::LogFailed(std::io::ErrorKind::NotFound)),
                 ErrorCode::Storage,
             ),
             (EngineError::Shutdown, ErrorCode::Shutdown),

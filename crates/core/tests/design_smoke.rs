@@ -92,3 +92,30 @@ fn every_design_commits_the_same_tiny_batch() {
         );
     }
 }
+
+/// The conventional design's central locks are gone once a transaction has
+/// committed or aborted: the session releases them after the log answers.
+#[test]
+fn conventional_session_releases_central_locks_after_commit_and_abort() {
+    let mut engine = build_engine(Design::Conventional { sli: false });
+    let mut session = engine.session();
+    let locks = engine.db().lock_manager();
+    session
+        .execute(TransactionPlan::single(Action::new(TABLE, 2, |ctx| {
+            ctx.update(TABLE, 2, &mut |rec| rec[0] ^= 1)?;
+            Ok(ActionOutput::empty())
+        })))
+        .expect("update commits");
+    assert_eq!(locks.live_heads(), 0, "locks held past commit");
+    let duplicate = session.execute(TransactionPlan::single(Action::new(TABLE, 4, |ctx| {
+        ctx.insert(TABLE, 4, b"taken", None)?;
+        Ok(ActionOutput::empty())
+    })));
+    assert!(
+        matches!(duplicate, Err(ref e) if e.is_abort()),
+        "{duplicate:?}"
+    );
+    assert_eq!(locks.live_heads(), 0, "locks held past abort");
+    drop(session);
+    engine.shutdown();
+}

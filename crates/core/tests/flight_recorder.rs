@@ -6,7 +6,6 @@
 //! path, forced by holding the partition's claim from another session), the
 //! other a session running its group inline.
 
-use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -15,18 +14,16 @@ use plp_core::{
     Action, ActionOutput, Design, Engine, EngineConfig, TableId, TableSpec, TransactionPlan,
 };
 use plp_instrument::json_is_valid;
+use plp_wal::test_support::TempDir;
 
 const TABLE: TableId = TableId(0);
 const KEY_SPACE: u64 = 4096;
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "plp-flight-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
+/// A fresh directory for the dump, removed with everything in it when the
+/// guard drops.
+fn dump_dir(tag: &str) -> TempDir {
+    let dir = TempDir::new(&format!("plp-flight-{tag}"));
+    std::fs::create_dir_all(dir.path()).expect("create dump dir");
     dir
 }
 
@@ -47,8 +44,8 @@ fn worker_panic_writes_flight_dump_with_worker_trace() {
     let _serial = ONE_PANIC_AT_A_TIME
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let dir = temp_dir("panic");
-    let dump_path = dir.join("flight_dump.json");
+    let dir = dump_dir("panic");
+    let dump_path = dir.path().join("flight_dump.json");
     let config = EngineConfig::new(Design::PlpRegular)
         .with_partitions(2)
         .with_metrics_interval(Duration::from_millis(5))
@@ -134,6 +131,15 @@ fn worker_panic_writes_flight_dump_with_worker_trace() {
     );
     let msg = engine.db().stats().snapshot().msg;
     assert_eq!(msg.batches, 1, "the faulting stage went out as one batch");
+
+    // The leaked engine stays registered with the panic hook, so any later
+    // panic in this process dumps it into the removed directory.  That write
+    // must fail quietly: a panic inside the hook would abort the process.
+    let removed = dir.path().to_path_buf();
+    drop(dir);
+    let later = std::panic::catch_unwind(|| panic!("a later, unrelated panic"));
+    assert!(later.is_err(), "the later panic unwinds as usual");
+    assert!(!removed.exists(), "the hook recreated {removed:?}");
 }
 
 /// Whether the chrome trace holds an `execute` span on the row labelled
@@ -159,8 +165,8 @@ fn inline_action_panic_still_records_execute_event() {
     let _serial = ONE_PANIC_AT_A_TIME
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let dir = temp_dir("inline-panic");
-    let dump_path = dir.join("flight_dump.json");
+    let dir = dump_dir("inline-panic");
+    let dump_path = dir.path().join("flight_dump.json");
     let config = EngineConfig::new(Design::PlpRegular)
         .with_partitions(2)
         .with_flight_dump(&dump_path);

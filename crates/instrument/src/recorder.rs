@@ -273,11 +273,9 @@ impl FlightRecorder {
 
     /// Write [`dump_json`](Self::dump_json) to `path`, ignoring IO errors
     /// (the dump path runs inside panic hooks and shutdown, where failing
-    /// loudly helps no one).
+    /// loudly helps no one).  Creates no directory: a dump into one removed
+    /// since [`register_flight_dump`] created it fails quietly.
     pub fn dump_to(&self, path: &Path, stats: &StatsRegistry, reason: &str) {
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
         let _ = std::fs::write(path, self.dump_json(stats, reason));
     }
 }
@@ -312,11 +310,15 @@ pub fn dump_all_targets(reason: &str) {
 /// install the process-wide panic hook on first use). The registry holds weak
 /// references: drop the recorder and the target goes dead; call
 /// [`unregister_flight_dump`] to remove it eagerly (normal shutdown).
+/// `path`'s directory is created here, once.
 pub fn register_flight_dump(
     path: PathBuf,
     recorder: &Arc<FlightRecorder>,
     stats: &Arc<StatsRegistry>,
 ) {
+    if let Some(parent) = path.parent() {
+        let _ = std::fs::create_dir_all(parent);
+    }
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
         let previous = std::panic::take_hook();

@@ -40,7 +40,7 @@ mod tests {
         let mut txn = mgr.begin();
         assert_eq!(txn.state(), TxnState::Active);
         txn.log_update(0, 7, b"before", b"after-image");
-        mgr.commit(&mut txn);
+        mgr.commit(&mut txn).unwrap();
         assert_eq!(txn.state(), TxnState::Committed);
         assert_eq!(stats.committed(), 1);
     }

@@ -3,16 +3,16 @@
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::Mutex;
-use plp_instrument::{CsCategory, StatsRegistry, TimeBreakdown};
-use plp_lock::LockManager;
-use plp_wal::LogManager;
+use plp_instrument::{CsCategory, StatsRegistry};
+use plp_wal::{LogFailed, LogManager};
 
 use crate::xct::{Transaction, TxnState};
 
 /// Allocates transaction ids, tracks begin/commit/abort transitions and drives
-/// the commit protocol (commit log record, lock release).
+/// the commit protocol (commit log record, durability wait).
 pub struct TxnManager {
     next_id: AtomicU64,
     log: Arc<LogManager>,
@@ -69,22 +69,20 @@ impl TxnManager {
         self.next_id.load(Ordering::Relaxed)
     }
 
-    /// Commit: write the commit record (flushing per the log manager's
-    /// durability mode), release central locks, flip the state.
+    /// Commit: append the commit record ([`LogManager::commit_deferred`]),
+    /// wait per the log's durability mode ([`LogManager::wait_durable`]),
+    /// flip the state.  Returns how long the wait took, for the caller to
+    /// attribute.
     ///
     /// A transaction that logged nothing appends no commit record; under
     /// `Synchronous`/`Strict` it still waits until the log is written/synced
     /// through the tail it observed, so nothing it read can be lost after it
-    /// returns (see [`LogManager::commit`] and `docs/durability.md`).
+    /// returns (see `docs/durability.md`).
     ///
-    /// `locks` is the central lock manager to release against; partitioned
-    /// designs pass `None` because their workers used thread-local tables.
-    pub fn commit_with(
-        &self,
-        txn: &mut Transaction,
-        locks: Option<&LockManager>,
-        breakdown: Option<&TimeBreakdown>,
-    ) {
+    /// On `Err` the log device has failed and the commit is not durable: the
+    /// transaction is finished and counted as aborted.  Central locks it
+    /// recorded stay with it for the caller to release.
+    pub fn commit(&self, txn: &mut Transaction) -> Result<Duration, LogFailed> {
         assert!(txn.is_active(), "commit of a finished transaction");
         // One critical section per attached action to serialise the state
         // transition against action-completion notifications (fixed
@@ -92,52 +90,32 @@ impl TxnManager {
         self.stats
             .cs()
             .enter_n(CsCategory::XctMgr, txn.action_count() as u64, false);
-        match breakdown {
-            Some(bd) => {
-                self.log.commit_with_breakdown(txn.log_handle_mut(), bd);
-            }
-            None => {
-                self.log.commit(txn.log_handle_mut());
-            }
-        }
-        let held = txn.take_locks();
-        if let Some(lm) = locks {
-            if !held.is_empty() {
-                lm.release_all(txn.id(), &held);
-            }
-        }
-        txn.set_state(TxnState::Committed);
+        let target = self.log.commit_deferred(txn.log_handle_mut());
+        let waited = self.log.wait_durable(target);
         self.active.lock().remove(&txn.id());
-        self.stats.txn_committed();
-    }
-
-    /// Convenience wrapper for `commit_with(txn, None, None)`.
-    pub fn commit(&self, txn: &mut Transaction) {
-        self.commit_with(txn, None, None);
+        if waited.is_ok() {
+            txn.set_state(TxnState::Committed);
+            self.stats.txn_committed();
+        } else {
+            txn.set_state(TxnState::Aborted);
+            self.stats.txn_aborted();
+        }
+        waited
     }
 
     /// Abort: write the abort record (none if the transaction logged
-    /// nothing; aborts never wait), release locks, flip the state.  (The
-    /// reproduction does not implement undo — no experiment in the paper
-    /// exercises rollback of applied changes; aborts happen only on lock
-    /// timeouts before any physical change was applied.)
-    pub fn abort_with(&self, txn: &mut Transaction, locks: Option<&LockManager>) {
+    /// nothing; aborts never wait), flip the state.  Central locks it
+    /// recorded stay with it for the caller to release.  (The reproduction
+    /// does not implement undo — no experiment in the paper exercises
+    /// rollback of applied changes; aborts happen only on lock timeouts
+    /// before any physical change was applied.)
+    pub fn abort(&self, txn: &mut Transaction) {
         assert!(txn.is_active(), "abort of a finished transaction");
         self.stats.cs().enter(CsCategory::XctMgr, false);
         self.log.abort(txn.log_handle_mut());
-        let held = txn.take_locks();
-        if let Some(lm) = locks {
-            if !held.is_empty() {
-                lm.release_all(txn.id(), &held);
-            }
-        }
         txn.set_state(TxnState::Aborted);
         self.active.lock().remove(&txn.id());
         self.stats.txn_aborted();
-    }
-
-    pub fn abort(&self, txn: &mut Transaction) {
-        self.abort_with(txn, None);
     }
 }
 
@@ -152,7 +130,7 @@ impl std::fmt::Debug for TxnManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plp_lock::{LockId, LockMode};
+    use plp_lock::{LockId, LockManager, LockMode};
     use plp_wal::{DurabilityMode, InsertProtocol};
 
     fn setup() -> (Arc<StatsRegistry>, Arc<LockManager>, TxnManager) {
@@ -175,34 +153,36 @@ mod tests {
     }
 
     #[test]
-    fn commit_releases_central_locks() {
+    fn commit_leaves_central_locks_to_the_caller() {
         let (stats, locks, mgr) = setup();
         let mut txn = mgr.begin();
         let acquired = locks
             .acquire_hierarchical(txn.id(), LockId::Key(1, 9), LockMode::X, None)
             .unwrap();
         txn.record_locks(acquired.into_iter().map(|(id, _)| id));
-        assert_eq!(locks.live_heads(), 3);
         txn.log_update(1, 5, b"old-value", b"new-value");
-        mgr.commit_with(&mut txn, Some(&locks), None);
-        assert_eq!(locks.live_heads(), 0);
+        assert_eq!(mgr.commit(&mut txn), Ok(Duration::ZERO));
         assert_eq!(txn.state(), TxnState::Committed);
+        assert_eq!(txn.held_locks().len(), 3);
+        assert_eq!(locks.live_heads(), 3);
         assert_eq!(stats.committed(), 1);
         assert_eq!(stats.aborted(), 0);
+        assert!(mgr.active_txns().is_empty());
     }
 
     #[test]
-    fn abort_releases_locks_and_counts() {
+    fn abort_counts_and_leaves_central_locks_to_the_caller() {
         let (stats, locks, mgr) = setup();
         let mut txn = mgr.begin();
         let acquired = locks
             .acquire_hierarchical(txn.id(), LockId::Key(1, 9), LockMode::S, None)
             .unwrap();
         txn.record_locks(acquired.into_iter().map(|(id, _)| id));
-        mgr.abort_with(&mut txn, Some(&locks));
-        assert_eq!(locks.live_heads(), 0);
+        mgr.abort(&mut txn);
+        assert_eq!(txn.held_locks().len(), 3);
         assert_eq!(txn.state(), TxnState::Aborted);
         assert_eq!(stats.aborted(), 1);
+        assert!(mgr.active_txns().is_empty());
     }
 
     #[test]
@@ -210,8 +190,8 @@ mod tests {
     fn double_commit_panics() {
         let (_s, _l, mgr) = setup();
         let mut txn = mgr.begin();
-        mgr.commit(&mut txn);
-        mgr.commit(&mut txn);
+        mgr.commit(&mut txn).unwrap();
+        let _ = mgr.commit(&mut txn);
     }
 
     #[test]
@@ -219,7 +199,7 @@ mod tests {
         let (stats, _l, mgr) = setup();
         let mut txn = mgr.begin();
         txn.set_action_count(4);
-        mgr.commit(&mut txn);
+        mgr.commit(&mut txn).unwrap();
         // 1 (begin) + 4 (commit, one per action rendezvous).
         assert_eq!(stats.snapshot().cs.entries(CsCategory::XctMgr), 5);
     }

@@ -79,7 +79,9 @@ impl Transaction {
         &self.held_locks
     }
 
-    pub(crate) fn take_locks(&mut self) -> Vec<LockId> {
+    /// Hand the recorded central locks to the caller, which releases them
+    /// once the log commit or abort has returned.
+    pub fn take_locks(&mut self) -> Vec<LockId> {
         std::mem::take(&mut self.held_locks)
     }
 

@@ -99,7 +99,6 @@ pub fn walk_segment(
 
 struct OpenSegment {
     file: File,
-    base_lsn: Lsn,
     /// Record bytes written past the segment header.
     written: u64,
 }
@@ -109,6 +108,8 @@ struct DeviceState {
     /// LSN the next appended record must carry.
     next_lsn: Lsn,
     scratch: Vec<u8>,
+    /// See [`LogDevice::fail`].
+    failure: Option<io::ErrorKind>,
 }
 
 /// A segmented, append-only, fsync-capable log device.
@@ -182,7 +183,6 @@ impl LogDevice {
                 let file = OpenOptions::new().append(true).open(&seg.path)?;
                 Some(OpenSegment {
                     file,
-                    base_lsn: seg.base_lsn,
                     written: tail.0 - seg.base_lsn.0,
                 })
             }
@@ -196,6 +196,7 @@ impl LogDevice {
                     current,
                     next_lsn: tail,
                     scratch: Vec::new(),
+                    failure: None,
                 }),
                 stats,
             },
@@ -209,10 +210,6 @@ impl LogDevice {
         stats: Arc<StatsRegistry>,
     ) -> io::Result<(Self, Lsn)> {
         Self::open(dir, DEFAULT_SEGMENT_BYTES, stats)
-    }
-
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Append a batch of records (already LSN-stamped, contiguous) to the
@@ -274,11 +271,7 @@ impl LogDevice {
             .truncate(true)
             .open(&path)?;
         file.write_all(&encode_segment_header(base))?;
-        state.current = Some(OpenSegment {
-            file,
-            base_lsn: base,
-            written: 0,
-        });
+        state.current = Some(OpenSegment { file, written: 0 });
         Ok(())
     }
 
@@ -298,14 +291,20 @@ impl LogDevice {
         Ok(())
     }
 
+    /// Remember that a write or fsync failed with `kind` (the first kind
+    /// sticks); the log manager stops using the device.
+    pub fn fail(&self, kind: io::ErrorKind) {
+        self.state.lock().failure.get_or_insert(kind);
+    }
+
+    /// The kind [`Self::fail`] recorded, if any.
+    pub fn failure(&self) -> Option<io::ErrorKind> {
+        self.state.lock().failure
+    }
+
     /// Next LSN the device expects (test/diagnostic helper).
     pub fn next_lsn(&self) -> Lsn {
         self.state.lock().next_lsn
-    }
-
-    /// Base LSN of the segment currently being appended to.
-    pub fn current_segment_base(&self) -> Option<Lsn> {
-        self.state.lock().current.as_ref().map(|c| c.base_lsn)
     }
 }
 

@@ -89,7 +89,7 @@ pub mod test_support;
 
 pub use buffer::{InsertProtocol, LogBuffer};
 pub use device::LogDevice;
-pub use manager::{DurabilityMode, LogManager, TxnLogHandle};
+pub use manager::{DurabilityMode, LogFailed, LogManager, TxnLogHandle};
 pub use record::{
     CheckpointData, LogRecord, LogRecordKind, Lsn, RepartitionPayload, UpdatePayload,
 };
@@ -111,7 +111,7 @@ mod tests {
         let mut h = mgr.begin(1);
         h.log(LogRecordKind::Insert, 10, 64);
         h.log(LogRecordKind::Update, 11, 32);
-        let lsn = mgr.commit(&mut h);
+        let lsn = mgr.commit(&mut h).unwrap();
         assert!(lsn > Lsn(0));
         assert_eq!(mgr.record_count(), 3); // 2 updates + commit record
     }
@@ -133,7 +133,7 @@ mod tests {
             &mut h,
             LogRecord::with_payload(1, LogRecordKind::Insert, 2, 10, Some(110), vec![42; 8]),
         );
-        mgr.commit(&mut h);
+        mgr.commit(&mut h).unwrap();
         drop(mgr);
         let scan = scan_log(dir.path()).unwrap();
         assert!(scan.committed.contains(&1));

@@ -215,7 +215,7 @@ mod tests {
             None,
             vec![1, 2, 3],
         ));
-        m.commit(&mut h);
+        m.commit(&mut h).unwrap();
         // Aborted transaction.
         let mut h = m.begin(2);
         h.push_record(crate::record::LogRecord::with_payload(
@@ -310,7 +310,7 @@ mod tests {
                 None,
                 vec![t as u8; 24],
             ));
-            m.commit(&mut h);
+            m.commit(&mut h).unwrap();
         }
         drop(m);
         let full = scan_log(dir.path()).unwrap();

@@ -72,7 +72,7 @@ const ORDERING_ALLOWLIST: &[(&str, &str)] = &[
     ),
     (
         "crates/wal/src/manager.rs",
-        "flusher shutdown flag (Acquire/Release)",
+        "flusher state word, written under the durable-marks mutex (Acquire/Release)",
     ),
     (
         "crates/txn/src/manager.rs",
