@@ -19,14 +19,6 @@ use plp_wal::test_support::TempDir;
 const TABLE: TableId = TableId(0);
 const KEY_SPACE: u64 = 4096;
 
-/// A fresh directory for the dump, removed with everything in it when the
-/// guard drops.
-fn dump_dir(tag: &str) -> TempDir {
-    let dir = TempDir::new(&format!("plp-flight-{tag}"));
-    std::fs::create_dir_all(dir.path()).expect("create dump dir");
-    dir
-}
-
 fn read_action(key: u64) -> Action {
     Action::new(TABLE, key, move |ctx| {
         ctx.read(TABLE, key)?;
@@ -44,7 +36,9 @@ fn worker_panic_writes_flight_dump_with_worker_trace() {
     let _serial = ONE_PANIC_AT_A_TIME
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let dir = dump_dir("panic");
+    // Removed with everything in it when the guard drops; the engine's
+    // dump registration creates it.
+    let dir = TempDir::new("plp-flight-panic");
     let dump_path = dir.path().join("flight_dump.json");
     let config = EngineConfig::new(Design::PlpRegular)
         .with_partitions(2)
@@ -165,7 +159,7 @@ fn inline_action_panic_still_records_execute_event() {
     let _serial = ONE_PANIC_AT_A_TIME
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let dir = dump_dir("inline-panic");
+    let dir = TempDir::new("plp-flight-inline-panic");
     let dump_path = dir.path().join("flight_dump.json");
     let config = EngineConfig::new(Design::PlpRegular)
         .with_partitions(2)

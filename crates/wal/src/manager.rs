@@ -136,8 +136,9 @@ struct FlusherState {
     state: AtomicU8,
 }
 
-// Finding 7: a `bool` beside the state word grew this allocation by one
-// malloc size class and cost −3.7 % on `tatp_inproc`.  Keep it at its size.
+// ROADMAP finding 7: a `bool` beside the state word grew this allocation by
+// one malloc size class and cost −3.7 % on `tatp_inproc` (2-vCPU Xeon).
+// Keep it at its size.
 const _: () = assert!(std::mem::size_of::<FlusherState>() <= 40);
 
 /// The log manager.
@@ -315,8 +316,9 @@ impl LogManager {
 
     /// Block until the log is written (`Synchronous`) or synced (`Strict`)
     /// below `target`; returns the time waited (zero if the mark was
-    /// there).  The `Lazy` return stays inline in the caller: finding 7
-    /// measured an out-of-line check at −2.1 % on `tatp_conventional`.
+    /// there).  The `Lazy` return stays inline in the caller: an
+    /// out-of-line check measured −2.1 % on `tatp_conventional` (ROADMAP
+    /// finding 7, 2-vCPU Xeon).
     #[inline]
     pub fn wait_durable(&self, target: Lsn) -> Result<Duration, LogFailed> {
         if self.durability == DurabilityMode::Lazy {
