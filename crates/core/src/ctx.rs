@@ -1,6 +1,6 @@
 //! [`DataContext`] implementations for the execution designs.
 
-use plp_instrument::TimeBreakdown;
+use plp_instrument::PhaseBreakdown;
 use plp_lock::{AgentLockCache, LocalLockTable, LockId, LockMode};
 use plp_storage::{Access, OwnerToken};
 use plp_txn::Transaction;
@@ -18,7 +18,8 @@ pub struct ConventionalCtx<'a> {
     db: &'a Database,
     txn: &'a mut Transaction,
     sli: Option<&'a mut AgentLockCache>,
-    breakdown: &'a TimeBreakdown,
+    /// The transaction's phases: central lock waits land in `lock_nanos`.
+    phases: &'a mut PhaseBreakdown,
 }
 
 impl<'a> ConventionalCtx<'a> {
@@ -26,13 +27,13 @@ impl<'a> ConventionalCtx<'a> {
         db: &'a Database,
         txn: &'a mut Transaction,
         sli: Option<&'a mut AgentLockCache>,
-        breakdown: &'a TimeBreakdown,
+        phases: &'a mut PhaseBreakdown,
     ) -> Self {
         Self {
             db,
             txn,
             sli,
-            breakdown,
+            phases,
         }
     }
 
@@ -45,7 +46,7 @@ impl<'a> ConventionalCtx<'a> {
                     self.txn.id(),
                     id,
                     mode,
-                    Some(self.breakdown),
+                    Some(&mut *self.phases),
                 )?;
                 self.txn.record_locks(to_release);
             }
@@ -54,7 +55,7 @@ impl<'a> ConventionalCtx<'a> {
                     self.txn.id(),
                     id,
                     mode,
-                    Some(self.breakdown),
+                    Some(&mut *self.phases),
                 )?;
                 self.txn
                     .record_locks(acquired.into_iter().map(|(id, _)| id));

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use plp_instrument::{StatsRegistry, TimeBreakdown};
+use plp_instrument::StatsRegistry;
 use plp_lock::LockManager;
 use plp_storage::{Access, BufferPool, PageCleaner};
 use plp_txn::TxnManager;
@@ -18,7 +18,6 @@ use crate::table::Table;
 pub struct Database {
     config: EngineConfig,
     stats: Arc<StatsRegistry>,
-    breakdown: Arc<TimeBreakdown>,
     pool: Arc<BufferPool>,
     locks: Arc<LockManager>,
     log: Arc<LogManager>,
@@ -126,7 +125,6 @@ impl Database {
         Arc::new(Self {
             config,
             stats,
-            breakdown: Arc::new(TimeBreakdown::new()),
             pool,
             locks,
             log,
@@ -142,10 +140,6 @@ impl Database {
 
     pub fn stats(&self) -> &Arc<StatsRegistry> {
         &self.stats
-    }
-
-    pub fn breakdown(&self) -> &Arc<TimeBreakdown> {
-        &self.breakdown
     }
 
     pub fn pool(&self) -> &Arc<BufferPool> {
@@ -231,7 +225,6 @@ impl Database {
     /// Reset every statistic (done after loading, before measurement).
     pub fn reset_stats(&self) {
         self.stats.reset();
-        self.breakdown.reset();
         // Re-base the global channel counters so pre-reset activity is not
         // attributed to the measured interval.
         *self.chan_metrics_base.lock() = channel_metrics_now();

@@ -4,13 +4,13 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 use plp_instrument::trace::now_nanos;
 use plp_instrument::{
-    obs_enabled, CsCategory, FlightRecorder, ObsServer, PhaseBreakdown, SlowTxn, TimeBucket,
-    TraceEvent, TraceRing,
+    obs_enabled, CsCategory, FlightRecorder, ObsServer, PhaseBreakdown, SlowTxn, TraceEvent,
+    TraceRing,
 };
 use plp_lock::AgentLockCache;
 use plp_txn::Transaction;
@@ -738,30 +738,24 @@ impl Session<'_> {
     /// Execute one transaction described by `plan`.  Returns the concatenated
     /// outputs of all its actions, or the abort reason.
     pub fn execute(&mut self, plan: TransactionPlan) -> Result<Vec<ActionOutput>, EngineError> {
-        let start = Instant::now();
         let trace_start = obs_now();
         let db = self.engine.db.clone();
         let mut txn = db.txn_manager().begin();
         let txn_id = txn.id();
-        // Per-phase attribution, accumulated across every action group the
-        // transaction runs inline or dispatches (partitioned designs; the
-        // conventional design has no groups, so only the commit-time WAL
-        // wait below lands here).
+        // The transaction's one time accumulator: the phases of every action
+        // group it runs inline or dispatches (partitioned designs), its
+        // central lock waits (conventional design), and the commit-time WAL
+        // wait below.
         let mut phases = PhaseBreakdown::default();
         let result = if self.engine.design.is_partitioned() {
             self.execute_partitioned(&db, &mut txn, plan, &mut phases)
         } else {
-            self.execute_conventional(&db, &mut txn, plan)
+            self.execute_conventional(&db, &mut txn, plan, &mut phases)
         };
         let commit_t0 = obs_now();
         let result = match result {
             Ok(outputs) => match db.txn_manager().commit(&mut txn) {
-                Ok(waited) => {
-                    if !waited.is_zero() {
-                        db.breakdown().add(TimeBucket::LogWait, waited);
-                    }
-                    Ok(outputs)
-                }
+                Ok(()) => Ok(outputs),
                 Err(e) => Err(EngineError::Log(e)),
             },
             Err(e) => {
@@ -775,7 +769,6 @@ impl Session<'_> {
         if !held.is_empty() {
             db.lock_manager().release_all(txn_id, &held);
         }
-        db.breakdown().finish_txn(start.elapsed());
         if obs_enabled() {
             let now = now_nanos();
             let outcome = match result {
@@ -790,6 +783,8 @@ impl Session<'_> {
             // `action_roundtrip`'s sum exactly while the per-group hot path
             // stays free of extra stores.  An aborted transaction's groups
             // are in `action_roundtrip` too, so their phases land as well.
+            // Conventional records no `action_roundtrip`, so its lock waits
+            // reach only `lock_wait` and the slow log.
             if self.engine.design.is_partitioned() {
                 phases.record_roundtrip_phases(db.stats().latency());
             }
@@ -814,6 +809,7 @@ impl Session<'_> {
         db: &Database,
         txn: &mut Transaction,
         mut plan: TransactionPlan,
+        phases: &mut PhaseBreakdown,
     ) -> Result<Vec<ActionOutput>, EngineError> {
         let mut all_outputs = Vec::new();
         let mut total_actions = 0u32;
@@ -821,7 +817,7 @@ impl Session<'_> {
             let mut stage_outputs = Vec::with_capacity(plan.actions.len());
             for action in plan.actions {
                 total_actions += 1;
-                let mut ctx = ConventionalCtx::new(db, txn, self.sli.as_mut(), db.breakdown());
+                let mut ctx = ConventionalCtx::new(db, txn, self.sli.as_mut(), phases);
                 stage_outputs.push((action.run)(&mut ctx)?);
             }
             match next_stage(plan.then, stage_outputs, &mut all_outputs) {

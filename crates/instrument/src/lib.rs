@@ -10,9 +10,9 @@
 //!   management, log manager, transaction manager, message passing.
 //! * **Page-latch counters** per page kind (Figures 2 and 3): index pages,
 //!   heap pages, catalog/space-management pages.
-//! * **Per-transaction time breakdowns** (Figures 6, 7 and 10): time spent
-//!   acquiring latches, waiting on contended index/heap latches, waiting on
-//!   SMOs, locks, the log, and everything else.
+//! * **Per-transaction time breakdowns** (Figures 6, 7 and 10): views over
+//!   the contended-latch wait time per page kind (`LatchStats::wait_nanos`),
+//!   the SMO wait time (`smo_wait_nanos`) and the run's wall time.
 //!
 //! This crate provides those counters.  Every other crate in the workspace
 //! takes a [`StatsRegistry`] handle and reports events into it; the benchmark
@@ -35,7 +35,6 @@
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod breakdown;
 pub mod export;
 pub mod histogram;
 pub mod model;
@@ -45,10 +44,7 @@ pub mod server;
 pub mod slowlog;
 pub mod stats;
 pub mod sync;
-pub mod timer;
 pub mod trace;
-
-pub use breakdown::{BreakdownSnapshot, TimeBreakdown, TimeBucket};
 
 /// True unless the `obs-stub` feature compiled histogram/trace recording out.
 /// Inlines to a constant, so callers in other crates can write
@@ -75,7 +71,6 @@ pub use stats::{
     StatsRegistry, StatsSnapshot, WalStats, WalStatsSnapshot,
 };
 pub use sync::{InstrumentedMutex, InstrumentedRwLock};
-pub use timer::ScopedTimer;
 pub use trace::{TraceEvent, TraceRecord, TraceRegistry, TraceRing, TraceScope};
 
 #[cfg(test)]

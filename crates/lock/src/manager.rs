@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Condvar;
-use plp_instrument::{CsCategory, InstrumentedMutex, StatsRegistry, TimeBreakdown, TimeBucket};
+use plp_instrument::{CsCategory, InstrumentedMutex, PhaseBreakdown, StatsRegistry};
 
 use crate::key::LockId;
 use crate::mode::LockMode;
@@ -148,31 +148,33 @@ impl LockManager {
         txn: u64,
         id: LockId,
         mode: LockMode,
-        breakdown: Option<&TimeBreakdown>,
+        mut phases: Option<&mut PhaseBreakdown>,
     ) -> Result<Vec<(LockId, LockRequestOutcome)>, LockError> {
         let mut acquired = Vec::new();
         for ancestor in id.ancestors() {
-            let outcome = self.acquire(txn, ancestor, mode.intention(), breakdown)?;
+            let outcome = self.acquire(txn, ancestor, mode.intention(), phases.as_deref_mut())?;
             acquired.push((ancestor, outcome));
         }
-        let outcome = self.acquire(txn, id, mode, breakdown)?;
+        let outcome = self.acquire(txn, id, mode, phases)?;
         acquired.push((id, outcome));
         Ok(acquired)
     }
 
-    /// Acquire a single lock (no hierarchy walk).
+    /// Acquire a single lock (no hierarchy walk).  A request that has to wait
+    /// records the wait in the `lock_wait` histogram and adds it to the
+    /// requesting transaction's `phases`, when given.
     pub fn acquire(
         &self,
         txn: u64,
         id: LockId,
         mode: LockMode,
-        breakdown: Option<&TimeBreakdown>,
+        phases: Option<&mut PhaseBreakdown>,
     ) -> Result<LockRequestOutcome, LockError> {
         let shard_idx = self.shard_of(&id);
         let (mutex, condvar) = &self.shards[shard_idx];
-        let deadline = Instant::now() + self.timeout;
-        let wait_start = Instant::now();
-        let mut waited = false;
+        // Taken at the first conflict, so an uncontended request reads no
+        // clock; the deadline derives from it.
+        let mut wait_start: Option<Instant> = None;
 
         let (mut shard, _) = mutex.lock();
         loop {
@@ -187,27 +189,31 @@ impl LockManager {
             }
             if head.compatible_for(txn, mode) {
                 head.grant(txn, mode);
-                if waited {
-                    let waited_for = wait_start.elapsed();
-                    if let Some(bd) = breakdown {
-                        bd.add(TimeBucket::LockWait, waited_for);
+                return Ok(match wait_start {
+                    Some(start) => {
+                        self.record_wait(start, phases);
+                        LockRequestOutcome::GrantedAfterWait
                     }
-                    self.stats.latency().lock_wait.record_duration(waited_for);
-                    return Ok(LockRequestOutcome::GrantedAfterWait);
-                }
-                return Ok(LockRequestOutcome::Granted);
+                    None => LockRequestOutcome::Granted,
+                });
             }
             // Conflict: wait on the shard condvar.
-            waited = true;
-            let timeout_res = condvar.wait_until(&mut shard, deadline);
-            if timeout_res.timed_out() {
-                let waited_for = wait_start.elapsed();
-                if let Some(bd) = breakdown {
-                    bd.add(TimeBucket::LockWait, waited_for);
-                }
-                self.stats.latency().lock_wait.record_duration(waited_for);
+            let start = *wait_start.get_or_insert_with(Instant::now);
+            if condvar
+                .wait_until(&mut shard, start + self.timeout)
+                .timed_out()
+            {
+                self.record_wait(start, phases);
                 return Err(LockError::Timeout { id, mode });
             }
+        }
+    }
+
+    fn record_wait(&self, start: Instant, phases: Option<&mut PhaseBreakdown>) {
+        let waited = start.elapsed();
+        self.stats.latency().lock_wait.record_duration(waited);
+        if let Some(phases) = phases {
+            phases.lock_nanos = phases.lock_nanos.saturating_add(waited.as_nanos() as u64);
         }
     }
 
@@ -378,21 +384,34 @@ mod tests {
     }
 
     #[test]
-    fn lock_wait_is_attributed_to_breakdown() {
+    fn lock_wait_is_attributed_to_the_transaction() {
+        let stats = StatsRegistry::new_shared();
         let m = Arc::new(LockManager::with_timeout(
-            StatsRegistry::new_shared(),
+            stats.clone(),
             Duration::from_secs(5),
         ));
-        let bd = Arc::new(TimeBreakdown::new());
-        m.acquire(1, LockId::Key(1, 1), LockMode::X, None).unwrap();
+        let mut phases = PhaseBreakdown::default();
+        m.acquire(1, LockId::Key(1, 1), LockMode::X, Some(&mut phases))
+            .unwrap();
+        assert_eq!(phases, PhaseBreakdown::default(), "no wait, nothing added");
         let m2 = m.clone();
-        let bd2 = bd.clone();
-        let waiter =
-            thread::spawn(move || m2.acquire(2, LockId::Key(1, 1), LockMode::X, Some(&bd2)));
+        let waiter = thread::spawn(move || {
+            let mut phases = PhaseBreakdown::default();
+            let outcome = m2.acquire(2, LockId::Key(1, 1), LockMode::X, Some(&mut phases));
+            (outcome, phases)
+        });
+        // The waiter's request is the manager's second critical section; it
+        // holds the shard until it blocks, so the release below follows it.
+        while stats.snapshot().cs.entries(CsCategory::LockMgr) < 2 {
+            thread::yield_now();
+        }
         thread::sleep(Duration::from_millis(15));
         m.release_all(1, &[LockId::Key(1, 1)]);
-        waiter.join().unwrap().unwrap();
-        assert!(bd.snapshot().nanos(TimeBucket::LockWait) >= 10_000_000);
+        let (outcome, phases) = waiter.join().unwrap();
+        assert_eq!(outcome, Ok(LockRequestOutcome::GrantedAfterWait));
+        assert!(phases.lock_nanos >= 10_000_000, "{phases:?}");
+        assert_eq!(phases.total(), phases.lock_nanos);
+        assert_eq!(stats.latency().snapshot().lock_wait.count, 1);
     }
 
     #[test]

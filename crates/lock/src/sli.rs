@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use plp_instrument::TimeBreakdown;
+use plp_instrument::PhaseBreakdown;
 
 use crate::key::LockId;
 use crate::manager::{LockError, LockManager};
@@ -77,7 +77,7 @@ impl AgentLockCache {
         txn: u64,
         id: LockId,
         mode: LockMode,
-        breakdown: Option<&TimeBreakdown>,
+        mut phases: Option<&mut PhaseBreakdown>,
     ) -> Result<Vec<LockId>, LockError> {
         let mut to_release = Vec::new();
         // Walk the hierarchy: ancestors take intention locks, which are the
@@ -89,7 +89,7 @@ impl AgentLockCache {
                 continue;
             }
             self.misses += 1;
-            manager.acquire(self.agent_txn_id, ancestor, want, breakdown)?;
+            manager.acquire(self.agent_txn_id, ancestor, want, phases.as_deref_mut())?;
             let prev = self.inherited.get(&ancestor).copied();
             let combined = prev.map_or(want, |p| p.combine(want));
             self.inherited.insert(ancestor, combined);
@@ -99,7 +99,7 @@ impl AgentLockCache {
         if mode.is_intention() {
             if !self.covered(id, mode) {
                 self.misses += 1;
-                manager.acquire(self.agent_txn_id, id, mode, breakdown)?;
+                manager.acquire(self.agent_txn_id, id, mode, phases)?;
                 let prev = self.inherited.get(&id).copied();
                 self.inherited
                     .insert(id, prev.map_or(mode, |p| p.combine(mode)));
@@ -107,7 +107,7 @@ impl AgentLockCache {
                 self.hits += 1;
             }
         } else {
-            manager.acquire(txn, id, mode, breakdown)?;
+            manager.acquire(txn, id, mode, phases)?;
             to_release.push(id);
         }
         Ok(to_release)

@@ -3,7 +3,6 @@
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use plp_instrument::{CsCategory, StatsRegistry};
@@ -71,8 +70,7 @@ impl TxnManager {
 
     /// Commit: append the commit record ([`LogManager::commit_deferred`]),
     /// wait per the log's durability mode ([`LogManager::wait_durable`]),
-    /// flip the state.  Returns how long the wait took, for the caller to
-    /// attribute.
+    /// flip the state.
     ///
     /// A transaction that logged nothing appends no commit record; under
     /// `Synchronous`/`Strict` it still waits until the log is written/synced
@@ -82,7 +80,7 @@ impl TxnManager {
     /// On `Err` the log device has failed and the commit is not durable: the
     /// transaction is finished and counted as aborted.  Central locks it
     /// recorded stay with it for the caller to release.
-    pub fn commit(&self, txn: &mut Transaction) -> Result<Duration, LogFailed> {
+    pub fn commit(&self, txn: &mut Transaction) -> Result<(), LogFailed> {
         assert!(txn.is_active(), "commit of a finished transaction");
         // One critical section per attached action to serialise the state
         // transition against action-completion notifications (fixed
@@ -91,16 +89,16 @@ impl TxnManager {
             .cs()
             .enter_n(CsCategory::XctMgr, txn.action_count() as u64, false);
         let target = self.log.commit_deferred(txn.log_handle_mut());
-        let waited = self.log.wait_durable(target);
+        let durable = self.log.wait_durable(target);
         self.active.lock().remove(&txn.id());
-        if waited.is_ok() {
+        if durable.is_ok() {
             txn.set_state(TxnState::Committed);
             self.stats.txn_committed();
         } else {
             txn.set_state(TxnState::Aborted);
             self.stats.txn_aborted();
         }
-        waited
+        durable
     }
 
     /// Abort: write the abort record (none if the transaction logged
@@ -161,7 +159,7 @@ mod tests {
             .unwrap();
         txn.record_locks(acquired.into_iter().map(|(id, _)| id));
         txn.log_update(1, 5, b"old-value", b"new-value");
-        assert_eq!(mgr.commit(&mut txn), Ok(Duration::ZERO));
+        assert_eq!(mgr.commit(&mut txn), Ok(()));
         assert_eq!(txn.state(), TxnState::Committed);
         assert_eq!(txn.held_locks().len(), 3);
         assert_eq!(locks.live_heads(), 3);

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use plp_core::{Engine, EngineConfig, EngineError};
-use plp_instrument::{BreakdownSnapshot, LatencySnapshot, StatsSnapshot};
+use plp_instrument::{LatencySnapshot, StatsSnapshot};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -25,7 +25,6 @@ pub struct RunResult {
     pub aborted: u64,
     pub elapsed: Duration,
     pub stats: StatsSnapshot,
-    pub breakdown: BreakdownSnapshot,
     /// Latency histogram deltas (action round-trip, stage dispatch, WAL
     /// fsync/flush, lock wait, repartition) covering the measured interval.
     pub latency: LatencySnapshot,
@@ -101,7 +100,6 @@ fn run_inner(
     engine.db().sync_channel_metrics();
     let before = engine.db().stats().snapshot();
     let latency_before = engine.db().stats().latency().snapshot();
-    let breakdown_before = engine.db().breakdown().snapshot();
     let start = Instant::now();
 
     std::thread::scope(|scope| {
@@ -149,8 +147,6 @@ fn run_inner(
     engine.db().sync_channel_metrics();
     let after = engine.db().stats().snapshot();
     let latency_after = engine.db().stats().latency().snapshot();
-    let breakdown_after = engine.db().breakdown().snapshot();
-    let _ = breakdown_before; // breakdown snapshots are cumulative; report the final one
     RunResult {
         design: engine.design().name().to_string(),
         workload: workload.name().to_string(),
@@ -159,7 +155,6 @@ fn run_inner(
         aborted: aborted.load(Ordering::Relaxed),
         elapsed,
         stats: after.delta(&before),
-        breakdown: breakdown_after,
         latency: latency_after.delta(&latency_before),
     }
 }
