@@ -899,3 +899,53 @@ pub fn fig_durability(scale: Scale) -> Vec<Table> {
 
     vec![throughput, recovery]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Figures 6, 7 and 10 at a tiny scale keep their columns and rows, and
+    /// every time they report is finite and non-negative.
+    #[test]
+    fn time_breakdown_figures_keep_their_shape() {
+        let scale = Scale {
+            subscribers: 200,
+            txns_per_thread: 50,
+            max_threads: 2,
+        };
+        let breakdown = [
+            "design",
+            "idx latch wait",
+            "heap latch wait",
+            "SMO wait",
+            "other",
+            "total",
+        ];
+        let fig10 = [
+            "insert %",
+            "Normal µs/txn",
+            "Normal SMO wait µs",
+            "MRBT µs/txn",
+            "MRBT SMO wait µs",
+        ];
+        for (tables, headers, rows) in [
+            (fig6_insdel_breakdown(scale), &breakdown[..], 3),
+            (fig7_tpcb_false_sharing(scale), &breakdown[..], 4),
+            (fig10_parallel_smo(scale), &fig10[..], 6),
+        ] {
+            assert_eq!(tables.len(), 1, "one table at max_threads 2");
+            let table = &tables[0];
+            assert_eq!(table.headers, headers, "{}", table.title);
+            assert_eq!(table.rows.len(), rows, "{}", table.title);
+            for row in &table.rows {
+                assert_eq!(row.len(), headers.len(), "{}", table.title);
+                for cell in &row[1..] {
+                    let Cell::FloatPrec(v, _) = cell else {
+                        panic!("{}: {cell:?} is not a time", table.title);
+                    };
+                    assert!(v.is_finite() && *v >= 0.0, "{}: {v}", table.title);
+                }
+            }
+        }
+    }
+}

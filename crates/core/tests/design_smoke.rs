@@ -4,9 +4,14 @@
 //! worker-routed partitioned execution) against behavioural drift without
 //! involving the workload crate.
 
+use std::sync::mpsc;
+use std::time::Duration;
+
 use plp_core::{
-    Action, ActionOutput, Design, Engine, EngineConfig, TableId, TableSpec, TransactionPlan,
+    Action, ActionOutput, DataContext, Design, Engine, EngineConfig, EngineError, TableId,
+    TableSpec, TransactionPlan,
 };
+use plp_instrument::obs_enabled;
 
 const TABLE: TableId = TableId(0);
 const KEY_SPACE: u64 = 256;
@@ -118,4 +123,63 @@ fn conventional_session_releases_central_locks_after_commit_and_abort() {
     assert_eq!(locks.live_heads(), 0, "locks held past abort");
     drop(session);
     engine.shutdown();
+}
+
+/// A conventional transaction that blocks on a central lock carries the wait
+/// in its slow-log entry's `lock` phase.
+#[test]
+fn conventional_lock_wait_reaches_the_slow_log() {
+    if !obs_enabled() {
+        return;
+    }
+    let update_key_2 = |ctx: &mut dyn DataContext| -> Result<(), EngineError> {
+        ctx.update(TABLE, 2, &mut |rec| rec[0] ^= 1)?;
+        Ok(())
+    };
+    for design in [
+        Design::Conventional { sli: false },
+        Design::Conventional { sli: true },
+    ] {
+        let mut engine = build_engine(design);
+        let (locked_tx, locked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (asking_tx, asking_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let engine = &engine;
+            // A holds key 2's X lock until released.
+            scope.spawn(move || {
+                let plan = TransactionPlan::single(Action::new(TABLE, 2, move |ctx| {
+                    update_key_2(ctx)?;
+                    locked_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Ok(ActionOutput::empty())
+                }));
+                engine.session().execute(plan).expect("the holder commits");
+            });
+            locked_rx.recv().expect("the holder has the lock");
+            // B asks for the same lock and waits for A.
+            scope.spawn(move || {
+                let plan = TransactionPlan::single(Action::new(TABLE, 2, move |ctx| {
+                    asking_tx.send(()).unwrap();
+                    update_key_2(ctx)?;
+                    Ok(ActionOutput::empty())
+                }));
+                engine.session().execute(plan).expect("the waiter commits");
+            });
+            asking_rx.recv().expect("the waiter asks for the lock");
+            std::thread::sleep(Duration::from_millis(20));
+            release_tx.send(()).unwrap();
+        });
+        let slow = engine.db().stats().slow().snapshot();
+        assert_eq!(slow.len(), 2, "{design}: {slow:?}");
+        // Transaction ids follow begin order: the holder began first.
+        let holder = slow.iter().min_by_key(|t| t.txn_id).unwrap();
+        let waiter = slow.iter().max_by_key(|t| t.txn_id).unwrap();
+        assert_eq!(holder.phases.lock_nanos, 0, "{design}: {holder:?}");
+        assert!(
+            waiter.phases.lock_nanos >= 10_000_000,
+            "{design}: {waiter:?}"
+        );
+        engine.shutdown();
+    }
 }
