@@ -90,11 +90,11 @@ impl Engine {
     }
 
     /// [`Engine::start`] wrapped in an `Arc` — the handoff shape the network
-    /// front end consumes.  Each `plp-server` executor thread clones the
+    /// front end consumes.  Each `plp-server` connection thread clones the
     /// `Arc`, opens one [`Session`] and drives it entirely through the
-    /// declarative [`Session::run`] entry point, so server code never builds
-    /// closure plans.  Shutdown happens through the background-thread handles
-    /// when the last clone drops.
+    /// declarative [`Session::run_deferred`] entry point, so server code
+    /// never builds closure plans.  Shutdown happens through the
+    /// background-thread handles when the last clone drops.
     pub fn start_shared(config: EngineConfig, schema: &[TableSpec]) -> Arc<Self> {
         Arc::new(Self::start(config, schema))
     }
@@ -267,6 +267,7 @@ impl Engine {
             }
             pm.assign_ownership();
         }
+        engine.mark_loaded();
 
         let report = RecoveryReport {
             committed_txns: scan.committed.len() as u64,
@@ -388,16 +389,29 @@ impl Engine {
     }
 
     /// Finish the loading phase: assign latch-free page ownership (PLP),
-    /// reset all statistics so the measured run starts from zero, and unpause
-    /// the DLB controller (if enabled) now that the load phase's access
-    /// pattern can no longer pollute the histograms.
+    /// admit transactions (before this every one answers
+    /// [`EngineError::NotReady`]), reset all statistics so the measured run
+    /// starts from zero, and unpause the DLB controller (if enabled) now
+    /// that the load phase's access pattern can no longer pollute the
+    /// histograms.
     pub fn finish_loading(&self) {
         if let Some(pm) = &self.partition_mgr {
             pm.assign_ownership();
         }
+        self.mark_loaded();
         self.db.reset_stats();
         if let Some(dlb) = &self.dlb {
             dlb.resume();
+        }
+    }
+
+    /// Admit transactions from now on.  Each design keeps the flag in the
+    /// structure every one of its transactions already visits: the
+    /// partition manager's ticket gate, or the central lock manager.
+    fn mark_loaded(&self) {
+        match &self.partition_mgr {
+            Some(pm) => pm.mark_loaded(),
+            None => self.db.lock_manager().mark_loaded(),
         }
     }
 
@@ -691,15 +705,37 @@ impl Session<'_> {
     /// partitioned designs), lowered onto a single-stage
     /// [`TransactionPlan`], and executed through [`Session::execute`]'s
     /// usual commit/abort machinery; errors come back as wire-stable
-    /// [`ErrorCode`]s instead of [`EngineError`]s.
+    /// [`ErrorCode`]s instead of [`EngineError`]s.  Before
+    /// [`Engine::finish_loading`] every request answers
+    /// [`ErrorCode::NotReady`].
     pub fn run(&mut self, request: Request) -> Response {
+        self.run_with(request, true).0
+    }
+
+    /// [`Self::run`] without the durability wait: the transaction commits
+    /// (or aborts) and its locks go, but the response must not reach a
+    /// client before the log is durable through the returned LSN
+    /// ([`plp_wal::LogManager::wait_durable`]).  A caller holding several
+    /// responses waits once, for the largest LSN.  Should that wait fail,
+    /// every response that reached commit or abort — all but the validation
+    /// rejects `BadRequest` and `NoSuchTable` — must answer
+    /// [`ErrorCode::Storage`] instead.
+    pub fn run_deferred(&mut self, request: Request) -> (Response, Lsn) {
+        self.run_with(request, false)
+    }
+
+    fn run_with(&mut self, request: Request, wait: bool) -> (Response, Lsn) {
         if request.ops.is_empty() {
-            return Response::err(ErrorCode::BadRequest, "empty request");
+            return (
+                Response::err(ErrorCode::BadRequest, "empty request"),
+                Lsn::ZERO,
+            );
         }
         if let Some(reject) = self.validate(&request) {
-            return reject;
+            return (reject, Lsn::ZERO);
         }
-        self.execute(request.lower()).into()
+        let (result, lsn) = self.execute_with(request.lower(), wait);
+        (result.into(), lsn)
     }
 
     /// Checks lowering cannot perform: referenced tables must exist, and on
@@ -736,8 +772,21 @@ impl Session<'_> {
     }
 
     /// Execute one transaction described by `plan`.  Returns the concatenated
-    /// outputs of all its actions, or the abort reason.
+    /// outputs of all its actions, or the abort reason, once the log is
+    /// durable through its commit or abort.
     pub fn execute(&mut self, plan: TransactionPlan) -> Result<Vec<ActionOutput>, EngineError> {
+        self.execute_with(plan, true).0
+    }
+
+    /// The one execution path.  With `wait`, the durability wait runs here,
+    /// inside the transaction's span and slow-log time, with its central
+    /// locks held; without it, the locks go once the commit or abort record
+    /// is appended and the caller waits for the returned LSN.
+    fn execute_with(
+        &mut self,
+        plan: TransactionPlan,
+        wait: bool,
+    ) -> (Result<Vec<ActionOutput>, EngineError>, Lsn) {
         let trace_start = obs_now();
         let db = self.engine.db.clone();
         let mut txn = db.txn_manager().begin();
@@ -753,18 +802,19 @@ impl Session<'_> {
             self.execute_conventional(&db, &mut txn, plan, &mut phases)
         };
         let commit_t0 = obs_now();
-        let result = match result {
-            Ok(outputs) => match db.txn_manager().commit(&mut txn) {
-                Ok(()) => Ok(outputs),
-                Err(e) => Err(EngineError::Log(e)),
-            },
-            Err(e) => {
-                db.txn_manager().abort(&mut txn);
-                Err(e)
-            }
+        // An abort waits too: what the transaction read may not be durable.
+        let lsn = match result {
+            Ok(_) => db.txn_manager().commit_deferred(&mut txn),
+            Err(_) => db.txn_manager().abort(&mut txn),
         };
+        let waited = if wait {
+            db.log_manager().wait_durable(lsn)
+        } else {
+            Ok(())
+        };
+        let result = waited.map_err(EngineError::Log).and(result);
         // Central locks (only the conventional design records any) go once
-        // the log commit or abort has returned.
+        // the commit or abort record is appended (and, with `wait`, durable).
         let held = txn.take_locks();
         if !held.is_empty() {
             db.lock_manager().release_all(txn_id, &held);
@@ -801,7 +851,7 @@ impl Session<'_> {
                 });
             }
         }
-        result
+        (result, lsn)
     }
 
     fn execute_conventional(
@@ -811,6 +861,9 @@ impl Session<'_> {
         mut plan: TransactionPlan,
         phases: &mut PhaseBreakdown,
     ) -> Result<Vec<ActionOutput>, EngineError> {
+        if !db.lock_manager().loaded() {
+            return Err(EngineError::NotReady);
+        }
         let mut all_outputs = Vec::new();
         let mut total_actions = 0u32;
         loop {
@@ -844,8 +897,9 @@ impl Session<'_> {
         // Register the whole (possibly multi-stage) transaction as in
         // flight: a concurrent repartition drains these tickets to zero
         // before moving ownership, so no stage ever runs under boundaries
-        // different from its predecessors'.
-        let _ticket = pm.txn_ticket();
+        // different from its predecessors'.  Before loading has finished
+        // the ticket is refused (`NotReady`).
+        let _ticket = pm.txn_ticket()?;
         // Arc clone so trace spans can live across the mutable borrows of the
         // reply pools below (one refcount bump per transaction).
         let ring = self.ring.clone();

@@ -26,6 +26,9 @@ pub enum EngineError {
     /// Crash recovery could not complete (unreadable log, configuration
     /// mismatch with the checkpoint, or an unreplayable record).
     Recovery(String),
+    /// The engine has not finished loading: [`crate::Engine::finish_loading`]
+    /// (or [`crate::Engine::recover`]) has not run yet.
+    NotReady,
 }
 
 impl From<StorageError> for EngineError {
@@ -71,6 +74,7 @@ impl std::fmt::Display for EngineError {
             EngineError::Log(e) => write!(f, "{e}"),
             EngineError::Shutdown => write!(f, "engine is shut down"),
             EngineError::Recovery(reason) => write!(f, "recovery failed: {reason}"),
+            EngineError::NotReady => write!(f, "engine has not finished loading"),
         }
     }
 }

@@ -82,7 +82,14 @@ struct DrainState {
     inflight: usize,
     /// A repartition is draining: new transactions must wait.
     draining: bool,
+    /// Page ownership has been assigned ([`PartitionManager::mark_loaded`]):
+    /// until then a latch-free access would fault, so `txn_ticket` refuses.
+    loaded: bool,
 }
+
+// The flag rides in the padding after `draining`: the state every
+// transaction locks does not grow (ROADMAP finding 7).
+const _: () = assert!(std::mem::size_of::<DrainState>() == 2 * std::mem::size_of::<usize>());
 
 /// RAII registration of one in-flight transaction (see
 /// [`PartitionManager::txn_ticket`]).
@@ -164,13 +171,25 @@ impl PartitionManager {
     /// hole the dispatch gate alone cannot: a stage-2 action routed under
     /// *new* boundaries would look for the thread-local locks its stage 1
     /// took on the *old* owner.
-    pub fn txn_ticket(&self) -> TxnTicket<'_> {
+    ///
+    /// Before [`Self::mark_loaded`] no page has a latch-free owner yet, so
+    /// the ticket is refused with [`EngineError::NotReady`].
+    pub fn txn_ticket(&self) -> Result<TxnTicket<'_>, EngineError> {
         let mut state = self.drain.lock();
+        if !state.loaded {
+            return Err(EngineError::NotReady);
+        }
         while state.draining {
             self.drain_cv.wait(&mut state);
         }
         state.inflight += 1;
-        TxnTicket { pm: self }
+        Ok(TxnTicket { pm: self })
+    }
+
+    /// Open the ticket gate for good: loading (or recovery) has finished and
+    /// ownership is assigned.
+    pub(crate) fn mark_loaded(&self) {
+        self.drain.lock().loaded = true;
     }
 
     /// Transactions currently holding a ticket (diagnostic helper).

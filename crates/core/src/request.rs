@@ -235,11 +235,14 @@ pub enum ErrorCode {
     /// The request itself is malformed (empty, undecodable frame, or a range
     /// the partitioned engine cannot serve safely).
     BadRequest,
+    /// The engine has not finished loading (see
+    /// [`Engine::finish_loading`](crate::Engine::finish_loading)).
+    NotReady,
 }
 
 impl ErrorCode {
     /// Every variant, for exhaustive tests and tables.
-    pub const ALL: [ErrorCode; 7] = [
+    pub const ALL: [ErrorCode; 8] = [
         ErrorCode::Abort,
         ErrorCode::DuplicateKey,
         ErrorCode::NoSuchTable,
@@ -247,6 +250,7 @@ impl ErrorCode {
         ErrorCode::Shutdown,
         ErrorCode::Recovery,
         ErrorCode::BadRequest,
+        ErrorCode::NotReady,
     ];
 
     /// The pinned wire code.
@@ -259,6 +263,7 @@ impl ErrorCode {
             ErrorCode::Shutdown => 5,
             ErrorCode::Recovery => 6,
             ErrorCode::BadRequest => 7,
+            ErrorCode::NotReady => 8,
         }
     }
 
@@ -283,6 +288,7 @@ impl From<&EngineError> for ErrorCode {
             EngineError::Storage(_) | EngineError::Log(_) => ErrorCode::Storage,
             EngineError::Shutdown => ErrorCode::Shutdown,
             EngineError::Recovery(_) => ErrorCode::Recovery,
+            EngineError::NotReady => ErrorCode::NotReady,
         }
     }
 }
@@ -303,6 +309,7 @@ impl std::fmt::Display for ErrorCode {
             ErrorCode::Shutdown => "shutdown",
             ErrorCode::Recovery => "recovery",
             ErrorCode::BadRequest => "bad_request",
+            ErrorCode::NotReady => "not_ready",
         };
         write!(f, "{name}({})", self.code())
     }
@@ -367,7 +374,7 @@ mod tests {
     #[test]
     fn error_codes_are_pinned() {
         // The wire contract: these numbers may never change, only grow.
-        let pinned: [(ErrorCode, u16); 7] = [
+        let pinned: [(ErrorCode, u16); 8] = [
             (ErrorCode::Abort, 1),
             (ErrorCode::DuplicateKey, 2),
             (ErrorCode::NoSuchTable, 3),
@@ -375,6 +382,7 @@ mod tests {
             (ErrorCode::Shutdown, 5),
             (ErrorCode::Recovery, 6),
             (ErrorCode::BadRequest, 7),
+            (ErrorCode::NotReady, 8),
         ];
         assert_eq!(pinned.len(), ErrorCode::ALL.len(), "pin every variant");
         for (code, wire) in pinned {
@@ -407,6 +415,7 @@ mod tests {
             ),
             (EngineError::Shutdown, ErrorCode::Shutdown),
             (EngineError::Recovery("log".into()), ErrorCode::Recovery),
+            (EngineError::NotReady, ErrorCode::NotReady),
         ];
         for (err, expect) in cases {
             assert_eq!(ErrorCode::from(&err), expect);

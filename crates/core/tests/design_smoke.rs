@@ -183,3 +183,32 @@ fn conventional_lock_wait_reaches_the_slow_log() {
         engine.shutdown();
     }
 }
+
+/// Before `finish_loading` no page has a latch-free owner, so a PLP design
+/// used to panic on the first insert.  Every design now answers `NotReady`
+/// until loading has finished, and the same request succeeds after it.
+#[test]
+fn requests_before_finish_loading_answer_not_ready_on_every_design() {
+    use plp_core::{ErrorCode, Op, Request, Response};
+    for design in Design::ALL {
+        let schema = [TableSpec::new(0, "smoke", KEY_SPACE)];
+        let engine = Engine::start(EngineConfig::new(design).with_partitions(2), &schema);
+        let insert = || {
+            Request::single(Op::Insert {
+                table: TABLE,
+                key: 7,
+                record: 7u64.to_le_bytes().to_vec(),
+                secondary_key: None,
+            })
+        };
+        let early = engine.session().run(insert());
+        assert_eq!(early.error_code(), Some(ErrorCode::NotReady), "{design:?}");
+        engine.finish_loading();
+        let loaded = engine.session().run(insert());
+        assert_eq!(
+            loaded,
+            Response::Ok(vec![ActionOutput::empty()]),
+            "{design:?}"
+        );
+    }
+}

@@ -338,3 +338,24 @@ fn shutdown_stops_the_wal_flusher() {
         "the flusher thread outlived Engine::shutdown"
     );
 }
+
+/// `Engine::recover` leaves the engine loaded: it serves requests without a
+/// `finish_loading` call, on the conventional and the partitioned designs.
+#[test]
+fn a_recovered_engine_serves_without_finish_loading() {
+    for design in [Design::Conventional { sli: false }, Design::PlpLeaf] {
+        let dir = TempDir::new("plp-recovery-engine-loaded");
+        let dir = dir.path();
+        let mut engine = Engine::start(config(design, dir), &schema());
+        engine.db().load_record(TABLE, 1, b"row", None).unwrap();
+        engine.finish_loading();
+        engine.shutdown();
+        drop(engine);
+        let (recovered, _) = Engine::recover(dir, config(design, dir), &schema()).unwrap();
+        assert_eq!(
+            read_key(&recovered, 1).as_deref(),
+            Some(&b"row"[..]),
+            "{design:?}"
+        );
+    }
+}

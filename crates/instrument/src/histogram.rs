@@ -336,7 +336,7 @@ latency_histograms! {
     phase_wal_flush => "phase_wal_flush" /
         "Commit-time wait for the WAL group-commit flush (ns).",
     server_request => "server_request" /
-        "Server-side request latency: frame decoded to response enqueued (ns).",
+        "Server-side request latency: frame decoded to its reply written (ns).",
 }
 
 impl LatencySnapshot {

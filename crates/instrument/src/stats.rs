@@ -651,7 +651,7 @@ impl WalStatsSnapshot {
 
 /// Network front-end counters for the `plp-server` connection server:
 /// connection lifecycle, frame decode outcomes and wire traffic volume.
-/// Recorded by the server's accept/reader/writer threads; the per-request
+/// Recorded by the server's accept and connection threads; the per-request
 /// server-side latency distribution lives in the `server_request` histogram
 /// (see [`crate::histogram::LatencyStats`]).
 #[derive(Debug, Default)]

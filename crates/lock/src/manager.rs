@@ -8,6 +8,7 @@
 //! is common for short OLTP transactions).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -99,6 +100,10 @@ pub struct LockManager {
     shards: Vec<(InstrumentedMutex<Shard>, Condvar)>,
     timeout: Duration,
     stats: Arc<StatsRegistry>,
+    /// Set once the engine has finished loading ([`Self::mark_loaded`]).
+    /// The conventional designs admit transactions here, the structure
+    /// every one of them goes through; nothing writes it afterwards.
+    loaded: AtomicBool,
 }
 
 const N_SHARDS: usize = 64;
@@ -126,7 +131,18 @@ impl LockManager {
                 .collect(),
             timeout,
             stats,
+            loaded: AtomicBool::new(false),
         }
+    }
+
+    /// Record that loading has finished: [`Self::loaded`] is `true` from now
+    /// on.
+    pub fn mark_loaded(&self) {
+        self.loaded.store(true, Ordering::SeqCst);
+    }
+
+    pub fn loaded(&self) -> bool {
+        self.loaded.load(Ordering::SeqCst)
     }
 
     pub fn stats(&self) -> &Arc<StatsRegistry> {

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! plp_serve [--addr HOST:PORT] [--subscribers N] [--partitions N]
-//!           [--executors N] [--obs HOST:PORT] [--duration-ms MS]
+//!           [--obs HOST:PORT] [--duration-ms MS]
 //! ```
 //!
 //! Binds the wire-protocol listener (port 0 picks an ephemeral port; the
@@ -43,7 +43,6 @@ fn main() {
     let addr = parse_flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string());
     let subscribers = parse_u64(&args, "--subscribers", 10_000);
     let partitions = parse_u64(&args, "--partitions", 4) as usize;
-    let executors = parse_u64(&args, "--executors", 4) as usize;
     let duration_ms = parse_u64(&args, "--duration-ms", 0);
 
     let workload = Tatp::new(subscribers);
@@ -57,13 +56,8 @@ fn main() {
         .unwrap_or_else(|e| die(&format!("load failed: {e}")));
     engine.finish_loading();
 
-    let server = Server::serve(
-        Arc::clone(&engine),
-        ServerConfig::default()
-            .with_addr(addr)
-            .with_executors(executors),
-    )
-    .unwrap_or_else(|e| die(&format!("bind failed: {e}")));
+    let server = Server::serve(Arc::clone(&engine), ServerConfig::default().with_addr(addr))
+        .unwrap_or_else(|e| die(&format!("bind failed: {e}")));
     println!("listening {}", server.addr());
 
     if duration_ms == 0 {

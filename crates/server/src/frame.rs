@@ -402,6 +402,17 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<ReadOutcome> {
     }))
 }
 
+/// Whether `buf` begins with one whole frame (length prefix included), so a
+/// [`read_frame`] over a reader holding `buf` would not block on the socket.
+/// A frame over [`MAX_FRAME`] counts only once all of it is there, because
+/// [`read_frame`] skips it whole.
+pub(crate) fn frame_is_buffered(buf: &[u8]) -> bool {
+    buf.get(..4).is_some_and(|len| {
+        let len = u32::from_le_bytes(len.try_into().unwrap()) as usize;
+        buf.len() - 4 >= len
+    })
+}
+
 /// Best-effort request id from a frame that failed validation, so the error
 /// response can still be matched to the request.  Garbage when the
 /// corruption hit the header itself — the id is advisory, never trusted.
@@ -581,6 +592,21 @@ mod tests {
         // A request frame is not a response, and vice versa.
         assert!(Frame::hello(1).to_response().is_err());
         assert!(ok.to_op().is_err());
+    }
+
+    #[test]
+    fn frame_is_buffered_only_once_the_whole_frame_is() {
+        let one = Frame::hello(1).encode();
+        let mut two = one.clone();
+        two.extend_from_slice(&Frame::hello(2).encode());
+        assert!(!frame_is_buffered(&[]));
+        assert!(!frame_is_buffered(&one[..3]));
+        assert!(!frame_is_buffered(&one[..one.len() - 1]));
+        assert!(frame_is_buffered(&one));
+        assert!(frame_is_buffered(&two[..one.len() + 1]));
+        assert!(!frame_is_buffered(&two[one.len()..two.len() - 1]));
+        // An oversized length is buffered only when all its bytes are.
+        assert!(!frame_is_buffered(&u32::MAX.to_le_bytes()));
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //! * [`frame`] — the framed binary protocol: length-prefixed, CRC-protected
 //!   frames carrying one declarative [`Op`](plp_core::Op) per request and one
 //!   [`Response`](plp_core::Response) per reply, matched by request id so a
-//!   connection can pipeline many requests and receive replies out of order.
-//! * [`server`] — the connection server: an accept thread feeding
-//!   per-connection reader threads, a fixed executor pool running
-//!   [`Session::run`](plp_core::engine::Session), and a single shared writer
-//!   thread.  No thread-per-request: a connection's in-flight requests
-//!   interleave with every other connection's in the executor pool, exactly
-//!   like the in-process batched dispatch path they lower onto.
+//!   connection can pipeline many requests.
+//! * [`server`] — the connection server: an accept thread plus one thread
+//!   per connection.  Each connection thread owns one
+//!   [`Session`](plp_core::engine::Session) and runs its connection to
+//!   completion: it runs the frames its read buffer holds in arrival order
+//!   through [`Session::run_deferred`](plp_core::engine::Session::run_deferred),
+//!   then waits once for the log to cover the whole burst and writes every
+//!   reply in one `write`.  No thread per request, and no queue between
+//!   threads.
 //!
 //! The byte-level layout, opcode/error-code tables and connection lifecycle
 //! are documented in `docs/server.md`; the `error_codes_are_pinned` and

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use plp_instrument::{CsCategory, StatsRegistry};
-use plp_wal::{LogFailed, LogManager};
+use plp_wal::{LogFailed, LogManager, Lsn};
 
 use crate::xct::{Transaction, TxnState};
 
@@ -68,19 +68,20 @@ impl TxnManager {
         self.next_id.load(Ordering::Relaxed)
     }
 
-    /// Commit: append the commit record ([`LogManager::commit_deferred`]),
-    /// wait per the log's durability mode ([`LogManager::wait_durable`]),
-    /// flip the state.
+    /// Commit without waiting for durability: append the commit record
+    /// ([`LogManager::commit_deferred`]), flip the state, and return the LSN
+    /// the commit's reply must wait for ([`LogManager::wait_durable`]).
     ///
     /// A transaction that logged nothing appends no commit record; under
-    /// `Synchronous`/`Strict` it still waits until the log is written/synced
-    /// through the tail it observed, so nothing it read can be lost after it
-    /// returns (see `docs/durability.md`).
+    /// `Synchronous`/`Strict` it must still wait until the log is
+    /// written/synced through the tail it observed, so nothing it read can
+    /// be lost after it is acknowledged (see `docs/durability.md`).
     ///
-    /// On `Err` the log device has failed and the commit is not durable: the
-    /// transaction is finished and counted as aborted.  Central locks it
-    /// recorded stay with it for the caller to release.
-    pub fn commit(&self, txn: &mut Transaction) -> Result<(), LogFailed> {
+    /// The transaction counts as committed here.  If the wait later fails,
+    /// the log device has failed and the commit may not be durable; the
+    /// caller answers `Storage`, and the count stays.  Central locks the
+    /// transaction recorded stay with it for the caller to release.
+    pub fn commit_deferred(&self, txn: &mut Transaction) -> Lsn {
         assert!(txn.is_active(), "commit of a finished transaction");
         // One critical section per attached action to serialise the state
         // transition against action-completion notifications (fixed
@@ -89,31 +90,36 @@ impl TxnManager {
             .cs()
             .enter_n(CsCategory::XctMgr, txn.action_count() as u64, false);
         let target = self.log.commit_deferred(txn.log_handle_mut());
-        let durable = self.log.wait_durable(target);
         self.active.lock().remove(&txn.id());
-        if durable.is_ok() {
-            txn.set_state(TxnState::Committed);
-            self.stats.txn_committed();
-        } else {
-            txn.set_state(TxnState::Aborted);
-            self.stats.txn_aborted();
-        }
-        durable
+        txn.set_state(TxnState::Committed);
+        self.stats.txn_committed();
+        target
     }
 
-    /// Abort: write the abort record (none if the transaction logged
-    /// nothing; aborts never wait), flip the state.  Central locks it
-    /// recorded stay with it for the caller to release.  (The reproduction
-    /// does not implement undo — no experiment in the paper exercises
-    /// rollback of applied changes; aborts happen only on lock timeouts
-    /// before any physical change was applied.)
-    pub fn abort(&self, txn: &mut Transaction) {
+    /// [`Self::commit_deferred`], then [`LogManager::wait_durable`].  On
+    /// `Err` the log device has failed and the commit may not be durable.
+    pub fn commit(&self, txn: &mut Transaction) -> Result<(), LogFailed> {
+        let target = self.commit_deferred(txn);
+        self.log.wait_durable(target)
+    }
+
+    /// Abort: write the abort record, flip the state, and return the LSN the
+    /// abort's reply must wait for — the record's end, or the tail the
+    /// transaction observed when it logged nothing (`Lsn::ZERO` under
+    /// `Lazy`), the same rule a read-only commit follows: an abort after a
+    /// read must not answer before what it read is durable.  Central locks
+    /// it recorded stay with it for the caller to release.  (The
+    /// reproduction does not implement undo — no experiment in the paper
+    /// exercises rollback of applied changes; aborts happen only on lock
+    /// timeouts before any physical change was applied.)
+    pub fn abort(&self, txn: &mut Transaction) -> Lsn {
         assert!(txn.is_active(), "abort of a finished transaction");
         self.stats.cs().enter(CsCategory::XctMgr, false);
-        self.log.abort(txn.log_handle_mut());
+        let target = self.log.abort(txn.log_handle_mut());
         txn.set_state(TxnState::Aborted);
         self.active.lock().remove(&txn.id());
         self.stats.txn_aborted();
+        target
     }
 }
 

@@ -266,8 +266,8 @@ impl LogManager {
 
     /// Append the transaction's outcome record (under the consolidated
     /// protocol, in one batch with everything it staged).  Returns the
-    /// record's LSN and its end.
-    fn finish(&self, handle: &mut TxnLogHandle, kind: LogRecordKind) -> (Lsn, Lsn) {
+    /// record's end.
+    fn finish(&self, handle: &mut TxnLogHandle, kind: LogRecordKind) -> Lsn {
         let (lsn, end) = match self.protocol {
             InsertProtocol::Baseline => {
                 self.buffer
@@ -279,7 +279,7 @@ impl LogManager {
             }
         };
         handle.last_lsn = lsn;
-        (lsn, end)
+        end
     }
 
     /// [`Self::commit_deferred`], then [`Self::wait_durable`].  Returns the
@@ -296,22 +296,24 @@ impl LogManager {
     /// end, or the buffer tail a read-only transaction observed.  A `Lazy`
     /// read-only commit waits for nothing and reads no tail (`Lsn::ZERO`).
     pub fn commit_deferred(&self, handle: &mut TxnLogHandle) -> Lsn {
+        self.finish_deferred(handle, LogRecordKind::Commit)
+    }
+
+    /// Append the abort record and return the LSN the abort's reply must
+    /// wait for, by the same rule as [`Self::commit_deferred`]: an aborted
+    /// transaction may have read data that is not yet durable.
+    pub fn abort(&self, handle: &mut TxnLogHandle) -> Lsn {
+        self.finish_deferred(handle, LogRecordKind::Abort)
+    }
+
+    fn finish_deferred(&self, handle: &mut TxnLogHandle, kind: LogRecordKind) -> Lsn {
         if !handle.logged_nothing() {
-            return self.finish(handle, LogRecordKind::Commit).1;
+            return self.finish(handle, kind);
         }
         match self.durability {
             DurabilityMode::Lazy => Lsn::ZERO,
             _ => self.buffer.tail_lsn(),
         }
-    }
-
-    /// Write the abort record; a transaction that logged nothing appends
-    /// nothing and gets `Lsn::ZERO`.  Aborts never wait for durability.
-    pub fn abort(&self, handle: &mut TxnLogHandle) -> Lsn {
-        if handle.logged_nothing() {
-            return Lsn::ZERO;
-        }
-        self.finish(handle, LogRecordKind::Abort).0
     }
 
     /// Block until the log is written (`Synchronous`) or synced (`Strict`)
@@ -643,6 +645,20 @@ mod tests {
         let lsn = m.abort(&mut h);
         assert!(lsn > Lsn::ZERO);
         assert_eq!(m.record_count(), 2);
+    }
+
+    /// An abort waits by the commit rule: its record's end, or the tail a
+    /// transaction that logged nothing observed.
+    #[test]
+    fn abort_returns_the_lsn_its_reply_waits_for() {
+        let m = mgr(InsertProtocol::Consolidated, DurabilityMode::Synchronous);
+        let mut writer = m.begin(1);
+        m.log(&mut writer, LogRecordKind::Update, 2, 16);
+        let end = m.abort(&mut writer);
+        assert_eq!(end, m.buffer.tail_lsn(), "the abort record's end");
+        let mut reader = m.begin(2);
+        assert_eq!(m.abort(&mut reader), end, "the tail the reader observed");
+        assert_eq!(m.record_count(), 2, "the reader appended nothing");
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! End-to-end wire-protocol tests: a live engine behind the TCP connection
 //! server, driven by pipelined clients over real sockets.
 
-use std::sync::Arc;
+use std::io::Write;
+use std::net::{Shutdown, TcpStream};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use plp_client::Connection;
 use plp_core::{Design, Engine, EngineConfig, ErrorCode, Op, Response, TableId, TableSpec};
 use plp_server::frame::{Frame, MIN_REMAINDER};
 use plp_server::{Server, ServerConfig};
+use plp_wal::test_support::TempDir;
+use plp_wal::DurabilityMode;
 
 const KV: TableId = TableId(0);
 
@@ -16,11 +21,7 @@ fn serve() -> (Arc<Engine>, Server) {
     let config = EngineConfig::new(Design::PlpRegular).with_partitions(2);
     let engine = Engine::start_shared(config, &schema);
     engine.finish_loading();
-    let server = Server::serve(
-        Arc::clone(&engine),
-        ServerConfig::default().with_executors(3),
-    )
-    .expect("bind");
+    let server = Server::serve(Arc::clone(&engine), ServerConfig::default()).expect("bind");
     (engine, server)
 }
 
@@ -47,8 +48,8 @@ fn pipelined_requests_come_back_matched_by_id() {
         pending.push(conn.send(&op).unwrap());
     }
     conn.flush().unwrap();
-    // Responses arrive in whatever order the executor pool finished them;
-    // every request id must be answered exactly once, successfully.
+    // Every request id must be answered exactly once, successfully (the
+    // server answers in arrival order, but clients match replies by id).
     let mut answered: Vec<u64> = Vec::new();
     for _ in 0..pending.len() {
         let (id, response) = conn.recv().expect("response");
@@ -207,7 +208,7 @@ fn corrupt_frames_get_error_responses_without_losing_the_connection() {
 }
 
 #[test]
-fn many_connections_share_the_executor_pool() {
+fn many_connections_are_served_side_by_side() {
     let (engine, mut server) = serve();
     let addr = server.addr();
     let threads: Vec<_> = (0..4u64)
@@ -262,4 +263,198 @@ fn many_connections_share_the_executor_pool() {
     assert_eq!(snap.active_connections(), 0);
     // Per connection: HelloAck + 16 insert + 16 get responses.
     assert!(snap.responses_sent >= 4 * 33, "{snap:?}");
+}
+
+/// Run `f` on its own thread and fail the test if it outlives `deadline`.
+fn within<T: Send + 'static>(
+    what: &str,
+    deadline: Duration,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(f()).unwrap());
+    rx.recv_timeout(deadline)
+        .unwrap_or_else(|_| panic!("{what} took over {deadline:?}"))
+}
+
+fn insert(key: u64) -> Op {
+    Op::Insert {
+        table: KV,
+        key,
+        record: record(key),
+        secondary_key: None,
+    }
+}
+
+/// The ledger's teardown: drop every client, `stop` the server, then take
+/// the engine back with `Arc::try_unwrap` — which fails if any connection
+/// thread (or its session) outlived `stop`.
+#[test]
+fn stop_releases_the_engine_whatever_the_clients_left_behind() {
+    let (engine, server) = serve();
+    let addr = server.addr();
+    let mut clients = Vec::new();
+    // Two clients with 8 pipelined requests in flight, unread.
+    for c in 0..2u64 {
+        let mut conn = Connection::connect(addr).expect("connect");
+        for key in 0..8 {
+            conn.send(&insert(10_000 + c * 100 + key)).unwrap();
+        }
+        conn.flush().unwrap();
+        clients.push(conn);
+    }
+    // One idle client.
+    clients.push(Connection::connect(addr).expect("connect"));
+    // One that sends 64 frames and never reads a reply.
+    let mut silent = Connection::connect(addr).expect("connect");
+    for key in 0..64 {
+        silent.send(&Op::Get { table: KV, key }).unwrap();
+    }
+    silent.flush().unwrap();
+    clients.push(silent);
+
+    drop(clients);
+    let deadline = Duration::from_secs(5);
+    within("Server::stop", deadline, move || {
+        let mut server = server;
+        server.stop();
+    });
+    assert!(
+        Arc::try_unwrap(engine).is_ok(),
+        "a connection thread still holds the engine after stop"
+    );
+}
+
+/// Every request runs in arrival order: a pipelined `Get(k)` always sees
+/// the `Insert(k)` sent just ahead of it, in every durability mode.
+#[test]
+fn pipelined_inserts_are_visible_to_the_gets_behind_them() {
+    const PAIRS: u64 = 24_000;
+    const WINDOW: u64 = 64;
+    for mode in [
+        DurabilityMode::Lazy,
+        DurabilityMode::Synchronous,
+        DurabilityMode::Strict,
+    ] {
+        let dir = TempDir::new("plp-server-arrival-order");
+        let mut config = EngineConfig::new(Design::PlpRegular)
+            .with_partitions(2)
+            .with_durability(mode);
+        if mode == DurabilityMode::Strict {
+            config = config.with_log_dir(dir.path());
+        }
+        let engine = Engine::start_shared(config, &[TableSpec::new(0, "kv", 1 << 16)]);
+        engine.finish_loading();
+        let mut server = Server::serve(Arc::clone(&engine), ServerConfig::default()).unwrap();
+        let mut conn = Connection::connect(server.addr()).unwrap();
+        conn.stream()
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let op = |i: u64| match i % 2 {
+            0 => insert(i / 2),
+            _ => Op::Get {
+                table: KV,
+                key: i / 2,
+            },
+        };
+        let (mut sent, mut misses) = (0, 0);
+        for i in 0..2 * PAIRS {
+            while sent < (i + WINDOW).min(2 * PAIRS) {
+                conn.send(&op(sent)).unwrap();
+                sent += 1;
+            }
+            conn.flush().unwrap();
+            let (_, response) = conn.recv().unwrap();
+            match (i % 2, response) {
+                (0, response) => {
+                    assert!(response.is_ok(), "{mode:?} insert {}: {response:?}", i / 2)
+                }
+                (_, Response::Ok(outputs)) if outputs[0].rows == vec![record(i / 2)] => {}
+                _ => misses += 1,
+            }
+        }
+        assert_eq!(
+            misses, 0,
+            "{mode:?}: {misses} of {PAIRS} gets missed their insert"
+        );
+        drop(conn);
+        server.stop();
+    }
+}
+
+/// A reply is never held across a blocking read: with one whole frame and
+/// half of the next buffered, the first frame's reply arrives before the
+/// client sends the rest.
+#[test]
+fn a_whole_frame_is_answered_while_the_next_is_still_partial() {
+    let (_engine, mut server) = serve();
+    let mut conn = Connection::connect(server.addr()).unwrap();
+    conn.stream()
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let first = Frame::request(70, &insert(70)).encode();
+    let second = Frame::request(71, &Op::Get { table: KV, key: 70 }).encode();
+    let half = second.len() / 2;
+    let mut bytes = first;
+    bytes.extend_from_slice(&second[..half]);
+    conn.send_bytes(&bytes).unwrap();
+    conn.flush().unwrap();
+    let (id, response) = conn
+        .recv()
+        .expect("the first reply before the rest is sent");
+    assert_eq!((id, response.is_ok()), (70, true));
+    conn.send_bytes(&second[half..]).unwrap();
+    conn.flush().unwrap();
+    let (id, response) = conn.recv().unwrap();
+    assert_eq!(id, 71);
+    assert_eq!(response.outputs().unwrap()[0].rows, vec![record(70)]);
+    server.stop();
+}
+
+/// A client that half-closes gets the replies to everything it sent, then
+/// EOF.
+#[test]
+fn a_half_closed_client_gets_its_replies_then_eof() {
+    let (_engine, mut server) = serve();
+    let mut conn = Connection::connect(server.addr()).unwrap();
+    conn.stream()
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let sent: Vec<u64> = (0..16)
+        .map(|key| conn.send(&insert(300 + key)).unwrap())
+        .collect();
+    conn.flush().unwrap();
+    conn.stream().shutdown(Shutdown::Write).unwrap();
+    for id in sent {
+        let (got, response) = conn.recv().unwrap();
+        assert_eq!((got, response.is_ok()), (id, true));
+    }
+    let end = conn.recv().expect_err("EOF after the last reply");
+    assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof, "{end}");
+    server.stop();
+}
+
+/// A partial frame followed by a close ends the connection, and `stop`
+/// stays bounded.
+#[test]
+fn a_partial_frame_then_close_ends_the_connection() {
+    let (engine, server) = serve();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let frame = Frame::request(1, &insert(1)).encode();
+    stream.write_all(&frame[..frame.len() - 3]).unwrap();
+    drop(stream);
+    let stats = Arc::clone(engine.db().stats());
+    within(
+        "the torn connection's end",
+        Duration::from_secs(5),
+        move || {
+            while stats.server().snapshot().connections_closed < 1 {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        },
+    );
+    within("Server::stop", Duration::from_secs(5), move || {
+        let mut server = server;
+        server.stop();
+    });
 }
