@@ -13,9 +13,9 @@
 //!
 //! With a fourth argument — a `fig_obs --json` document — the gate also
 //! checks the observability-overhead ratio (stubbed/instrumented TATP
-//! throughput) against the baseline's `"obs"` entry, floored at the absolute
-//! cap `plp_bench::obs::OBS_OVERHEAD_CAP`: default-on recording must stay
-//! cheap even if a generous baseline would tolerate more.
+//! throughput) against the baseline's `"obs"` entry with the same relative
+//! slack, never below `plp_bench::obs::OBS_OVERHEAD_FLOOR` (1.10): the
+//! limit is `max(baseline × (1 + threshold) + 0.02, 1.10)`.
 //!
 //! With a fifth argument — a `fig_server --json` document — it also checks
 //! the connection server's saturation throughput against the baseline's
@@ -73,7 +73,7 @@ fn main() {
             eprintln!("check_bench: no obs measurement in {obs_path}");
             std::process::exit(2);
         });
-        // An old baseline without an "obs" entry gates on the cap alone.
+        // An old baseline without an "obs" entry gates on the floor alone.
         let obs_baseline = parse_obs_json(&baseline_doc);
         match check_obs_against_baseline(&obs_current, obs_baseline.as_ref(), threshold) {
             Ok(lines) => report.extend(lines),

@@ -15,8 +15,10 @@
 //! the decision audit log plus the slow-transaction reservoir (the nightly CI
 //! artifacts).
 
+use plp_bench::msgcost::DEFAULT_THRESHOLD;
 use plp_bench::obs::{
-    audit_artifacts, is_stubbed, measure_overhead, measure_tps, obs_json, obs_table, trace_demo,
+    audit_artifacts, is_stubbed, measure_overhead, measure_tps, obs_json, obs_limit, obs_table,
+    parse_obs_json, trace_demo,
 };
 use plp_bench::{print_tables, Scale};
 
@@ -46,7 +48,15 @@ fn main() {
             std::process::exit(2);
         }
     };
-    print_tables(&[obs_table(&result)]);
+    // The limit `check_bench` enforces against the committed baseline.
+    let baseline = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_BASELINE.json"
+    ))
+    .ok()
+    .and_then(|doc| parse_obs_json(&doc));
+    let limit = obs_limit(baseline.as_ref(), DEFAULT_THRESHOLD);
+    print_tables(&[obs_table(&result, limit)]);
 
     if let Some(pos) = args.iter().position(|a| a == "--json") {
         let path = args

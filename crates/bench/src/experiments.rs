@@ -635,7 +635,7 @@ pub fn ablation_padding(scale: Scale) -> Vec<Table> {
 }
 
 /// TableId of the subscriber table, re-exported for the repartitioning bin.
-pub const SUBSCRIBER_TABLE: TableId = TableId(0);
+const SUBSCRIBER_TABLE: TableId = TableId(0);
 
 /// The DLB experiment (paper §5): a micro-TATP workload whose hotspot shifts
 /// mid-run.  With the load balancer off, the shift strands 90% of the

@@ -45,18 +45,18 @@ pub const DEFAULT_THRESHOLD: f64 = 0.30;
 /// Floor on the gate's per-point limit: a point never fails while the
 /// lock-free path is within 10% of mutex parity (see
 /// [`check_against_baseline`] for the rationale).
-pub const RATIO_FLOOR: f64 = 1.10;
+const RATIO_FLOOR: f64 = 1.10;
 
 /// Hard cap on the batched/lock-free pipelined cost ratio at thread counts
 /// {2, 4}: batching a stage into one message per worker must keep the
 /// per-action cost at or below 0.8x the per-action dispatch.  Both sides of
 /// the ratio come from the *same run*, so the cap is hardware-independent
 /// and gated unconditionally (no baseline needed).
-pub const BATCHED_RATIO_CAP: f64 = 0.8;
+const BATCHED_RATIO_CAP: f64 = 0.8;
 
 /// Floor for the SPSC-lane/lock-free pipelined ratio limit: the fast lane
 /// never fails the gate while it is within 10% of the shared-queue path.
-pub const SPSC_RATIO_FLOOR: f64 = 1.10;
+const SPSC_RATIO_FLOOR: f64 = 1.10;
 
 /// Floor for the engine-TATP/lock-free pipelined ratio limit.  The engine
 /// number is the session-observed cost of an *action* — execution, logging
@@ -70,7 +70,7 @@ pub const SPSC_RATIO_FLOOR: f64 = 1.10;
 /// noisiest measured point and fails every run of the worker-hop-per-action
 /// design this replaced (20–36x on the same box).  It was 15x while every
 /// action paid the hop.
-pub const ENGINE_RATIO_FLOOR: f64 = 12.0;
+const ENGINE_RATIO_FLOOR: f64 = 12.0;
 
 /// Hard cap on the engine-TATP limit.  The relative rule scales the limit
 /// with the committed baseline, so a bloated baseline (refreshed on a loaded
@@ -79,7 +79,7 @@ pub const ENGINE_RATIO_FLOOR: f64 = 12.0;
 /// one of them crossed two OS thread hand-offs — the caller-runs path has
 /// collapsed regardless of what the baseline says, so the point fails even
 /// when it is within 30% of it.  (60x before caller-runs.)
-pub const ENGINE_RATIO_CAP: f64 = 30.0;
+const ENGINE_RATIO_CAP: f64 = 30.0;
 
 /// One measured thread-count point.  The `Option` fields were added after
 /// the first committed baselines; parsing tolerates their absence so an old
@@ -108,31 +108,31 @@ pub struct MsgCostPoint {
 impl MsgCostPoint {
     /// Lock-free cost relative to the mutex baseline, latency shape (<1
     /// means the lock-free path is cheaper).
-    pub fn pingpong_ratio(&self) -> f64 {
+    fn pingpong_ratio(&self) -> f64 {
         self.lockfree_pingpong_ns / self.mutex_pingpong_ns.max(1e-9)
     }
 
     /// Lock-free cost relative to the mutex baseline, throughput shape.
-    pub fn pipelined_ratio(&self) -> f64 {
+    fn pipelined_ratio(&self) -> f64 {
         self.lockfree_pipelined_ns / self.mutex_pipelined_ns.max(1e-9)
     }
 
     /// Batched per-action cost relative to the same run's per-action
     /// lock-free dispatch (<1 means batching pays).
-    pub fn batched_ratio(&self) -> Option<f64> {
+    fn batched_ratio(&self) -> Option<f64> {
         Some(self.batched_pipelined_ns? / self.lockfree_pipelined_ns.max(1e-9))
     }
 
     /// SPSC-lane per-action cost relative to the same run's shared-queue
     /// dispatch.
-    pub fn spsc_ratio(&self) -> Option<f64> {
+    fn spsc_ratio(&self) -> Option<f64> {
         Some(self.spsc_pipelined_ns? / self.lockfree_pipelined_ns.max(1e-9))
     }
 
     /// Engine-level TATP round trip relative to the same run's raw
     /// lock-free pipelined message cost (dimensionless, so it transfers
     /// across hosts better than absolute nanoseconds).
-    pub fn tatp_ratio(&self) -> Option<f64> {
+    fn tatp_ratio(&self) -> Option<f64> {
         Some(self.tatp_roundtrip_ns? / self.lockfree_pipelined_ns.max(1e-9))
     }
 }
@@ -433,7 +433,7 @@ fn run_lockfree_spsc(threads: usize, msgs: u64, depth: usize) -> f64 {
 /// Thread counts measured.  Fixed (not derived from the host's core count)
 /// so the committed baseline and a CI run always produce comparable points;
 /// oversubscribed points still measure — the threads block, not busy-wait.
-pub fn msgcost_thread_counts(full: bool) -> Vec<usize> {
+fn msgcost_thread_counts(full: bool) -> Vec<usize> {
     if full {
         vec![1, 2, 4, 8]
     } else {

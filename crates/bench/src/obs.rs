@@ -11,9 +11,9 @@
 //!
 //! The gated metric is the **stubbed/instrumented throughput ratio**: 1.0
 //! means recording is free, 1.10 means it costs 10%.  Both sides run on the
-//! same host in the same CI job, so the ratio is hardware-independent and can
-//! be capped absolutely ([`OBS_OVERHEAD_CAP`]) on top of the usual
-//! baseline-relative regression check.
+//! same host in the same CI job, so the ratio is hardware-independent.  The
+//! gate is baseline-relative, with [`OBS_OVERHEAD_FLOOR`] as the least limit
+//! it ever applies (see [`obs_limit`]).
 //!
 //! The stubbed side necessarily lives in a different compilation of the
 //! workspace, so `fig_obs` re-executes itself through cargo (`--features
@@ -31,12 +31,12 @@ use plp_workloads::tatp::Tatp;
 use crate::msgcost::json_number;
 use crate::Scale;
 
-/// Hard cap on the stubbed/instrumented throughput ratio: default-on
-/// recording may cost at most 10% of TATP throughput.  Applied as a floor on
-/// the baseline-relative limit, mirroring the msgcost gate's
-/// [`crate::msgcost::RATIO_FLOOR`] rationale: the cap absorbs cross-host
-/// scheduler variance while still catching a hot-path collapse.
-pub const OBS_OVERHEAD_CAP: f64 = 1.10;
+/// Floor on the gate's stubbed/instrumented throughput-ratio limit: however
+/// low the baseline's ratio, a ratio up to 1.10 (10% of TATP throughput)
+/// passes.  It absorbs cross-host scheduler variance, like the msgcost
+/// gate's `RATIO_FLOOR`; it is not a cap, since a higher baseline raises the
+/// limit above it.
+const OBS_OVERHEAD_FLOOR: f64 = 1.10;
 
 /// Client threads (and partitions) for the overhead measurement; matches the
 /// msgcost engine burst so the numbers describe the same hot path.
@@ -113,7 +113,7 @@ pub struct ObsResult {
 impl ObsResult {
     /// Stubbed over instrumented throughput: 1.0 = recording is free, above
     /// 1.0 = what turning recording on costs.
-    pub fn overhead_ratio(&self) -> f64 {
+    fn overhead_ratio(&self) -> f64 {
         self.stubbed_tps / self.instrumented_tps.max(1e-9)
     }
 }
@@ -214,7 +214,7 @@ pub fn audit_artifacts(scale: Scale) -> (String, String) {
 /// `obs-stub` feature and parse the `MEASURE_TPS` line it prints.  Uses the
 /// `CARGO` env var (set by cargo for anything it runs) so the child builds
 /// with the same toolchain.
-pub fn measure_stubbed_tps(full: bool) -> Result<f64, String> {
+fn measure_stubbed_tps(full: bool) -> Result<f64, String> {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let mut cmd = std::process::Command::new(cargo);
     cmd.args([
@@ -285,19 +285,24 @@ pub fn parse_obs_json(doc: &str) -> Option<ObsResult> {
     })
 }
 
-/// Gate the overhead ratio.  The limit is the baseline's ratio plus
+/// The overhead-ratio limit the gate enforces: the baseline's ratio plus
 /// `threshold` relative slack (and a small absolute epsilon), floored at
-/// [`OBS_OVERHEAD_CAP`]; with no baseline entry the cap alone gates.
-/// Returns report lines, or the failing lines as the error.
+/// [`OBS_OVERHEAD_FLOOR`]; with no baseline entry the floor alone gates.
+pub fn obs_limit(baseline: Option<&ObsResult>, threshold: f64) -> f64 {
+    baseline
+        .map(|b| b.overhead_ratio() * (1.0 + threshold) + 0.02)
+        .unwrap_or(0.0)
+        .max(OBS_OVERHEAD_FLOOR)
+}
+
+/// Gate the overhead ratio against [`obs_limit`].  Returns report lines, or
+/// the failing lines as the error.
 pub fn check_obs_against_baseline(
     current: &ObsResult,
     baseline: Option<&ObsResult>,
     threshold: f64,
 ) -> Result<Vec<String>, Vec<String>> {
-    let base_limit = baseline
-        .map(|b| b.overhead_ratio() * (1.0 + threshold) + 0.02)
-        .unwrap_or(0.0);
-    let limit = base_limit.max(OBS_OVERHEAD_CAP);
+    let limit = obs_limit(baseline, threshold);
     let ratio = current.overhead_ratio();
     let line = format!(
         "obs overhead: stubbed/instrumented ratio {ratio:.3} \
@@ -311,8 +316,8 @@ pub fn check_obs_against_baseline(
     }
 }
 
-/// Render the measurement as a one-row table.
-pub fn obs_table(r: &ObsResult) -> plp_instrument::Table {
+/// Render the measurement as a one-row table, beside the gate's `limit`.
+pub fn obs_table(r: &ObsResult, limit: f64) -> plp_instrument::Table {
     use plp_instrument::Cell;
     let mut t = plp_instrument::Table::new(
         "Observability overhead — TATP (PLP-Regular), instrumented vs obs-stub build",
@@ -321,7 +326,7 @@ pub fn obs_table(r: &ObsResult) -> plp_instrument::Table {
             "instrumented tps",
             "stubbed tps",
             "overhead ratio",
-            "cap",
+            "limit",
         ],
     );
     t.row(vec![
@@ -329,7 +334,7 @@ pub fn obs_table(r: &ObsResult) -> plp_instrument::Table {
         Cell::FloatPrec(r.instrumented_tps, 0),
         Cell::FloatPrec(r.stubbed_tps, 0),
         Cell::FloatPrec(r.overhead_ratio(), 3),
-        Cell::FloatPrec(OBS_OVERHEAD_CAP, 2),
+        Cell::FloatPrec(limit, 3),
     ]);
     t
 }

@@ -29,16 +29,16 @@ use crate::msgcost::json_number;
 use crate::Scale;
 
 /// Engine partitions behind the benchmarked server.
-pub const SERVER_PARTITIONS: usize = 4;
+const SERVER_PARTITIONS: usize = 4;
 /// Absolute floor on saturation throughput: even with no (or a stale)
 /// baseline entry, the gate fails if the server cannot clear this on a CI
 /// runner — that only happens when the front end is broken, not slow.
-pub const SERVER_TPS_FLOOR: f64 = 1_000.0;
+const SERVER_TPS_FLOOR: f64 = 1_000.0;
 
 /// The connections × depth sweep at quick scale (CI perf-smoke).
-pub const QUICK_SWEEP: &[(usize, usize)] = &[(1, 1), (2, 8), (4, 16)];
+const QUICK_SWEEP: &[(usize, usize)] = &[(1, 1), (2, 8), (4, 16)];
 /// The sweep at full scale (nightly).
-pub const FULL_SWEEP: &[(usize, usize)] = &[(1, 1), (2, 4), (4, 8), (8, 16), (8, 32)];
+const FULL_SWEEP: &[(usize, usize)] = &[(1, 1), (2, 4), (4, 8), (8, 16), (8, 32)];
 
 /// One measured sweep point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,7 +61,7 @@ pub struct ServerResult {
 
 impl ServerResult {
     /// The highest-throughput point of the sweep — what the gate tracks.
-    pub fn saturation(&self) -> &ServerPoint {
+    fn saturation(&self) -> &ServerPoint {
         self.points
             .iter()
             .max_by(|a, b| a.tps.total_cmp(&b.tps))
@@ -77,11 +77,7 @@ pub fn measure_server(scale: Scale, full: bool) -> ServerResult {
 
 /// Measure an explicit `(connections, depth)` sweep, `requests_per_conn`
 /// requests per connection per point, against a fresh TATP-loaded engine.
-pub fn measure_sweep(
-    scale: Scale,
-    sweep: &[(usize, usize)],
-    requests_per_conn: u64,
-) -> ServerResult {
+fn measure_sweep(scale: Scale, sweep: &[(usize, usize)], requests_per_conn: u64) -> ServerResult {
     let tatp = Tatp::new(scale.subscribers);
     let config = EngineConfig::new(Design::PlpRegular).with_partitions(SERVER_PARTITIONS);
     let engine = Engine::start_shared(config, &tatp.schema());

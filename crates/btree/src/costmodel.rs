@@ -24,7 +24,7 @@ pub struct IndexChanges {
 }
 
 impl IndexChanges {
-    pub fn none() -> Self {
+    fn none() -> Self {
         Self::default()
     }
 
@@ -35,7 +35,7 @@ impl IndexChanges {
         }
     }
 
-    pub fn rebuild(n: u64) -> Self {
+    fn rebuild(n: u64) -> Self {
         Self {
             updates: 0,
             inserts: n,
@@ -153,12 +153,12 @@ impl CostModelParams {
     }
 
     /// Sum of entries moved across all levels of the path.
-    pub fn sum_entries_moved(&self) -> u64 {
+    fn sum_entries_moved(&self) -> u64 {
         (1..=self.levels).map(|l| self.m(l)).sum()
     }
 
     /// Sum of entries moved across levels `2..=h` (clustered variant).
-    pub fn sum_entries_moved_above_leaf(&self) -> u64 {
+    fn sum_entries_moved_above_leaf(&self) -> u64 {
         (2..=self.levels).map(|l| self.m(l)).sum()
     }
 
@@ -182,7 +182,7 @@ impl CostModelParams {
 
     /// Records moved in the PLP-Leaf / clustered-PLP case: only the leaf-page
     /// boundary entries (`m_1`).
-    pub fn records_moved_leaf_only(&self) -> u64 {
+    fn records_moved_leaf_only(&self) -> u64 {
         self.m(1)
     }
 }

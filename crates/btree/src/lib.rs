@@ -27,7 +27,7 @@ pub mod parttable;
 pub mod tree;
 
 pub use costmodel::{CostModelParams, RepartitionCost, SystemKind};
-pub use mrbtree::{MrbTree, RepartitionReport};
-pub use node::{NodeView, ENTRY_SIZE, MAX_NODE_ENTRIES, NODE_HEADER_SIZE};
+pub use mrbtree::MrbTree;
+pub use node::{NodeView, ENTRY_SIZE, MAX_NODE_ENTRIES};
 pub use parttable::{PartitionId, PartitionTable};
-pub use tree::{BTree, InsertOutcome, LeafSplitInfo};
+pub use tree::{BTree, InsertOutcome};

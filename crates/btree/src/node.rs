@@ -21,7 +21,7 @@
 use plp_storage::{Page, PageId, PAGE_SIZE};
 
 /// Size of the fixed node header in bytes.
-pub const NODE_HEADER_SIZE: usize = 36;
+const NODE_HEADER_SIZE: usize = 36;
 /// Size of one (key, value) entry in bytes.
 pub const ENTRY_SIZE: usize = 16;
 /// Hard capacity of a node given the page size.
@@ -35,7 +35,7 @@ const OFF_LEFTMOST: usize = 20;
 const OFF_HIGH_KEY: usize = 28;
 
 /// Sentinel meaning "no upper bound" for a node's high key.
-pub const NO_HIGH_KEY: u64 = u64::MAX;
+const NO_HIGH_KEY: u64 = u64::MAX;
 
 /// Typed, stateless view over a [`Page`] holding a B+Tree node.
 pub struct NodeView;
@@ -69,10 +69,6 @@ impl NodeView {
 
     pub fn level(page: &Page) -> u16 {
         page.read_u16(OFF_LEVEL)
-    }
-
-    pub fn set_level(page: &mut Page, level: u16) {
-        page.write_u16(OFF_LEVEL, level);
     }
 
     pub fn is_leaf(page: &Page) -> bool {

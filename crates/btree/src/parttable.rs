@@ -99,11 +99,6 @@ impl PartitionTable {
         self.ranges.read().clone()
     }
 
-    /// Sub-tree root of a partition.
-    pub fn root_of(&self, partition: PartitionId) -> PageId {
-        self.ranges.read()[partition as usize].root
-    }
-
     /// Insert a new partition starting at `start_key` with sub-tree `root`
     /// (used by the slice operation).  Returns its index.
     pub fn insert_partition(&self, start_key: u64, root: PageId) -> PartitionId {
@@ -248,7 +243,7 @@ mod tests {
         assert!(t.verify_durable());
         t.set_root(1, PageId(4000));
         assert!(t.verify_durable());
-        assert_eq!(t.root_of(1), PageId(4000));
+        assert_eq!(t.ranges()[1].root, PageId(4000));
     }
 
     #[test]

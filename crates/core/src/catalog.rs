@@ -217,11 +217,6 @@ pub struct EngineConfig {
     /// When set (and a log device is attached), a background thread writes a
     /// fuzzy checkpoint record this often.
     pub checkpoint_interval: Option<Duration>,
-    /// Pin each partition worker to a CPU chosen by the topology-aware
-    /// placement ([`crate::topology`]).  Best-effort: on hosts where sysfs
-    /// or the affinity syscall is unavailable (minimal containers, non-Linux
-    /// targets) workers simply stay unpinned.
-    pub pin_workers: bool,
     /// When set, a background sampler thread snapshots stats deltas and
     /// histogram summaries into the engine's flight recorder this often
     /// (see `docs/observability.md`).
@@ -260,7 +255,6 @@ impl EngineConfig {
             log_dir: None,
             log_segment_bytes: plp_wal::segment::DEFAULT_SEGMENT_BYTES,
             checkpoint_interval: None,
-            pin_workers: false,
             metrics_interval: None,
             flight_dump: None,
             obs_endpoint: None,
@@ -324,13 +318,6 @@ impl EngineConfig {
     /// designs; the conventional design has no partitions to balance).
     pub fn with_dlb(mut self, dlb: crate::dlb::DlbConfig) -> Self {
         self.dlb = dlb;
-        self
-    }
-
-    /// Request best-effort core pinning for partition workers (see
-    /// [`Self::pin_workers`]).
-    pub fn with_pinning(mut self, pin: bool) -> Self {
-        self.pin_workers = pin;
         self
     }
 

@@ -17,11 +17,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::catalog::TableId;
 
 /// Maximum number of top-level buckets (the refinement set is a `u64` bitmap).
-pub const MAX_TOP_BUCKETS: usize = 64;
+const MAX_TOP_BUCKETS: usize = 64;
 
 /// A two-level aging histogram over one table's key space.
 #[derive(Debug)]
-pub struct AgingHistogram {
+pub(crate) struct AgingHistogram {
     key_space: u64,
     top_buckets: usize,
     sub_buckets: usize,
@@ -50,18 +50,6 @@ impl AgingHistogram {
             sub,
             refined: AtomicU64::new(0),
         }
-    }
-
-    pub fn key_space(&self) -> u64 {
-        self.key_space
-    }
-
-    pub fn top_buckets(&self) -> usize {
-        self.top_buckets
-    }
-
-    pub fn sub_buckets(&self) -> usize {
-        self.sub_buckets
     }
 
     #[inline]
@@ -95,7 +83,7 @@ impl AgingHistogram {
 
     /// Age every counter: `count >>= shift` (shift 1 halves the history each
     /// round, giving an exponentially-decaying window).
-    pub fn decay(&self, shift: u32) {
+    fn decay(&self, shift: u32) {
         if shift == 0 {
             return;
         }
@@ -114,7 +102,7 @@ impl AgingHistogram {
     /// share of the total exceeds `hot_factor` times the fair share
     /// (`1 / top_buckets`).  Newly-refined buckets have their sub-counters
     /// zeroed so the fine distribution only reflects load observed while hot.
-    pub fn refresh_refinement(&self, hot_factor: f64) {
+    fn refresh_refinement(&self, hot_factor: f64) {
         let total = self.total();
         if total == 0 {
             return;
@@ -133,11 +121,6 @@ impl AgingHistogram {
             }
         }
         self.refined.store(new_mask, Ordering::Relaxed);
-    }
-
-    /// Bitmap of currently-refined buckets.
-    pub fn refined_mask(&self) -> u64 {
-        self.refined.load(Ordering::Relaxed)
     }
 
     /// Snapshot the histogram as a fine-grained weight vector of length
@@ -177,14 +160,6 @@ impl AgingHistogram {
         }
         out
     }
-
-    /// The key range covered by fine slot `f` of a weight vector.
-    pub fn fine_range(&self, f: usize) -> (u64, u64) {
-        let fine = (self.top_buckets * self.sub_buckets) as u128;
-        let lo = (f as u128 * self.key_space as u128 / fine) as u64;
-        let hi = ((f + 1) as u128 * self.key_space as u128 / fine) as u64;
-        (lo, hi)
-    }
 }
 
 /// One histogram per table, indexed by dense [`TableId`].
@@ -212,7 +187,7 @@ impl HistogramSet {
         }
     }
 
-    pub fn table(&self, table: TableId) -> Option<&AgingHistogram> {
+    pub(crate) fn table(&self, table: TableId) -> Option<&AgingHistogram> {
         self.histograms.get(table.0 as usize)
     }
 
@@ -290,7 +265,11 @@ mod tests {
             }
         }
         h.refresh_refinement(2.0);
-        assert_eq!(h.refined_mask(), 1 << 2, "only bucket 2 is hot");
+        assert_eq!(
+            h.refined.load(Ordering::Relaxed),
+            1 << 2,
+            "only bucket 2 is hot"
+        );
         // Fine counters accumulate only after refinement: hammer one quarter
         // of the hot bucket.
         for _ in 0..100 {
@@ -316,20 +295,6 @@ mod tests {
         let w = h.weights();
         assert_eq!(w.iter().sum::<u64>(), 10);
         assert_eq!(&w[4..], &[0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn fine_ranges_tile_the_key_space() {
-        let h = AgingHistogram::new(1_003, 8, 4); // deliberately non-divisible
-        let fine = h.top_buckets() * h.sub_buckets();
-        let mut expected_start = 0;
-        for f in 0..fine {
-            let (lo, hi) = h.fine_range(f);
-            assert_eq!(lo, expected_start);
-            assert!(hi > lo || (hi == lo && fine as u64 > 1_003));
-            expected_start = hi;
-        }
-        assert_eq!(expected_start, 1_003);
     }
 
     #[test]

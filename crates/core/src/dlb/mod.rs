@@ -43,5 +43,5 @@ pub mod histogram;
 pub mod planner;
 
 pub use controller::{DlbConfig, LoadBalancerHandle};
-pub use histogram::{AgingHistogram, HistogramSet, MAX_TOP_BUCKETS};
-pub use planner::{imbalance, make_plan, CandidatePlan, LoadSnapshot};
+pub use histogram::HistogramSet;
+pub use planner::{imbalance, LoadSnapshot};

@@ -39,7 +39,7 @@ impl LoadSnapshot {
     }
 
     /// Access mass inside `[lo, hi)`, splitting slots proportionally.
-    pub fn mass_between(&self, lo: u64, hi: u64) -> f64 {
+    fn mass_between(&self, lo: u64, hi: u64) -> f64 {
         if hi <= lo {
             return 0.0;
         }
@@ -77,7 +77,7 @@ impl LoadSnapshot {
     /// coarse bucket can still be split — and skewed (Zipfian) mass inside a
     /// bucket pulls the cut toward the bucket's heavy edge instead of
     /// assuming the mass is spread uniformly.
-    pub fn plan_bounds(&self, partitions: usize, granularity: u64, first: u64) -> Vec<u64> {
+    fn plan_bounds(&self, partitions: usize, granularity: u64, first: u64) -> Vec<u64> {
         let p = partitions.max(1);
         let g = granularity.max(1);
         let total = self.total();
@@ -178,15 +178,10 @@ pub fn imbalance(loads: &[f64]) -> f64 {
 
 /// A candidate repartitioning, fully priced.
 #[derive(Debug, Clone)]
-pub struct CandidatePlan {
+pub(crate) struct CandidatePlan {
     pub new_bounds: Vec<u64>,
-    /// Imbalance under the current boundaries.
-    pub imbalance_before: f64,
     /// Predicted imbalance under `new_bounds`.
     pub imbalance_after: f64,
-    /// Records whose partition assignment changes (estimate from boundary
-    /// shifts, assuming keys uniformly dense over the key space).
-    pub est_affected_records: f64,
     /// Cost-model price of the move, in record-move-equivalent units.
     pub movement_cost: f64,
     /// Predicted per-window access-load reduction on the hottest partition.
@@ -231,7 +226,7 @@ pub fn system_kind_for(latch_free_heap: bool, leaf_owned: bool) -> SystemKind {
 /// Returns `None` when the histogram carries no signal or the plan would not
 /// change any boundary.
 #[allow(clippy::too_many_arguments)]
-pub fn make_plan(
+pub(crate) fn make_plan(
     snapshot: &LoadSnapshot,
     old_bounds: &[u64],
     granularity: u64,
@@ -250,10 +245,10 @@ pub fn make_plan(
     }
     let loads_before = snapshot.partition_loads(old_bounds);
     let loads_after = snapshot.partition_loads(&new_bounds);
-    let imbalance_before = imbalance(&loads_before);
     let imbalance_after = imbalance(&loads_after);
 
-    // Records whose owner changes: the key span swept by each boundary move,
+    // Records whose owner changes, estimated from boundary shifts with keys
+    // assumed uniformly dense: the key span swept by each boundary move,
     // scaled by the group's average record density per driver key (sibling
     // keys are `driver_key * granularity + rest`, so a swept driver unit
     // sweeps the matching sibling records too).
@@ -291,9 +286,7 @@ pub fn make_plan(
     let max_after = loads_after.iter().cloned().fold(0.0f64, f64::max);
     Some(CandidatePlan {
         new_bounds,
-        imbalance_before,
         imbalance_after,
-        est_affected_records,
         movement_cost,
         predicted_gain: (max_before - max_after).max(0.0),
     })
@@ -302,6 +295,21 @@ pub fn make_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fine_ranges_tile_the_key_space() {
+        // 8 x 4 fine slots, as an `AgingHistogram`'s weights lay them out,
+        // over a deliberately non-divisible key space.
+        let snap = LoadSnapshot::new(1_003, vec![1; 32]);
+        let mut expected_start = 0;
+        for f in 0..32 {
+            let (lo, hi) = snap.slot_range(f);
+            assert_eq!(lo, expected_start);
+            assert!(hi > lo);
+            expected_start = hi;
+        }
+        assert_eq!(expected_start, 1_003);
+    }
 
     fn hot_tail_snapshot() -> LoadSnapshot {
         // 16 slots over keys 0..1600; the last two slots carry 90% of load.
@@ -464,7 +472,7 @@ mod tests {
             regular.movement_cost,
             partition.movement_cost
         );
-        assert!(regular.imbalance_after < regular.imbalance_before);
+        assert!(regular.imbalance_after < imbalance(&snap.partition_loads(&old)));
         assert!(regular.predicted_gain > 0.0);
         // With a long enough horizon the cheap plan is always worth it...
         assert!(regular.net_benefit(1_000.0, 1.0) > 0.0);

@@ -341,7 +341,7 @@ impl Engine {
 
     /// Cut a fuzzy checkpoint right now (requires a log device).  Returns
     /// the checkpoint record's LSN.
-    pub fn checkpoint_now(&self) -> Lsn {
+    fn checkpoint_now(&self) -> Lsn {
         let data = gather_checkpoint(&self.db, self.partition_mgr.as_deref());
         self.db.log_manager().write_checkpoint(data)
     }
@@ -670,6 +670,16 @@ pub struct Session<'e> {
     /// needs them).  The session is the lane's unique producer; the worker
     /// drains lanes ahead of the shared MPMC queue.
     lanes: Vec<LaneSender<WorkerRequest>>,
+}
+
+/// An SLI agent's inherited locks outlive its transactions, not its session:
+/// a closing session hands them back to the central lock manager.
+impl Drop for Session<'_> {
+    fn drop(&mut self) {
+        if let Some(sli) = &mut self.sli {
+            sli.release_inherited(self.engine.db.lock_manager());
+        }
+    }
 }
 
 /// One in-flight *message* of the current stage (a group the session could

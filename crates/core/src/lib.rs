@@ -41,7 +41,7 @@ pub use action::{Action, ActionOutput, DataContext, TransactionPlan};
 pub use catalog::{Design, EngineConfig, IndexKind, TableId, TableSpec};
 pub use database::Database;
 pub use dlb::{DlbConfig, LoadBalancerHandle};
-pub use engine::{Engine, RecoveryReport};
+pub use engine::Engine;
 pub use error::EngineError;
 pub use partition::PartitionManager;
 pub use plp_instrument::{DlbDecision, DlbOutcome, PhaseBreakdown, SlowTxn};

@@ -93,7 +93,7 @@ const _: () = assert!(std::mem::size_of::<DrainState>() == 2 * std::mem::size_of
 
 /// RAII registration of one in-flight transaction (see
 /// [`PartitionManager::txn_ticket`]).
-pub struct TxnTicket<'a> {
+pub(crate) struct TxnTicket<'a> {
     pm: &'a PartitionManager,
 }
 
@@ -122,21 +122,9 @@ impl Drop for DrainGuard<'_> {
 
 impl PartitionManager {
     /// Spawn one worker per partition and build uniform routing tables.
-    ///
-    /// With [`EngineConfig::with_pinning`] enabled, workers are placed on
-    /// CPUs island-by-island (adjacent partitions share a socket/NUMA node)
-    /// so coordinator↔worker message traffic stays cache-local; pinning is
-    /// best-effort and silently degrades on restricted hosts.
-    ///
-    /// [`EngineConfig::with_pinning`]: crate::catalog::EngineConfig::with_pinning
     pub fn new(db: Arc<Database>, design: Design, partitions: usize) -> Self {
-        let placement = if db.config().pin_workers {
-            crate::topology::CpuTopology::detect().placement(partitions)
-        } else {
-            Vec::new()
-        };
         let workers = (0..partitions)
-            .map(|i| WorkerHandle::spawn(i, db.clone(), design, placement.get(i).copied()))
+            .map(|i| WorkerHandle::spawn(i, db.clone(), design))
             .collect();
         let mut routing = HashMap::new();
         for table in db.tables() {
@@ -174,7 +162,7 @@ impl PartitionManager {
     ///
     /// Before [`Self::mark_loaded`] no page has a latch-free owner yet, so
     /// the ticket is refused with [`EngineError::NotReady`].
-    pub fn txn_ticket(&self) -> Result<TxnTicket<'_>, EngineError> {
+    pub(crate) fn txn_ticket(&self) -> Result<TxnTicket<'_>, EngineError> {
         let mut state = self.drain.lock();
         if !state.loaded {
             return Err(EngineError::NotReady);
@@ -282,10 +270,6 @@ impl PartitionManager {
 
     pub fn worker(&self, index: usize) -> &WorkerHandle {
         &self.workers[index]
-    }
-
-    pub fn token_of(&self, index: usize) -> OwnerToken {
-        self.workers[index].token
     }
 
     /// The worker that owns `key` of `table`.  When dynamic load balancing is

@@ -100,7 +100,7 @@ impl Op {
     /// Execute the op's semantics against a [`DataContext`](crate::DataContext).
     /// Shared by [`Op::lower`] (one action per op) and
     /// [`Request::lower_fused`] (all ops in one action).
-    pub fn apply(self, ctx: &mut dyn crate::DataContext) -> Result<ActionOutput, EngineError> {
+    fn apply(self, ctx: &mut dyn crate::DataContext) -> Result<ActionOutput, EngineError> {
         match self {
             Op::Get { table, key } => {
                 let row = ctx.read(table, key)?;

@@ -10,7 +10,7 @@ use crate::catalog::{IndexKind, TableSpec};
 use crate::error::EngineError;
 
 /// A table's primary index: either one conventional B+Tree or an MRBTree.
-pub enum PrimaryIndex {
+pub(crate) enum PrimaryIndex {
     Single(BTree),
     Multi(MrbTree),
 }
@@ -82,13 +82,6 @@ impl PrimaryIndex {
             PrimaryIndex::Multi(t) => Some(t),
         }
     }
-
-    pub fn index_pages(&self) -> Vec<PageId> {
-        match self {
-            PrimaryIndex::Single(t) => t.all_pages(),
-            PrimaryIndex::Multi(t) => t.all_pages(),
-        }
-    }
 }
 
 /// A table: spec, primary index on the 64-bit primary key (values are packed
@@ -136,7 +129,7 @@ impl Table {
         &self.spec
     }
 
-    pub fn primary(&self) -> &PrimaryIndex {
+    pub(crate) fn primary(&self) -> &PrimaryIndex {
         &self.primary
     }
 
@@ -159,7 +152,7 @@ impl Table {
     /// Compute the heap placement hint for a record with `key` under the
     /// table's placement policy.  For leaf-owned placement the covering index
     /// leaf must be located first (the callback of Section 3.3).
-    pub fn placement_hint(&self, key: u64, access: Access) -> Result<PlacementHint, EngineError> {
+    fn placement_hint(&self, key: u64, access: Access) -> Result<PlacementHint, EngineError> {
         match self.heap.policy() {
             PlacementPolicy::Regular => Ok(PlacementHint::None),
             PlacementPolicy::PartitionOwned => Ok(PlacementHint::Partition(self.partition_of(key))),

@@ -1,40 +1,21 @@
-//! CPU topology discovery and topology-aware worker placement.
+//! CPU topology discovery: which CPUs the host has and how they group into
+//! islands (NUMA node, then package).  The benchmark's hardware fingerprint
+//! records it, because numbers are comparable only between runs on the same
+//! layout ("OLTP on Hardware Islands", PAPERS.md).
 //!
-//! The paper's follow-up work ("OLTP on Hardware Islands", PAPERS.md) shows
-//! that the cost of the partitioned designs' message passing is dominated by
-//! *where* the communicating threads sit: two threads on one socket share a
-//! last-level cache and exchange cache lines in tens of nanoseconds; across
-//! sockets the same exchange crosses the interconnect.  This module gives the
-//! engine what it needs to act on that:
-//!
-//! * [`CpuTopology::detect`] — enumerate CPUs with their package (socket) and
-//!   NUMA node from sysfs, falling back to `/proc/cpuinfo`, falling back to a
-//!   flat single-island topology.  Detection never fails; it degrades.
-//! * [`CpuTopology::placement`] — map partition workers onto CPUs so that
-//!   adjacent partitions fill one island before spilling to the next
-//!   (coordinator↔worker traffic stays island-local as long as possible, and
-//!   the DLB's neighbor-biased repartitioning moves load between workers that
-//!   share a cache).
-//! * [`pin_current_thread`] — best-effort `sched_setaffinity` through a
-//!   minimal hand-rolled libc binding (the build has no `libc` crate; see
-//!   ROADMAP "Standing constraints").
-//!
-//! Everything here is best-effort by design: minimal containers often mount
-//! no sysfs and reject affinity syscalls, and CI must stay green with pinning
-//! *requested*.  Failure to detect or pin silently leaves threads floating —
-//! the engine is correct either way, only the latency profile changes.
-
-use std::fmt;
+//! [`CpuTopology::detect`] enumerates CPUs with their package (socket) and
+//! NUMA node from sysfs, falling back to `/proc/cpuinfo`, falling back to a
+//! flat single-island topology.  Detection never fails; it degrades.
 
 /// One logical CPU and where it sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CpuInfo {
-    /// Kernel CPU id (the `sched_setaffinity` bit index).
-    pub cpu: usize,
+struct CpuInfo {
+    /// Kernel CPU id.
+    cpu: usize,
     /// Physical package (socket) id; 0 when unknown.
-    pub package: usize,
+    package: usize,
     /// NUMA node id; 0 when unknown.
-    pub node: usize,
+    node: usize,
 }
 
 impl CpuInfo {
@@ -50,13 +31,6 @@ pub struct CpuTopology {
     cpus: Vec<CpuInfo>,
 }
 
-impl fmt::Display for CpuTopology {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let islands = self.islands();
-        write!(f, "{} cpus / {} islands", self.cpus.len(), islands.len())
-    }
-}
-
 impl CpuTopology {
     /// Detect the host topology: sysfs first, `/proc/cpuinfo` second, and a
     /// flat `available_parallelism`-sized single island as the last resort.
@@ -67,22 +41,16 @@ impl CpuTopology {
                 let n = std::thread::available_parallelism()
                     .map(|n| n.get())
                     .unwrap_or(1);
-                Self::uniform(n)
+                Self {
+                    cpus: (0..n)
+                        .map(|cpu| CpuInfo {
+                            cpu,
+                            package: 0,
+                            node: 0,
+                        })
+                        .collect(),
+                }
             })
-    }
-
-    /// A flat topology: `n` CPUs, one island.  Used as the detection
-    /// fallback and by tests.
-    pub fn uniform(n: usize) -> Self {
-        Self {
-            cpus: (0..n.max(1))
-                .map(|cpu| CpuInfo {
-                    cpu,
-                    package: 0,
-                    node: 0,
-                })
-                .collect(),
-        }
     }
 
     fn from_sysfs() -> Option<Self> {
@@ -138,13 +106,8 @@ impl CpuTopology {
         (!topo.cpus.is_empty()).then_some(topo)
     }
 
-    pub fn cpus(&self) -> &[CpuInfo] {
-        &self.cpus
-    }
-
     /// CPU ids grouped by island (NUMA node, then package), each group and
-    /// the group list sorted — so island 0 is the lowest-numbered node and
-    /// placement is deterministic.
+    /// the group list sorted — so island 0 is the lowest-numbered node.
     pub fn islands(&self) -> Vec<Vec<usize>> {
         let mut keys: Vec<(usize, usize)> = self.cpus.iter().map(|c| c.island()).collect();
         keys.sort_unstable();
@@ -161,16 +124,6 @@ impl CpuTopology {
                 members
             })
             .collect()
-    }
-
-    /// Choose a CPU for each of `workers` partition workers: islands are
-    /// filled in order (worker *i* and worker *i+1* land on the same island
-    /// until it is full), and the assignment wraps when there are more
-    /// workers than CPUs — oversubscription shares CPUs instead of failing.
-    pub fn placement(&self, workers: usize) -> Vec<usize> {
-        let flat: Vec<usize> = self.islands().into_iter().flatten().collect();
-        debug_assert!(!flat.is_empty(), "CpuTopology is never empty");
-        (0..workers).map(|w| flat[w % flat.len()]).collect()
     }
 }
 
@@ -238,36 +191,6 @@ fn parse_proc_cpuinfo(text: &str) -> CpuTopology {
     CpuTopology { cpus }
 }
 
-/// Pin the calling thread to `cpu`.  Returns whether the kernel accepted the
-/// affinity mask; `false` (cpu id out of range, syscall rejected, non-Linux
-/// target) means the thread keeps floating — never an error.
-#[cfg(target_os = "linux")]
-pub fn pin_current_thread(cpu: usize) -> bool {
-    // glibc's cpu_set_t is a fixed 1024-bit mask.
-    const CPU_SETSIZE: usize = 1024;
-    if cpu >= CPU_SETSIZE {
-        return false;
-    }
-    let mut mask = [0u64; CPU_SETSIZE / 64];
-    mask[cpu / 64] |= 1u64 << (cpu % 64);
-    extern "C" {
-        // The build has no libc crate (ROADMAP "Standing constraints");
-        // declare the one symbol we need.  `pid` 0 targets the caller.
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    // SAFETY: `mask` is a live, initialized buffer of exactly `cpusetsize`
-    // bytes for the duration of the call; the syscall only reads it and has
-    // no memory side effects.  A failure return leaves the thread unpinned.
-    let rc = unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
-    rc == 0
-}
-
-/// Non-Linux fallback: affinity is not portable; report "not pinned".
-#[cfg(not(target_os = "linux"))]
-pub fn pin_current_thread(_cpu: usize) -> bool {
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,65 +216,15 @@ processor\t: 1\nphysical id\t: 0\n\n\
 processor\t: 2\nphysical id\t: 1\n\n\
 processor\t: 3\nphysical id\t: 1\n";
         let topo = parse_proc_cpuinfo(text);
-        assert_eq!(topo.cpus().len(), 4);
+        assert_eq!(topo.cpus.len(), 4);
         assert_eq!(topo.islands(), vec![vec![0, 1], vec![2, 3]]);
     }
 
     #[test]
-    fn detect_never_fails_and_covers_every_worker() {
+    fn detect_never_fails() {
         // On any host — full sysfs, container with partial sysfs, or no
-        // Linux at all — detection yields at least one CPU and placement
-        // covers every worker index.
-        let topo = CpuTopology::detect();
-        assert!(!topo.cpus().is_empty());
-        for workers in [1, 2, 7, 64] {
-            let placement = topo.placement(workers);
-            assert_eq!(placement.len(), workers);
-            let valid: std::collections::HashSet<usize> =
-                topo.cpus().iter().map(|c| c.cpu).collect();
-            assert!(placement.iter().all(|cpu| valid.contains(cpu)));
-        }
-    }
-
-    #[test]
-    fn placement_fills_islands_before_spilling() {
-        let topo = CpuTopology {
-            cpus: vec![
-                CpuInfo {
-                    cpu: 0,
-                    package: 0,
-                    node: 0,
-                },
-                CpuInfo {
-                    cpu: 1,
-                    package: 0,
-                    node: 0,
-                },
-                CpuInfo {
-                    cpu: 2,
-                    package: 1,
-                    node: 1,
-                },
-                CpuInfo {
-                    cpu: 3,
-                    package: 1,
-                    node: 1,
-                },
-            ],
-        };
-        // Two workers fit on island 0 entirely…
-        assert_eq!(topo.placement(2), vec![0, 1]);
-        // …three spill one worker onto island 1…
-        assert_eq!(topo.placement(3), vec![0, 1, 2]);
-        // …and oversubscription wraps around.
-        assert_eq!(topo.placement(6), vec![0, 1, 2, 3, 0, 1]);
-    }
-
-    #[test]
-    fn pinning_degrades_gracefully() {
-        // Whatever the host allows, this must not panic and out-of-range
-        // ids must report failure.
-        let _ = pin_current_thread(0);
-        assert!(!pin_current_thread(usize::MAX));
+        // Linux at all — detection yields at least one island of CPUs.
+        let islands = CpuTopology::detect().islands();
+        assert!(!islands.is_empty() && islands.iter().all(|i| !i.is_empty()));
     }
 }

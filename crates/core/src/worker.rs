@@ -68,9 +68,6 @@
 //!
 //! Workers also handle system requests: page-cleaning batches for pages they
 //! own (Appendix A.4) and quiesce/resume handshakes used by repartitioning.
-//! When the engine was built with [`crate::catalog::EngineConfig::with_pinning`],
-//! each worker pins itself to the CPU chosen by the topology-aware placement
-//! (best-effort — see [`crate::topology`]).
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -226,11 +223,8 @@ pub struct WorkerHandle {
 }
 
 impl WorkerHandle {
-    /// Spawn a worker serving partition `index`.  `pin_cpu` is a best-effort
-    /// CPU affinity request from the topology-aware placement; failure to
-    /// pin (container without affinity support, CPU gone offline) leaves the
-    /// worker unpinned and is otherwise harmless.
-    pub fn spawn(index: usize, db: Arc<Database>, design: Design, pin_cpu: Option<usize>) -> Self {
+    /// Spawn a worker serving partition `index`.
+    pub fn spawn(index: usize, db: Arc<Database>, design: Design) -> Self {
         let token = OwnerToken(index as u64 + 1);
         let (tx, rx) = unbounded::<WorkerRequest>();
         let state = Arc::new(Mutex::new(PartitionState {
@@ -242,12 +236,7 @@ impl WorkerHandle {
         let worker_state = state.clone();
         let thread = std::thread::Builder::new()
             .name(format!("plp-worker-{index}"))
-            .spawn(move || {
-                if let Some(cpu) = pin_cpu {
-                    let _ = crate::topology::pin_current_thread(cpu);
-                }
-                worker_loop(&db, index, &worker_state, rx)
-            })
+            .spawn(move || worker_loop(&db, index, &worker_state, rx))
             .expect("spawn partition worker");
         Self {
             index,

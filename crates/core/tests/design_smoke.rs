@@ -125,6 +125,37 @@ fn conventional_session_releases_central_locks_after_commit_and_abort() {
     engine.shutdown();
 }
 
+/// SLI sessions inherit intention locks across their transactions; a dropped
+/// session hands them back, so sessions that come and go (one per wire
+/// connection) leave no lock heads behind.
+#[test]
+fn dropped_sli_sessions_release_their_inherited_locks() {
+    let mut engine = build_engine(Design::Conventional { sli: true });
+    let locks = engine.db().lock_manager();
+    let read = || {
+        TransactionPlan::single(Action::new(TABLE, 2, |ctx| {
+            let row = ctx.read(TABLE, 2)?.expect("key 2 is preloaded");
+            Ok(ActionOutput::with_rows(vec![row]))
+        }))
+    };
+    for i in 0..1_000 {
+        let mut session = engine.session();
+        session.execute(read()).expect("read commits");
+        if i == 0 {
+            assert!(
+                locks.live_heads() > 0,
+                "the agent inherits its intention locks"
+            );
+        }
+    }
+    assert_eq!(
+        locks.live_heads(),
+        0,
+        "inherited locks outlived their sessions"
+    );
+    engine.shutdown();
+}
+
 /// A conventional transaction that blocks on a central lock carries the wait
 /// in its slow-log entry's `lock` phase.
 #[test]

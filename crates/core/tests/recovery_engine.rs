@@ -200,6 +200,7 @@ fn recover_restores_repartitioned_boundaries_identically() {
         .unwrap();
     let bounds_before = engine.partition_manager().unwrap().bounds(TABLE);
     assert_eq!(bounds_before, vec![0, 777]);
+    drop(session);
     drop(engine);
 
     let (recovered, report) =

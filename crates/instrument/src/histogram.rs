@@ -26,7 +26,7 @@ const SUB_COUNT: u64 = 1 << SUB_BITS;
 
 /// Total bucket count: 16 exact unit buckets (values 0–15) plus 60 octaves
 /// (msb 4 through 63) of 16 sub-buckets each.
-pub const NUM_BUCKETS: usize = (SUB_COUNT + (64 - SUB_BITS as u64) * SUB_COUNT) as usize;
+const NUM_BUCKETS: usize = (SUB_COUNT + (64 - SUB_BITS as u64) * SUB_COUNT) as usize;
 
 /// Map a value to its bucket index. Exact for values below 16; above that the
 /// bucket spans `2^(msb-4)` consecutive values.

@@ -37,7 +37,6 @@
 
 pub mod export;
 pub mod histogram;
-pub mod model;
 pub mod recorder;
 pub mod report;
 pub mod server;
@@ -58,20 +57,13 @@ pub use export::{
     parse_exposition, prometheus_exposition, stats_json, validate_histogram_series, MetricSample,
 };
 pub use histogram::{Histogram, HistogramSnapshot, LatencySnapshot, LatencyStats};
-pub use model::{model_check_snapshot, ModelCheckSnapshot};
-pub use recorder::{
-    dump_all_targets, register_flight_dump, unregister_flight_dump, FlightRecorder, Sample,
-};
-pub use report::{format_table, json_is_valid, json_string_literal, Cell, Table};
+pub use recorder::{register_flight_dump, unregister_flight_dump, FlightRecorder, Sample};
+pub use report::{json_is_valid, json_string_literal, Cell, Table};
 pub use server::ObsServer;
 pub use slowlog::{DecisionLog, DlbDecision, DlbOutcome, PhaseBreakdown, SlowLog, SlowTxn};
-pub use stats::{
-    ContentionClass, CsCategory, CsStats, CsStatsSnapshot, DlbStats, DlbStatsSnapshot, LatchStats,
-    LatchStatsSnapshot, MsgStats, MsgStatsSnapshot, PageKind, ServerStats, ServerStatsSnapshot,
-    StatsRegistry, StatsSnapshot, WalStats, WalStatsSnapshot,
-};
-pub use sync::{InstrumentedMutex, InstrumentedRwLock};
-pub use trace::{TraceEvent, TraceRecord, TraceRegistry, TraceRing, TraceScope};
+pub use stats::{CsCategory, MsgStatsSnapshot, PageKind, StatsRegistry, StatsSnapshot};
+pub use sync::InstrumentedMutex;
+pub use trace::{TraceEvent, TraceRegistry, TraceRing};
 
 #[cfg(test)]
 mod tests {

@@ -30,11 +30,11 @@ use crate::trace::now_nanos;
 
 /// Default number of retained samples (at the default 100 ms interval, about
 /// half a minute of history).
-pub const DEFAULT_FLIGHT_SAMPLES: usize = 256;
+const DEFAULT_FLIGHT_SAMPLES: usize = 256;
 
 /// Per-interval summary of one latency histogram.
 #[derive(Clone, Debug)]
-pub struct HistPoint {
+pub(crate) struct HistPoint {
     pub name: &'static str,
     pub count: u64,
     pub p50: u64,
@@ -57,7 +57,7 @@ pub struct Sample {
     pub wal_fsyncs: u64,
     pub wal_bytes: u64,
     pub repartitions: u64,
-    pub hist: Vec<HistPoint>,
+    pub(crate) hist: Vec<HistPoint>,
 }
 
 impl Sample {
@@ -293,7 +293,7 @@ fn targets() -> &'static Mutex<Vec<DumpTarget>> {
 
 /// Dump every live registered target to its path. Called by the panic hook
 /// and usable directly (e.g. from tests or a signal handler).
-pub fn dump_all_targets(reason: &str) {
+fn dump_all_targets(reason: &str) {
     // `try_lock` so a panic *inside* the registry lock can never deadlock the
     // hook; worst case we skip the autopsy.
     let Some(targets) = targets().try_lock() else {

@@ -285,7 +285,7 @@ pub fn json_is_valid(s: &str) -> bool {
 }
 
 /// Render a [`Table`] with aligned columns.
-pub fn format_table(table: &Table) -> String {
+fn format_table(table: &Table) -> String {
     let ncols = table
         .headers
         .len()

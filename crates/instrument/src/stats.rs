@@ -46,7 +46,7 @@ impl CsCategory {
 
     /// The contention class the paper assigns to this kind of communication
     /// (Section 2.1).
-    pub fn contention_class(self) -> ContentionClass {
+    pub(crate) fn contention_class(self) -> ContentionClass {
         match self {
             CsCategory::LockMgr => ContentionClass::Unscalable,
             CsCategory::PageLatch => ContentionClass::Unscalable,
@@ -81,7 +81,7 @@ impl fmt::Display for CsCategory {
 
 /// The contention behaviour of a critical section (Section 2.1 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ContentionClass {
+pub(crate) enum ContentionClass {
     /// Contention independent of hardware parallelism (e.g. producer/consumer
     /// pairs, transaction-object state transitions).
     Fixed,
@@ -213,20 +213,6 @@ impl CsStatsSnapshot {
         self.entries.iter().sum()
     }
 
-    pub fn total_contended(&self) -> u64 {
-        self.contended.iter().sum()
-    }
-
-    /// Total entries into critical sections whose contention class is
-    /// "unscalable" — the quantity PLP sets out to minimise.
-    pub fn unscalable_entries(&self) -> u64 {
-        CsCategory::ALL
-            .iter()
-            .filter(|c| c.contention_class() == ContentionClass::Unscalable)
-            .map(|&c| self.entries(c))
-            .sum()
-    }
-
     /// Contended entries into unscalable critical sections — the paper's
     /// headline "contentious critical sections" metric.
     pub fn contentious(&self) -> u64 {
@@ -348,10 +334,6 @@ impl LatchStatsSnapshot {
 
     pub fn total_acquired(&self) -> u64 {
         self.acquired.iter().sum()
-    }
-
-    pub fn total_bypassed(&self) -> u64 {
-        self.bypassed.iter().sum()
     }
 
     pub fn delta(&self, earlier: &LatchStatsSnapshot) -> LatchStatsSnapshot {
@@ -916,12 +898,6 @@ impl MsgStats {
         self.inline_nanos.store(0, Ordering::Relaxed);
     }
 
-    /// Full actions-per-batch distribution (quantile-capable superset of the
-    /// legacy 5-bucket view).
-    pub fn batch_size_histogram(&self) -> crate::histogram::HistogramSnapshot {
-        self.batch_hist.snapshot()
-    }
-
     /// Collapse the histogram into the legacy 2 / 3–4 / 5–8 / 9–16 / 17+
     /// buckets. Exact: below 16 every histogram bucket holds one value, and
     /// value 16 has a dedicated bucket (the first of the 16–31 octave), so
@@ -978,7 +954,7 @@ impl MsgStatsSnapshot {
 
     /// Actions that travelled in a message: one per singleton message plus
     /// every action of the multi-action ones.
-    pub fn messaged_actions(&self) -> u64 {
+    fn messaged_actions(&self) -> u64 {
         self.actions.saturating_sub(self.batches) + self.batch_actions
     }
 
@@ -1294,7 +1270,6 @@ mod tests {
         s.enter(CsCategory::PageLatch, true);
         let snap = s.snapshot();
         assert_eq!(snap.contentious(), 2);
-        assert_eq!(snap.total_contended(), 4);
     }
 
     #[test]

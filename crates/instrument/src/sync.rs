@@ -1,14 +1,14 @@
 //! Instrumented synchronization primitives.
 //!
-//! Every mutex or reader-writer lock protecting storage-manager state is a
-//! *critical section* in the paper's terminology.  These wrappers behave like
-//! `parking_lot::Mutex`/`RwLock` but report each acquisition (and whether it
-//! was contended) into a [`StatsRegistry`] under a fixed [`CsCategory`].
+//! Every mutex protecting storage-manager state is a *critical section* in
+//! the paper's terminology.  [`InstrumentedMutex`] behaves like
+//! `parking_lot::Mutex` but reports each acquisition (and whether it was
+//! contended) into a [`StatsRegistry`] under a fixed [`CsCategory`].
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::stats::{CsCategory, StatsRegistry};
 
@@ -47,59 +47,6 @@ impl<T> InstrumentedMutex<T> {
     /// Acquire without recording any statistics (used on shutdown paths).
     pub fn lock_uninstrumented(&self) -> MutexGuard<'_, T> {
         self.inner.lock()
-    }
-
-    pub fn category(&self) -> CsCategory {
-        self.category
-    }
-}
-
-/// A reader-writer lock whose acquisitions are counted as critical sections.
-#[derive(Debug)]
-pub struct InstrumentedRwLock<T> {
-    inner: RwLock<T>,
-    category: CsCategory,
-    stats: Arc<StatsRegistry>,
-}
-
-impl<T> InstrumentedRwLock<T> {
-    pub fn new(value: T, category: CsCategory, stats: Arc<StatsRegistry>) -> Self {
-        Self {
-            inner: RwLock::new(value),
-            category,
-            stats,
-        }
-    }
-
-    pub fn read(&self) -> (RwLockReadGuard<'_, T>, u64) {
-        if let Some(g) = self.inner.try_read() {
-            self.stats.cs().enter(self.category, false);
-            (g, 0)
-        } else {
-            let start = Instant::now();
-            let g = self.inner.read();
-            let waited = start.elapsed().as_nanos() as u64;
-            self.stats.cs().enter(self.category, true);
-            (g, waited)
-        }
-    }
-
-    pub fn write(&self) -> (RwLockWriteGuard<'_, T>, u64) {
-        if let Some(g) = self.inner.try_write() {
-            self.stats.cs().enter(self.category, false);
-            (g, 0)
-        } else {
-            let start = Instant::now();
-            let g = self.inner.write();
-            let waited = start.elapsed().as_nanos() as u64;
-            self.stats.cs().enter(self.category, true);
-            (g, waited)
-        }
-    }
-
-    /// Read without recording statistics (used by background observers).
-    pub fn read_uninstrumented(&self) -> RwLockReadGuard<'_, T> {
-        self.inner.read()
     }
 }
 
@@ -148,28 +95,10 @@ mod tests {
     }
 
     #[test]
-    fn rwlock_reads_and_writes() {
-        let stats = StatsRegistry::new_shared();
-        let l = InstrumentedRwLock::new(vec![1, 2, 3], CsCategory::Metadata, stats.clone());
-        {
-            let (g, _) = l.read();
-            assert_eq!(g.len(), 3);
-        }
-        {
-            let (mut g, _) = l.write();
-            g.push(4);
-        }
-        let snap = stats.snapshot();
-        assert_eq!(snap.cs.entries(CsCategory::Metadata), 2);
-    }
-
-    #[test]
     fn uninstrumented_paths_do_not_count() {
         let stats = StatsRegistry::new_shared();
         let m = InstrumentedMutex::new((), CsCategory::Bpool, stats.clone());
         drop(m.lock_uninstrumented());
-        let l = InstrumentedRwLock::new((), CsCategory::Bpool, stats.clone());
-        drop(l.read_uninstrumented());
         assert_eq!(stats.snapshot().cs.entries(CsCategory::Bpool), 0);
     }
 }

@@ -29,7 +29,7 @@ use parking_lot::Mutex;
 use crate::report::json_string_literal;
 
 /// Events per ring. At 4 words/event this is 8 KiB per traced thread.
-pub const DEFAULT_RING_EVENTS: usize = 256;
+const DEFAULT_RING_EVENTS: usize = 256;
 
 /// Rings retained by a [`TraceRegistry`] (bounds memory when a process
 /// churns through many short-lived sessions).  At the cap a registration
@@ -424,11 +424,7 @@ impl TraceRegistry {
         self.register_with_capacity(label, DEFAULT_RING_EVENTS)
     }
 
-    pub fn register_with_capacity(
-        &self,
-        label: impl Into<String>,
-        capacity: usize,
-    ) -> Arc<TraceRing> {
+    fn register_with_capacity(&self, label: impl Into<String>, capacity: usize) -> Arc<TraceRing> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let ring = Arc::new(TraceRing::new(id, label.into(), capacity));
         let mut rings = self.rings.lock();

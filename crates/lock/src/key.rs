@@ -41,10 +41,6 @@ impl LockId {
             LockId::Table(t) | LockId::Key(t, _) => Some(t),
         }
     }
-
-    pub fn is_key(self) -> bool {
-        matches!(self, LockId::Key(_, _))
-    }
 }
 
 impl fmt::Display for LockId {
@@ -75,8 +71,6 @@ mod tests {
     fn accessors_and_display() {
         assert_eq!(LockId::Key(1, 2).table(), Some(1));
         assert_eq!(LockId::Database.table(), None);
-        assert!(LockId::Key(1, 2).is_key());
-        assert!(!LockId::Table(1).is_key());
         assert_eq!(LockId::Key(1, 2).to_string(), "key(1,2)");
         assert_eq!(LockId::Table(9).to_string(), "table(9)");
         assert_eq!(LockId::Database.to_string(), "db");

@@ -27,6 +27,6 @@ pub mod sli;
 
 pub use key::LockId;
 pub use local::LocalLockTable;
-pub use manager::{LockError, LockManager, LockRequestOutcome};
+pub use manager::{LockError, LockManager};
 pub use mode::LockMode;
 pub use sli::AgentLockCache;

@@ -36,7 +36,6 @@ pub enum LocalLockOutcome {
 #[derive(Debug, Default)]
 pub struct LocalLockTable {
     heads: HashMap<LockId, Vec<(u64, LockMode)>>,
-    acquisitions: u64,
 }
 
 impl LocalLockTable {
@@ -44,15 +43,8 @@ impl LocalLockTable {
         Self::default()
     }
 
-    /// Total lock requests served (diagnostic; shows work happens even though
-    /// no critical sections are entered).
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
-    }
-
     /// Request `id` in `mode` for `txn`.
     pub fn acquire(&mut self, txn: u64, id: LockId, mode: LockMode) -> LocalLockOutcome {
-        self.acquisitions += 1;
         let head = self.heads.entry(id).or_default();
         if let Some((_, held)) = head.iter().find(|(t, _)| *t == txn) {
             if held.covers(mode) {
@@ -111,7 +103,6 @@ mod tests {
             LocalLockOutcome::AlreadyHeld
         );
         assert_eq!(t.held_mode(1, LockId::Key(1, 5)), Some(LockMode::X));
-        assert_eq!(t.acquisitions(), 2);
     }
 
     #[test]

@@ -113,7 +113,7 @@ impl LockManager {
         Self::with_timeout(stats, Duration::from_millis(100))
     }
 
-    pub fn with_timeout(stats: Arc<StatsRegistry>, timeout: Duration) -> Self {
+    fn with_timeout(stats: Arc<StatsRegistry>, timeout: Duration) -> Self {
         Self {
             shards: (0..N_SHARDS)
                 .map(|_| {

@@ -53,10 +53,6 @@ impl AgentLockCache {
         }
     }
 
-    pub fn agent_txn_id(&self) -> u64 {
-        self.agent_txn_id
-    }
-
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -120,7 +116,8 @@ impl AgentLockCache {
     }
 
     /// Number of locks currently inherited by the agent.
-    pub fn inherited_count(&self) -> usize {
+    #[cfg(test)]
+    fn inherited_count(&self) -> usize {
         self.inherited.len()
     }
 

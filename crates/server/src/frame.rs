@@ -36,16 +36,16 @@ use plp_core::{ActionOutput, ErrorCode, Op, Response, TableId};
 use plp_wal::segment::crc32;
 
 /// `"PLP1"` interpreted as a little-endian u32.
-pub const MAGIC: u32 = 0x504C_5031;
+const MAGIC: u32 = 0x504C_5031;
 /// The only protocol version this build speaks.
-pub const PROTOCOL_VERSION: u8 = 1;
+const PROTOCOL_VERSION: u8 = 1;
 /// Fixed header bytes after the length prefix (magic..payload_len).
-pub const HEADER_LEN: usize = 40;
+const HEADER_LEN: usize = 40;
 /// Smallest valid `len` value: header + trailing CRC, zero payload.
 pub const MIN_REMAINDER: usize = HEADER_LEN + 4;
 /// Largest `len` a peer may send.  Larger frames are skipped (streaming, so
 /// a hostile length cannot balloon memory) and rejected softly.
-pub const MAX_FRAME: usize = 16 * 1024 * 1024;
+const MAX_FRAME: usize = 16 * 1024 * 1024;
 
 /// Frame opcodes.  Requests are 0–15, responses 16–31; codes are wire-stable
 /// and may only be appended (see the `opcodes_are_pinned` test).
@@ -434,7 +434,7 @@ fn skip(r: &mut impl Read, n: u64) -> io::Result<()> {
 /// Encode a response's per-op outputs: `u32` count, then per output a `u32`
 /// value count + `u64` values and a `u32` row count + (`u32` length, bytes)
 /// rows.
-pub fn encode_outputs(outputs: &[ActionOutput]) -> Vec<u8> {
+fn encode_outputs(outputs: &[ActionOutput]) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(&(outputs.len() as u32).to_le_bytes());
     for out in outputs {
@@ -452,7 +452,7 @@ pub fn encode_outputs(outputs: &[ActionOutput]) -> Vec<u8> {
 }
 
 /// Inverse of [`encode_outputs`]; `None` on any truncation or trailing junk.
-pub fn decode_outputs(bytes: &[u8]) -> Option<Vec<ActionOutput>> {
+fn decode_outputs(bytes: &[u8]) -> Option<Vec<ActionOutput>> {
     let mut cur = bytes;
     let n = take_u32(&mut cur)?;
     let mut outputs = Vec::with_capacity(n.min(1024) as usize);

@@ -25,7 +25,5 @@
 pub mod frame;
 pub mod server;
 
-pub use frame::{
-    read_frame, Frame, OpCode, ReadOutcome, SoftError, MAGIC, MAX_FRAME, PROTOCOL_VERSION,
-};
+pub use frame::{read_frame, Frame, OpCode, ReadOutcome};
 pub use server::{Server, ServerConfig};

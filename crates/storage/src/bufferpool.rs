@@ -94,14 +94,6 @@ impl BufferPool {
         self.shards.iter().map(|s| s.read().len()).sum()
     }
 
-    /// Number of pages of a specific kind.
-    pub fn page_count_of(&self, kind: PageKind) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().values().filter(|f| f.kind() == kind).count())
-            .sum()
-    }
-
     /// Collect the ids of all dirty pages.  Used by the page cleaner; counted
     /// as one buffer-pool critical section per shard scanned.
     pub fn dirty_pages(&self) -> Vec<PageId> {
@@ -112,17 +104,6 @@ impl BufferPool {
             out.extend(g.values().filter(|f| f.is_dirty()).map(|f| f.id()));
         }
         out
-    }
-
-    /// Apply `f` to every frame (used for loading, ownership assignment and
-    /// verification; not an instrumented hot path).
-    pub fn for_each_frame(&self, mut f: impl FnMut(&Arc<Frame>)) {
-        for shard in &self.shards {
-            let g = shard.read();
-            for frame in g.values() {
-                f(frame);
-            }
-        }
     }
 
     /// Drop a page from the pool entirely (used when melds recycle empty
@@ -158,8 +139,6 @@ mod tests {
         let g = bp.get(f.id()).unwrap();
         assert_eq!(g.id(), f.id());
         assert_eq!(bp.page_count(), 1);
-        assert_eq!(bp.page_count_of(PageKind::Index), 1);
-        assert_eq!(bp.page_count_of(PageKind::Heap), 0);
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl PageCleaner {
         }
     }
 
-    pub fn with_write_latency(mut self, latency: Duration) -> Self {
-        self.write_latency = latency;
-        self
-    }
-
     /// Conventional cleaning: latch each dirty page shared, "write" it, then
     /// mark it clean.  Returns the number of pages cleaned.
     pub fn clean_pass(&self) -> usize {

@@ -54,14 +54,7 @@ pub enum Access {
     Owned(OwnerToken),
 }
 
-impl Access {
-    pub fn owner_token(self) -> Option<OwnerToken> {
-        match self {
-            Access::Latched => None,
-            Access::Owned(t) => Some(t),
-        }
-    }
-}
+impl Access {}
 
 /// One buffer-pool frame: a page plus its latch, dirty bit and owner tag.
 pub struct Frame {
@@ -70,7 +63,6 @@ pub struct Frame {
     latch: RwLock<()>,
     data: UnsafeCell<Page>,
     dirty: AtomicBool,
-    page_lsn: AtomicU64,
     /// Owner token of the partition that has exclusive (latch-free) access, or
     /// 0 when the page is accessed through the latch like any shared page.
     owner: AtomicU64,
@@ -91,7 +83,6 @@ impl Frame {
             latch: RwLock::new(()),
             data: UnsafeCell::new(Page::new()),
             dirty: AtomicBool::new(false),
-            page_lsn: AtomicU64::new(0),
             owner: AtomicU64::new(0),
             stats,
         }
@@ -110,7 +101,7 @@ impl Frame {
     }
 
     // ------------------------------------------------------------------
-    // Dirty / LSN bookkeeping
+    // Dirty bookkeeping
     // ------------------------------------------------------------------
 
     pub fn is_dirty(&self) -> bool {
@@ -123,14 +114,6 @@ impl Frame {
 
     pub fn mark_clean(&self) {
         self.dirty.store(false, Ordering::Release);
-    }
-
-    pub fn page_lsn(&self) -> u64 {
-        self.page_lsn.load(Ordering::Acquire)
-    }
-
-    pub fn set_page_lsn(&self, lsn: u64) {
-        self.page_lsn.store(lsn, Ordering::Release);
     }
 
     // ------------------------------------------------------------------
@@ -223,7 +206,7 @@ impl Frame {
     /// guarantees that only the holder of the owning partition's claim ever
     /// calls this, so the check is a cheap guard against routing bugs, not a
     /// synchronization mechanism.
-    pub fn owned_ref(&self, token: OwnerToken) -> &Page {
+    fn owned_ref(&self, token: OwnerToken) -> &Page {
         self.check_owner(token);
         self.stats.latches().bypassed(self.kind);
         // SAFETY: the owner protocol guarantees this thread is the only one
@@ -242,7 +225,7 @@ impl Frame {
     /// owner-token check catches accidental misuse (wrong routing) but cannot
     /// catch two threads deliberately sharing a token.
     #[allow(clippy::mut_from_ref)]
-    pub fn owned_mut(&self, token: OwnerToken) -> &mut Page {
+    fn owned_mut(&self, token: OwnerToken) -> &mut Page {
         self.check_owner(token);
         self.stats.latches().bypassed(self.kind);
         self.mark_dirty();
@@ -443,11 +426,9 @@ mod tests {
     }
 
     #[test]
-    fn lsn_and_dirty_flags() {
+    fn dirty_flags() {
         let f = frame();
         assert!(!f.is_dirty());
-        f.set_page_lsn(42);
-        assert_eq!(f.page_lsn(), 42);
         f.mark_dirty();
         assert!(f.is_dirty());
         f.mark_clean();

@@ -85,22 +85,15 @@ impl FreeSpaceMap {
     }
 
     /// Number of pages currently registered across all buckets.
-    pub fn registered_pages(&self) -> usize {
+    fn registered_pages(&self) -> usize {
         let (_latch, _) = self.anchor.write_latched();
         self.buckets.lock().values().map(|v| v.len()).sum()
     }
 
     /// Number of distinct buckets.
-    pub fn bucket_count(&self) -> usize {
+    fn bucket_count(&self) -> usize {
         let (_latch, _) = self.anchor.write_latched();
         self.buckets.lock().len()
-    }
-
-    /// Remove every page registered under `key`, returning them (used when a
-    /// partition or leaf is dissolved during repartitioning).
-    pub fn drain_bucket(&self, key: HintKey) -> Vec<PageId> {
-        let (_latch, _) = self.anchor.write_latched();
-        self.buckets.lock().remove(&key).unwrap_or_default()
     }
 }
 
@@ -160,10 +153,11 @@ mod tests {
         fsm.register(HintKey::Global, PageId(2));
         fsm.unregister(HintKey::Global, PageId(2));
         assert_eq!(fsm.candidate(HintKey::Global), Some(PageId(1)));
-        let drained = fsm.drain_bucket(HintKey::Global);
-        assert_eq!(drained, vec![PageId(1)]);
+        // Unregistering the last page drops the bucket itself.
+        fsm.unregister(HintKey::Global, PageId(1));
         assert_eq!(fsm.registered_pages(), 0);
-        assert!(fsm.drain_bucket(HintKey::Global).is_empty());
+        assert_eq!(fsm.bucket_count(), 0);
+        assert!(fsm.candidate(HintKey::Global).is_none());
     }
 
     #[test]

@@ -258,27 +258,6 @@ impl HeapFile {
         Ok(visited)
     }
 
-    /// Scan only the pages listed (used by PLP to parallelise scans across
-    /// partition workers, each scanning its own pages).
-    pub fn scan_pages(
-        &self,
-        pages: &[PageId],
-        access: Access,
-        mut f: impl FnMut(Rid, &[u8]),
-    ) -> StorageResult<usize> {
-        let mut visited = 0;
-        for &id in pages {
-            let frame = self.pool.get(id)?;
-            frame.with_read_access(access, |page| {
-                for (slot, bytes) in SlottedPage::iter(page) {
-                    f(Rid::new(id, slot), bytes);
-                    visited += 1;
-                }
-            });
-        }
-        Ok(visited)
-    }
-
     /// Total live records across the file (test/verification helper).
     pub fn live_records(&self) -> usize {
         let mut n = 0;
@@ -288,11 +267,6 @@ impl HeapFile {
             }
         }
         n
-    }
-
-    /// The free-space map (exposed for repartitioning, which re-buckets pages).
-    pub fn free_space_map(&self) -> &FreeSpaceMap {
-        &self.fsm
     }
 
     /// Buffer pool this file allocates from.
@@ -460,20 +434,5 @@ mod tests {
             .unwrap();
         assert_eq!(rid2.page, rid.page);
         assert_eq!(h.page_count(), pages_before);
-    }
-
-    #[test]
-    fn scan_pages_subset() {
-        let h = heap(PlacementPolicy::Regular);
-        let rec = vec![7u8; 3000];
-        for _ in 0..6 {
-            h.insert(&rec, PlacementHint::None, Access::Latched)
-                .unwrap();
-        }
-        let pages = h.page_ids();
-        assert!(pages.len() >= 3);
-        let first = &pages[..1];
-        let n = h.scan_pages(first, Access::Latched, |_, _| {}).unwrap();
-        assert!((1..6).contains(&n));
     }
 }

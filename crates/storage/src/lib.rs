@@ -35,7 +35,7 @@ pub mod slotted;
 pub use bufferpool::BufferPool;
 pub use cleaner::PageCleaner;
 pub use error::{StorageError, StorageResult};
-pub use frame::{Access, Frame, OwnerToken, PageReadGuard, PageWriteGuard};
+pub use frame::{Access, Frame, OwnerToken};
 pub use freespace::{FreeSpaceMap, HintKey};
 pub use heapfile::{HeapFile, PlacementHint, PlacementPolicy};
 pub use page::{Page, PageId, PAGE_SIZE};

@@ -46,7 +46,7 @@ impl SlottedPage {
         page.write_page_id(OFF_OWNER_LEAF, PageId::INVALID);
     }
 
-    pub fn slot_count(page: &Page) -> u16 {
+    fn slot_count(page: &Page) -> u16 {
         page.read_u16(OFF_NSLOTS)
     }
 
@@ -93,7 +93,7 @@ impl SlottedPage {
     }
 
     /// Bytes of contiguous free space (between the slot directory and data).
-    pub fn free_space(page: &Page) -> usize {
+    fn free_space(page: &Page) -> usize {
         let nslots = Self::slot_count(page) as usize;
         let dir_end = SLOT_DIR_START + nslots * SLOT_ENTRY_SIZE;
         Self::free_ptr(page).saturating_sub(dir_end)
@@ -101,7 +101,7 @@ impl SlottedPage {
 
     /// Whether a record of `len` bytes can be inserted (possibly reusing a
     /// deleted slot, otherwise growing the directory by one entry).
-    pub fn can_fit(page: &Page, len: usize) -> bool {
+    fn can_fit(page: &Page, len: usize) -> bool {
         if len > MAX_RECORD_SIZE {
             return false;
         }

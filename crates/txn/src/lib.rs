@@ -19,7 +19,7 @@ pub mod manager;
 pub mod xct;
 
 pub use manager::TxnManager;
-pub use xct::{Transaction, TxnId, TxnState};
+pub use xct::{Transaction, TxnState};
 
 #[cfg(test)]
 mod tests {

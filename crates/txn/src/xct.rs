@@ -4,7 +4,7 @@ use plp_lock::LockId;
 use plp_wal::{LogRecord, LogRecordKind, TxnLogHandle, UpdatePayload};
 
 /// Transaction identifier.
-pub type TxnId = u64;
+pub(crate) type TxnId = u64;
 
 /// Lifecycle state of a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +63,7 @@ impl Transaction {
     // ------------------------------------------------------------------
 
     /// Remember a central lock so it is released at commit/abort.
-    pub fn record_lock(&mut self, id: LockId) {
+    fn record_lock(&mut self, id: LockId) {
         if !self.held_locks.contains(&id) {
             self.held_locks.push(id);
         }
@@ -93,20 +93,8 @@ impl Transaction {
         &mut self.log
     }
 
-    /// Convenience wrappers used by the engines' data-access layer.  They
-    /// stage *physiological redo* records (real payload bytes) locally; the
-    /// records reach the shared buffer at commit/abort time.
-    pub fn log_insert(&mut self, table: u32, key: u64, record: &[u8], secondary: Option<u64>) {
-        self.log.push_record(LogRecord::with_payload(
-            self.id,
-            LogRecordKind::Insert,
-            table,
-            key,
-            secondary,
-            record.to_vec(),
-        ));
-    }
-
+    /// Stage a *physiological redo* record (real payload bytes) locally; it
+    /// reaches the shared buffer at commit/abort time.
     pub fn log_update(&mut self, table: u32, key: u64, before: &[u8], after: &[u8]) {
         self.log.push_record(LogRecord::with_payload(
             self.id,
@@ -115,17 +103,6 @@ impl Transaction {
             key,
             None,
             UpdatePayload::encode(before, after),
-        ));
-    }
-
-    pub fn log_delete(&mut self, table: u32, key: u64, secondary: Option<u64>) {
-        self.log.push_record(LogRecord::with_payload(
-            self.id,
-            LogRecordKind::Delete,
-            table,
-            key,
-            secondary,
-            Vec::new(),
         ));
     }
 
@@ -175,10 +152,9 @@ mod tests {
     #[test]
     fn logging_wrappers_stage_records() {
         let mut t = txn();
-        t.log_insert(0, 1, b"record-bytes", Some(101));
         t.log_update(0, 2, b"before", b"after!");
-        t.log_delete(0, 3, None);
-        assert_eq!(t.records_logged(), 3);
+        t.log_update(0, 3, b"after!", b"again!");
+        assert_eq!(t.records_logged(), 2);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::segment::{
 
 /// One on-disk segment discovered by [`list_segments`].
 #[derive(Debug, Clone)]
-pub struct SegmentInfo {
+pub(crate) struct SegmentInfo {
     pub path: PathBuf,
     pub base_lsn: Lsn,
     /// File length in bytes (header included).
@@ -39,7 +39,7 @@ pub struct SegmentInfo {
 
 /// List the segment files of a log directory in base-LSN order.  Files whose
 /// header does not parse are ignored (they are not part of the log).
-pub fn list_segments(dir: &Path) -> io::Result<Vec<SegmentInfo>> {
+pub(crate) fn list_segments(dir: &Path) -> io::Result<Vec<SegmentInfo>> {
     let mut segments = Vec::new();
     if !dir.exists() {
         return Ok(segments);
@@ -71,7 +71,7 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<SegmentInfo>> {
 /// `valid_payload_bytes` is the record-byte count after the header up to the
 /// last valid record, and `clean` is false when a torn/corrupt record (or
 /// trailing garbage) was found.
-pub fn walk_segment(
+pub(crate) fn walk_segment(
     info: &SegmentInfo,
     mut visit: impl FnMut(LogRecord),
 ) -> io::Result<(u64, Lsn, bool)> {

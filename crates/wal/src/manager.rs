@@ -512,12 +512,14 @@ impl LogManager {
     }
 
     /// Highest LSN known written out (drained from the buffer).
-    pub fn durable_lsn(&self) -> Lsn {
+    #[cfg(test)]
+    fn durable_lsn(&self) -> Lsn {
         self.flusher.durable.lock().written
     }
 
     /// Highest LSN known fsynced to stable storage.
-    pub fn synced_lsn(&self) -> Lsn {
+    #[cfg(test)]
+    fn synced_lsn(&self) -> Lsn {
         self.flusher.durable.lock().synced
     }
 
@@ -527,7 +529,8 @@ impl LogManager {
     }
 
     /// Total log bytes ever appended.
-    pub fn byte_count(&self) -> u64 {
+    #[cfg(test)]
+    fn byte_count(&self) -> u64 {
         self.buffer.total_bytes()
     }
 

@@ -57,10 +57,6 @@ pub enum LogRecordKind {
 }
 
 impl LogRecordKind {
-    pub fn is_transaction_boundary(self) -> bool {
-        matches!(self, LogRecordKind::Commit | LogRecordKind::Abort)
-    }
-
     /// Whether records of this kind describe a data change that recovery
     /// replays (when the owning transaction committed).
     pub fn is_redo(self) -> bool {
@@ -417,10 +413,6 @@ mod tests {
 
     #[test]
     fn boundary_kinds() {
-        assert!(LogRecordKind::Commit.is_transaction_boundary());
-        assert!(LogRecordKind::Abort.is_transaction_boundary());
-        assert!(!LogRecordKind::Insert.is_transaction_boundary());
-        assert!(!LogRecordKind::Smo.is_transaction_boundary());
         assert!(LogRecordKind::Insert.is_redo());
         assert!(!LogRecordKind::Checkpoint.is_redo());
     }

@@ -45,13 +45,13 @@ use crate::record::{
 };
 
 /// Magic at the start of every segment file: "PLPWAL01".
-pub const SEGMENT_MAGIC: u64 = u64::from_le_bytes(*b"PLPWAL01");
+const SEGMENT_MAGIC: u64 = u64::from_le_bytes(*b"PLPWAL01");
 /// On-disk format version.
-pub const SEGMENT_VERSION: u32 = 1;
+const SEGMENT_VERSION: u32 = 1;
 /// Size of the segment header.
 pub const SEGMENT_HEADER_BYTES: usize = 32;
 /// Magic at the start of every record header ("PR").
-pub const RECORD_MAGIC: u16 = 0x5052;
+const RECORD_MAGIC: u16 = 0x5052;
 
 /// Default segment roll target (new segment once the current one exceeds it).
 pub const DEFAULT_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;

@@ -56,16 +56,6 @@ pub mod fields {
         record[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
     }
 
-    /// Read a `u32` field at `offset`.
-    pub fn get_u32(record: &[u8], offset: usize) -> u32 {
-        u32::from_le_bytes(record[offset..offset + 4].try_into().unwrap())
-    }
-
-    /// Write a `u32` field at `offset`.
-    pub fn set_u32(record: &mut [u8], offset: usize, value: u32) {
-        record[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
-    }
-
     /// Add a signed delta to a `u64` field (wrapping; balances never go
     /// negative in the generated workloads).
     pub fn add_u64(record: &mut [u8], offset: usize, delta: i64) {
@@ -82,8 +72,6 @@ pub mod fields {
             let mut r = vec![0u8; 32];
             set_u64(&mut r, 8, 1234);
             assert_eq!(get_u64(&r, 8), 1234);
-            set_u32(&mut r, 20, 77);
-            assert_eq!(get_u32(&r, 20), 77);
             add_u64(&mut r, 8, -234);
             assert_eq!(get_u64(&r, 8), 1000);
         }

@@ -85,7 +85,7 @@ pub struct ProbeInsertMix {
 }
 
 /// The single table used by [`ProbeInsertMix`].
-pub const ROWS: TableId = TableId(0);
+const ROWS: TableId = TableId(0);
 
 impl ProbeInsertMix {
     /// `rows` are pre-loaded (dense keys `0..rows`); inserts draw random keys
@@ -96,10 +96,6 @@ impl ProbeInsertMix {
             key_space: (rows.max(100)) * 64,
             insert_pct: insert_pct.min(100),
         }
-    }
-
-    pub fn insert_pct(&self) -> u32 {
-        self.insert_pct
     }
 }
 
@@ -229,12 +225,6 @@ impl SkewedProbe {
         }
     }
 
-    /// Fraction (percent) of transactions that update the subscriber row.
-    pub fn with_update_pct(mut self, pct: u32) -> Self {
-        self.update_pct = pct.min(100);
-        self
-    }
-
     /// Relocate the hot range so it starts at subscriber `offset`.
     pub fn shift_to(&self, offset: u64) {
         self.keys.shift_to(offset);
@@ -259,7 +249,7 @@ impl SkewedProbe {
     /// The update op rebuilds the record from [`Tatp::subscriber_record`] and
     /// overwrites VLR_LOCATION — equivalent to the old in-place field patch
     /// because this workload never modifies any other subscriber field.
-    pub fn next_request(&self, rng: &mut ChaCha8Rng) -> Request {
+    fn next_request(&self, rng: &mut ChaCha8Rng) -> Request {
         let s_id = self.keys.sample(rng);
         if rng.gen_range(0..100) < self.update_pct {
             let location: u64 = rng.gen();
@@ -326,7 +316,7 @@ mod tests {
     #[test]
     fn probe_insert_mix_ratio() {
         let w = ProbeInsertMix::new(1_000, 40);
-        assert_eq!(w.insert_pct(), 40);
+        assert_eq!(w.insert_pct, 40);
         assert_eq!(w.schema().len(), 1);
     }
 
@@ -371,7 +361,8 @@ mod tests {
 
     #[test]
     fn skewed_probe_declarative_requests_route_by_subscriber() {
-        let w = SkewedProbe::new(1_000, SkewKind::Uniform).with_update_pct(50);
+        let mut w = SkewedProbe::new(1_000, SkewKind::Uniform);
+        w.update_pct = 50;
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let (mut updates, mut reads) = (0u32, 0u32);
         for _ in 0..200 {

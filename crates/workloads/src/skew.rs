@@ -91,20 +91,6 @@ impl SkewedKeys {
         Self::new(key_space, SkewKind::Uniform)
     }
 
-    pub fn hotspot(key_space: u64, fraction: f64, probability: f64) -> Self {
-        Self::new(
-            key_space,
-            SkewKind::HotSpot {
-                fraction,
-                probability,
-            },
-        )
-    }
-
-    pub fn zipfian(key_space: u64, theta: f64) -> Self {
-        Self::new(key_space, SkewKind::Zipfian { theta })
-    }
-
     pub fn key_space(&self) -> u64 {
         self.key_space
     }
@@ -213,7 +199,13 @@ mod tests {
 
     #[test]
     fn hotspot_concentrates_then_shifts() {
-        let keys = SkewedKeys::hotspot(10_000, 0.1, 0.9);
+        let keys = SkewedKeys::new(
+            10_000,
+            SkewKind::HotSpot {
+                fraction: 0.1,
+                probability: 0.9,
+            },
+        );
         let h = histogram(&keys, 10_000, 10, 2);
         assert!(h[0] > 8_000, "hot bucket holds ~91%: {h:?}");
         // Shift the hotspot to the back half.
@@ -226,7 +218,7 @@ mod tests {
 
     #[test]
     fn zipfian_is_head_heavy_and_shiftable() {
-        let keys = SkewedKeys::zipfian(10_000, 0.99);
+        let keys = SkewedKeys::new(10_000, SkewKind::Zipfian { theta: 0.99 });
         let h = histogram(&keys, 20_000, 100, 4);
         // The first percentile of keys should dominate any middle percentile.
         assert!(
@@ -247,7 +239,13 @@ mod tests {
 
     #[test]
     fn hot_range_tracks_shift() {
-        let keys = SkewedKeys::hotspot(1_000, 0.05, 0.9);
+        let keys = SkewedKeys::new(
+            1_000,
+            SkewKind::HotSpot {
+                fraction: 0.05,
+                probability: 0.9,
+            },
+        );
         assert_eq!(keys.hot_range(), (0, 50));
         keys.shift_to(600);
         assert_eq!(keys.hot_range(), (600, 650));
@@ -256,6 +254,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "theta")]
     fn zipf_rejects_bad_theta() {
-        SkewedKeys::zipfian(100, 1.5);
+        SkewedKeys::new(100, SkewKind::Zipfian { theta: 1.5 });
     }
 }

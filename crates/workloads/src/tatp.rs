@@ -35,11 +35,11 @@ pub mod sub_fields {
     /// `sub_nbr` (the secondary key).
     pub const SUB_NBR: usize = 0;
     /// Packed bit flags.
-    pub const BITS: usize = 8;
+    pub(crate) const BITS: usize = 8;
     /// Packed hex digits.
-    pub const HEX: usize = 16;
+    pub(crate) const HEX: usize = 16;
     /// `msc_location`.
-    pub const MSC_LOCATION: usize = 24;
+    pub(crate) const MSC_LOCATION: usize = 24;
     /// `vlr_location`.
     pub const VLR_LOCATION: usize = 32;
     pub const RECORD_SIZE: usize = 100;
@@ -82,21 +82,6 @@ impl Tatp {
             subscribers,
             skew: crate::skew::SkewedKeys::uniform(subscribers),
         }
-    }
-
-    /// Skew the access pattern: `probability` of requests target the first
-    /// `fraction` of subscribers.
-    pub fn with_hotspot(self, fraction: f64, probability: f64) -> Self {
-        self.with_skew(crate::skew::SkewKind::HotSpot {
-            fraction,
-            probability,
-        })
-    }
-
-    /// Use an arbitrary skewed subscriber distribution.
-    pub fn with_skew(mut self, kind: crate::skew::SkewKind) -> Self {
-        self.skew = crate::skew::SkewedKeys::new(self.subscribers, kind);
-        self
     }
 
     /// The subscriber-id sampler; shift its hot range mid-run with
@@ -148,7 +133,7 @@ impl Tatp {
 
     /// GetNewDestination: read a special facility and its active call
     /// forwarding entries (read-only).
-    pub fn get_new_destination(&self, s_id: u64, sf_type: u64) -> TransactionPlan {
+    fn get_new_destination(&self, s_id: u64, sf_type: u64) -> TransactionPlan {
         TransactionPlan::single(Action::new(SPECIAL_FACILITY, s_id * 4, move |ctx| {
             let sf = ctx.read(SPECIAL_FACILITY, special_facility_key(s_id, sf_type))?;
             let mut out = ActionOutput::empty();
@@ -165,7 +150,7 @@ impl Tatp {
     }
 
     /// GetAccessData: read one access-info row (read-only).
-    pub fn get_access_data(&self, s_id: u64, ai_type: u64) -> TransactionPlan {
+    fn get_access_data(&self, s_id: u64, ai_type: u64) -> TransactionPlan {
         TransactionPlan::single(Action::new(ACCESS_INFO, s_id * 4, move |ctx| {
             let row = ctx.read(ACCESS_INFO, access_info_key(s_id, ai_type))?;
             Ok(ActionOutput::with_rows(row.into_iter().collect()))
@@ -174,7 +159,7 @@ impl Tatp {
 
     /// UpdateSubscriberData: update subscriber bits and special-facility data
     /// (two actions, exercising the multi-action rendezvous).
-    pub fn update_subscriber_data(&self, s_id: u64, sf_type: u64, bits: u64) -> TransactionPlan {
+    fn update_subscriber_data(&self, s_id: u64, sf_type: u64, bits: u64) -> TransactionPlan {
         TransactionPlan::parallel(vec![
             Action::new(SUBSCRIBER, s_id, move |ctx| {
                 let found = ctx.update(SUBSCRIBER, s_id, &mut |r| {
@@ -195,7 +180,7 @@ impl Tatp {
 
     /// UpdateLocation: look up the subscriber by number (secondary index) and
     /// update its VLR location.
-    pub fn update_location(&self, sub_nbr: u64, new_location: u64) -> TransactionPlan {
+    fn update_location(&self, sub_nbr: u64, new_location: u64) -> TransactionPlan {
         let s_id_guess = sub_nbr - SUB_NBR_OFFSET;
         TransactionPlan::single(Action::new(SUBSCRIBER, s_id_guess, move |ctx| {
             let s_id = ctx
@@ -210,7 +195,7 @@ impl Tatp {
 
     /// InsertCallForwarding: secondary lookup, check the special facility
     /// exists, then insert the call-forwarding row (second stage).
-    pub fn insert_call_forwarding(
+    fn insert_call_forwarding(
         &self,
         sub_nbr: u64,
         sf_type: u64,
@@ -246,7 +231,7 @@ impl Tatp {
     }
 
     /// DeleteCallForwarding: secondary lookup then delete the row.
-    pub fn delete_call_forwarding(
+    fn delete_call_forwarding(
         &self,
         sub_nbr: u64,
         sf_type: u64,
@@ -391,7 +376,14 @@ mod tests {
 
     #[test]
     fn hotspot_skews_subscriber_choice() {
-        let tatp = Tatp::new(10_000).with_hotspot(0.1, 0.5);
+        let mut tatp = Tatp::new(10_000);
+        tatp.skew = crate::skew::SkewedKeys::new(
+            tatp.subscribers,
+            crate::skew::SkewKind::HotSpot {
+                fraction: 0.1,
+                probability: 0.5,
+            },
+        );
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let hot = (0..10_000)
             .filter(|_| tatp.pick_subscriber(&mut rng) < 1_000)

@@ -20,28 +20,28 @@ use rand_chacha::ChaCha8Rng;
 use crate::fields;
 use crate::Workload;
 
-pub const BRANCH: TableId = TableId(0);
-pub const TELLER: TableId = TableId(1);
-pub const ACCOUNT: TableId = TableId(2);
-pub const HISTORY: TableId = TableId(3);
+const BRANCH: TableId = TableId(0);
+const TELLER: TableId = TableId(1);
+const ACCOUNT: TableId = TableId(2);
+const HISTORY: TableId = TableId(3);
 
-pub const TELLERS_PER_BRANCH: u64 = 10;
-pub const ACCOUNTS_PER_BRANCH: u64 = 10_000;
+const TELLERS_PER_BRANCH: u64 = 10;
+const ACCOUNTS_PER_BRANCH: u64 = 10_000;
 /// History rows are keyed per branch: `branch * HISTORY_SLOTS + seq`.
-pub const HISTORY_SLOTS: u64 = 1 << 24;
+const HISTORY_SLOTS: u64 = 1 << 24;
 
 /// Balance field offset shared by branch/teller/account records.
-pub const BALANCE_OFFSET: usize = 0;
+const BALANCE_OFFSET: usize = 0;
 const SMALL_RECORD: usize = 96;
 /// Padded record size used when the engine config enables padding (one record
 /// per 8 KiB page, the classic false-sharing workaround).
-pub const PADDED_RECORD: usize = 7_800;
+const PADDED_RECORD: usize = 7_800;
 
-pub fn teller_key(branch: u64, teller: u64) -> u64 {
+fn teller_key(branch: u64, teller: u64) -> u64 {
     branch * TELLERS_PER_BRANCH + teller
 }
 
-pub fn account_key(branch: u64, account: u64) -> u64 {
+fn account_key(branch: u64, account: u64) -> u64 {
     branch * ACCOUNTS_PER_BRANCH + account
 }
 
@@ -59,10 +59,6 @@ impl TpcB {
         }
     }
 
-    pub fn branches(&self) -> u64 {
-        self.branches
-    }
-
     fn record(db: &Database, seed: u64) -> Vec<u8> {
         let mut r = vec![0u8; SMALL_RECORD];
         fields::set_u64(&mut r, BALANCE_OFFSET, 1_000_000);
@@ -73,7 +69,7 @@ impl TpcB {
     /// The TPC-B account-update transaction as a plan: three balance updates
     /// plus a history insert, decomposed per table (all actions route to the
     /// branch's partition).
-    pub fn account_update(
+    fn account_update(
         &self,
         branch: u64,
         teller: u64,

@@ -17,51 +17,51 @@ use rand_chacha::ChaCha8Rng;
 use crate::fields;
 use crate::Workload;
 
-pub const WAREHOUSE: TableId = TableId(0);
-pub const DISTRICT: TableId = TableId(1);
-pub const CUSTOMER: TableId = TableId(2);
-pub const ITEM: TableId = TableId(3);
-pub const STOCK: TableId = TableId(4);
-pub const ORDERS: TableId = TableId(5);
-pub const ORDER_LINE: TableId = TableId(6);
+const WAREHOUSE: TableId = TableId(0);
+const DISTRICT: TableId = TableId(1);
+const CUSTOMER: TableId = TableId(2);
+const ITEM: TableId = TableId(3);
+const STOCK: TableId = TableId(4);
+const ORDERS: TableId = TableId(5);
+const ORDER_LINE: TableId = TableId(6);
 
-pub const DISTRICTS_PER_WAREHOUSE: u64 = 10;
-pub const CUSTOMERS_PER_DISTRICT: u64 = 3_000;
-pub const ITEMS: u64 = 100_000;
+const DISTRICTS_PER_WAREHOUSE: u64 = 10;
+const CUSTOMERS_PER_DISTRICT: u64 = 3_000;
+const ITEMS: u64 = 100_000;
 /// Order slots reserved per district.
-pub const ORDERS_PER_DISTRICT: u64 = 1 << 21;
-pub const MAX_ORDER_LINES: u64 = 15;
+const ORDERS_PER_DISTRICT: u64 = 1 << 21;
+const MAX_ORDER_LINES: u64 = 15;
 
-pub fn district_key(w: u64, d: u64) -> u64 {
+fn district_key(w: u64, d: u64) -> u64 {
     w * DISTRICTS_PER_WAREHOUSE + d
 }
 
-pub fn customer_key(w: u64, d: u64, c: u64) -> u64 {
+fn customer_key(w: u64, d: u64, c: u64) -> u64 {
     district_key(w, d) * CUSTOMERS_PER_DISTRICT + c
 }
 
-pub fn stock_key(w: u64, i: u64) -> u64 {
+fn stock_key(w: u64, i: u64) -> u64 {
     w * ITEMS + i
 }
 
-pub fn order_key(w: u64, d: u64, o: u64) -> u64 {
+fn order_key(w: u64, d: u64, o: u64) -> u64 {
     district_key(w, d) * ORDERS_PER_DISTRICT + o
 }
 
-pub fn order_line_key(w: u64, d: u64, o: u64, ol: u64) -> u64 {
+fn order_line_key(w: u64, d: u64, o: u64, ol: u64) -> u64 {
     order_key(w, d, o) * MAX_ORDER_LINES + ol
 }
 
 /// Record field offsets shared by several tables.
 pub mod off {
     /// year-to-date / balance style accumulator.
-    pub const YTD: usize = 0;
+    pub(crate) const YTD: usize = 0;
     /// district next order id.
-    pub const NEXT_O_ID: usize = 8;
+    pub(crate) const NEXT_O_ID: usize = 8;
     /// stock quantity.
-    pub const QUANTITY: usize = 8;
+    pub(crate) const QUANTITY: usize = 8;
     /// item price.
-    pub const PRICE: usize = 8;
+    pub(crate) const PRICE: usize = 8;
 }
 
 const RECORD_SIZE: usize = 96;
@@ -94,10 +94,6 @@ impl Tpcc {
         self
     }
 
-    pub fn warehouses(&self) -> u64 {
-        self.warehouses
-    }
-
     fn record(seed: u64) -> Vec<u8> {
         let mut r = vec![0u8; RECORD_SIZE];
         fields::set_u64(&mut r, off::YTD, 10_000);
@@ -107,7 +103,7 @@ impl Tpcc {
 
     /// NewOrder: read warehouse/customer, bump the district's next order id,
     /// read the items, update stock, then insert the order and its lines.
-    pub fn new_order(
+    fn new_order(
         &self,
         w: u64,
         d: u64,
@@ -191,7 +187,7 @@ impl Tpcc {
     }
 
     /// Payment: update warehouse, district and customer balances.
-    pub fn payment(&self, w: u64, d: u64, c: u64, amount: u64) -> TransactionPlan {
+    fn payment(&self, w: u64, d: u64, c: u64, amount: u64) -> TransactionPlan {
         let d_key = district_key(w, d);
         let c_key = customer_key(w, d, c % self.load_customers);
         TransactionPlan::parallel(vec![
@@ -217,7 +213,7 @@ impl Tpcc {
     }
 
     /// OrderStatus: read a customer and scan their most recent order lines.
-    pub fn order_status(&self, w: u64, d: u64, c: u64) -> TransactionPlan {
+    fn order_status(&self, w: u64, d: u64, c: u64) -> TransactionPlan {
         let c_key = customer_key(w, d, c % self.load_customers);
         TransactionPlan::single(Action::new(CUSTOMER, c_key, move |ctx| {
             let mut out = ActionOutput::empty();

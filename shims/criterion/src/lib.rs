@@ -30,12 +30,6 @@ impl BenchmarkId {
             name: format!("{}/{}", function_name.into(), parameter),
         }
     }
-
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        Self {
-            name: parameter.to_string(),
-        }
-    }
 }
 
 impl From<&str> for BenchmarkId {

@@ -49,7 +49,6 @@
 
 #[doc(hidden)]
 pub mod atomic;
-pub mod metrics;
 mod rt;
 pub mod sync;
 pub mod thread;

@@ -1234,7 +1234,6 @@ where
         driver.wait();
         let mut ex = exec.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(report) = ex.failed.take() {
-            crate::metrics::record_run(&stats, true);
             return Err(format!(
                 "loom: found a failing execution after {} iteration(s)\n{report}",
                 stats.iterations
@@ -1248,10 +1247,7 @@ where
         // exhausted tail.  An empty path means the tree is exhausted.
         loop {
             match path.last_mut() {
-                None => {
-                    crate::metrics::record_run(&stats, false);
-                    return Ok(stats);
-                }
+                None => return Ok(stats),
                 Some(cp) if cp.chosen + 1 < cp.options => {
                     cp.chosen += 1;
                     break;

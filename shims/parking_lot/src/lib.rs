@@ -67,14 +67,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn get_mut(&mut self) -> &mut T {
         unpoison(self.inner.get_mut())
     }
-
-    pub fn is_locked(&self) -> bool {
-        match self.inner.try_lock() {
-            Ok(_) => false,
-            Err(std::sync::TryLockError::Poisoned(_)) => false,
-            Err(std::sync::TryLockError::WouldBlock) => true,
-        }
-    }
 }
 
 impl<T: Default> Default for Mutex<T> {

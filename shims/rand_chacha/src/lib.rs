@@ -1,6 +1,6 @@
 //! Offline stand-in for the `rand_chacha` crate.
 //!
-//! Implements a genuine ChaCha keystream generator (8, 12 and 20 round
+//! Implements a genuine ChaCha keystream generator (8 and 20 round
 //! variants) over the `rand` shim's `RngCore`/`SeedableRng` traits. Seeding
 //! via `seed_from_u64` expands the seed with SplitMix64, so streams are
 //! deterministic per seed (though not bit-identical to the real
@@ -22,7 +22,6 @@ pub struct ChaChaRng<const ROUNDS: usize> {
 }
 
 pub type ChaCha8Rng = ChaChaRng<8>;
-pub type ChaCha12Rng = ChaChaRng<12>;
 pub type ChaCha20Rng = ChaChaRng<20>;
 
 const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];

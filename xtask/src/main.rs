@@ -4,7 +4,7 @@
 //! against a parent revision and apply its landing rule (see [`bench`]).
 //!
 //! `cargo run -p xtask -- lint` walks the workspace sources and enforces the
-//! concurrency-hygiene rules that rustc/clippy cannot express:
+//! rules that rustc/clippy cannot express:
 //!
 //! 1. **SAFETY comments** — every `unsafe` block, fn or impl must be
 //!    directly preceded (through attributes, blanks and the rest of its
@@ -21,13 +21,34 @@
 //!    must carry `#![forbid(unsafe_code)]`; crates that do use `unsafe`
 //!    must carry `#![deny(unsafe_op_in_unsafe_fn)]`.
 //!
-//! Directories named `tests` are skipped: the rules protect production
-//! code, and test-only atomics/counters would drown the allowlist.
+//! 4. **No dead `pub` surface** — every `pub` `fn`, `struct`, `enum`,
+//!    `trait`, `type`, `const` or `static` declared in `crates/*/src` must be
+//!    named by some *other* `.rs` file under `crates`, `shims`, `src`,
+//!    `xtask`, `tests`, `examples` or `perf_ledger` (the benchmark calls the
+//!    engine's API too).  Only code counts: a name in a comment, a doc
+//!    comment or a string keeps nothing alive, and neither does a `use` or
+//!    `pub use` (a re-export alone is not a caller).  rustc's `dead_code`
+//!    cannot see this, because to rustc a `pub` item is used by definition;
+//!    once such an item is private, `dead_code` takes over.  The rule applies
+//!    only to identifiers declared once as a `pub` item in the workspace: a
+//!    name declared twice (`new`, `len`) cannot be told apart by words.
+//!    `PUB_SURFACE_ALLOWLIST` holds the exceptions, grouped with a reason:
+//!    only types that another crate receives through a `pub` signature but
+//!    never spells, where `pub(crate)` would leak a private type.  An entry
+//!    that matches no declaration fails the lint, so the list cannot rot.
+//!    Shims are searched for names but not checked themselves: they mirror
+//!    external crates' APIs.
+//!
+//! Rules 1–3 skip directories named `tests`: they protect production code,
+//! and test-only atomics/counters would drown the allowlist.  Every rule
+//! skips `target/` and `.bench_build/` (the benchmark driver's unpacked old
+//! source trees, which would name every item).
 
 #![forbid(unsafe_code)]
 
 mod bench;
 
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -84,6 +105,107 @@ const ORDERING_ALLOWLIST: &[(&str, &str)] = &[
     ),
 ];
 
+/// `pub` items in `crates/*/src` that no other file names but that must
+/// stay `pub`, as (declaring file, identifiers, reason).  Every entry is a
+/// type that another crate receives through a `pub` signature and uses
+/// without spelling its name; `pub(crate)` would make that signature leak a
+/// private type (`private_interfaces`).
+const PUB_SURFACE_ALLOWLIST: &[(&str, &[&str], &str)] = &[
+    (
+        "crates/instrument/src/stats.rs",
+        &[
+            "CsStats",
+            "LatchStats",
+            "DlbStats",
+            "WalStats",
+            "ServerStats",
+            "MsgStats",
+        ],
+        "returned by StatsRegistry's accessors; every crate records through them",
+    ),
+    (
+        "crates/instrument/src/stats.rs",
+        &[
+            "CsStatsSnapshot",
+            "LatchStatsSnapshot",
+            "DlbStatsSnapshot",
+            "WalStatsSnapshot",
+            "ServerStatsSnapshot",
+        ],
+        "pub fields of StatsSnapshot, read by the bench and perf_ledger reports",
+    ),
+    (
+        "crates/instrument/src/trace.rs",
+        &["TraceScope", "TraceRecord"],
+        "returned by TraceRing::span and TraceRegistry::read_all",
+    ),
+    (
+        "crates/storage/src/frame.rs",
+        &["PageReadGuard", "PageWriteGuard"],
+        "returned by Frame::read_latched / write_latched to the B-tree",
+    ),
+    (
+        "crates/lock/src/local.rs",
+        &["LocalLockOutcome"],
+        "returned by LocalLockTable::acquire to the partition workers",
+    ),
+    (
+        "crates/lock/src/manager.rs",
+        &["LockRequestOutcome"],
+        "returned by LockManager::acquire to the conventional context",
+    ),
+    (
+        "crates/wal/src/recovery.rs",
+        &["LogScan"],
+        "returned by scan_log to engine recovery",
+    ),
+    (
+        "crates/btree/src/mrbtree.rs",
+        &["RepartitionReport"],
+        "returned by MrbTree::slice / meld to the partition manager",
+    ),
+    (
+        "crates/btree/src/tree.rs",
+        &["LeafSplitInfo"],
+        "pub field of InsertOutcome, read by the heap-placement fix-up",
+    ),
+    (
+        "crates/btree/src/costmodel.rs",
+        &["IndexChanges"],
+        "pub fields of RepartitionCost, read by the DLB planner and the cost table",
+    ),
+    (
+        "crates/core/src/engine.rs",
+        &["RecoveryReport"],
+        "returned by Engine::recover to tests and the benchmark",
+    ),
+    (
+        "crates/core/src/reply.rs",
+        &["ReplyClosed"],
+        "the error of the reply slots' wait",
+    ),
+    (
+        "crates/server/src/frame.rs",
+        &["SoftError"],
+        "pub field of ReadOutcome::Rejected, matched by the client",
+    ),
+    (
+        "crates/bench/src/msgcost.rs",
+        &["MsgCostPoint"],
+        "returned by measure_msgcost to the fig_msgcost and check_bench binaries",
+    ),
+    (
+        "crates/bench/src/obs.rs",
+        &["ObsResult"],
+        "returned by measure_overhead to the fig_obs and check_bench binaries",
+    ),
+    (
+        "crates/bench/src/server.rs",
+        &["ServerResult", "ServerPoint"],
+        "returned by measure_server to the fig_server and check_bench binaries",
+    ),
+];
+
 const WEAK_ORDERINGS: &[&str] = &[
     "Ordering::Relaxed",
     "Ordering::Acquire",
@@ -117,36 +239,45 @@ fn workspace_root() -> PathBuf {
 
 fn lint() -> ExitCode {
     let root = workspace_root();
-    let mut files = Vec::new();
-    for top in ["crates", "shims", "src", "xtask"] {
-        collect_rs_files(&root.join(top), &mut files);
+    let mut paths = Vec::new();
+    for top in PUB_SURFACE_TOPS {
+        collect_rs_files(&root.join(top), &mut paths);
     }
-    files.sort();
+    paths.sort();
 
     let mut violations = Vec::new();
-    for path in &files {
+    let mut sources = Vec::with_capacity(paths.len());
+    for path in &paths {
         let rel = path
             .strip_prefix(&root)
             .expect("walked file is under the root")
             .to_string_lossy()
             .replace('\\', "/");
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                violations.push(format!("{rel}: unreadable: {e}"));
-                continue;
-            }
-        };
-        let code = strip_comments_and_strings(&text);
-        check_safety_comments(&rel, &text, &code, &mut violations);
-        check_ordering_allowlist(&rel, &code, &mut violations);
+        match std::fs::read_to_string(path) {
+            Ok(text) => sources.push((rel, text)),
+            Err(e) => violations.push(format!("{rel}: unreadable: {e}")),
+        }
     }
-    check_crate_roots(&root, &files, &mut violations);
+
+    // Rules 1–3 cover production code only.
+    let mut hygiene_files = Vec::new();
+    for ((rel, text), path) in sources.iter().zip(&paths) {
+        if !is_hygiene_scope(rel) {
+            continue;
+        }
+        hygiene_files.push(path.clone());
+        let code = strip_comments_and_strings(text);
+        check_safety_comments(rel, text, &code, &mut violations);
+        check_ordering_allowlist(rel, &code, &mut violations);
+    }
+    check_crate_roots(&root, &hygiene_files, &mut violations);
+    check_pub_surface(&sources, PUB_SURFACE_ALLOWLIST, &mut violations);
 
     if violations.is_empty() {
         println!(
-            "xtask lint: ok ({} files; SAFETY comments, ordering allowlist, crate-root attrs)",
-            files.len()
+            "xtask lint: ok ({} files; SAFETY comments, ordering allowlist, crate-root attrs, \
+             pub surface)",
+            sources.len()
         );
         ExitCode::SUCCESS
     } else {
@@ -158,6 +289,10 @@ fn lint() -> ExitCode {
     }
 }
 
+/// Directories never walked: build output, and the benchmark driver's
+/// unpacked source trees (which would name every item of an older tree).
+const SKIPPED_DIRS: &[&str] = &["target", ".bench_build"];
+
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
@@ -168,15 +303,22 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            // `tests` directories hold integration tests; `target` holds
-            // build output.  Neither is lint territory.
-            if name != "tests" && name != "target" {
+            if !SKIPPED_DIRS.contains(&name.as_ref()) {
                 collect_rs_files(&path, out);
             }
         } else if name.ends_with(".rs") {
             out.push(path);
         }
     }
+}
+
+/// Rules 1–3 apply to `crates`, `shims`, `src` and `xtask`, outside any
+/// `tests` directory.
+fn is_hygiene_scope(rel: &str) -> bool {
+    ["crates/", "shims/", "src/", "xtask/"]
+        .iter()
+        .any(|top| rel.starts_with(top))
+        && !rel.split('/').any(|c| c == "tests")
 }
 
 /// Replace comments and string/char-literal contents with spaces, keeping
@@ -283,8 +425,10 @@ fn strip_comments_and_strings(text: &str) -> String {
                 }
             },
             St::Str => match (c, next) {
-                ('\\', Some(_)) => {
-                    out.push_str("  ");
+                ('\\', Some(escaped)) => {
+                    // A `\` line continuation keeps its newline.
+                    out.push(' ');
+                    out.push(if escaped == '\n' { '\n' } else { ' ' });
                     i += 2;
                 }
                 ('"', _) => {
@@ -328,21 +472,7 @@ fn strip_comments_and_strings(text: &str) -> String {
 /// Does `code` contain `unsafe` as a standalone token (not `unsafe_code`
 /// etc.)?
 fn has_unsafe_token(code: &str) -> bool {
-    let mut rest = code;
-    while let Some(pos) = rest.find("unsafe") {
-        let before_ok = pos == 0
-            || !rest[..pos]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after = rest[pos + 6..].chars().next();
-        let after_ok = !after.is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return true;
-        }
-        rest = &rest[pos + 6..];
-    }
-    false
+    find_word(code, "unsafe").is_some()
 }
 
 fn is_comment_or_skippable(trimmed: &str) -> bool {
@@ -465,6 +595,166 @@ fn check_crate_roots(root: &Path, files: &[PathBuf], violations: &mut Vec<String
     }
 }
 
+/// Where rule 4 looks for names: every `.rs` file under these directories.
+const PUB_SURFACE_TOPS: &[&str] = &[
+    "crates",
+    "shims",
+    "src",
+    "xtask",
+    "tests",
+    "examples",
+    "perf_ledger",
+];
+
+const PUB_ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
+
+/// Rule 4: a `pub` item declared in `crates/*/src` must be named by some
+/// other `.rs` file, or carry an allowlist entry.
+fn check_pub_surface(
+    sources: &[(String, String)],
+    allowlist: &[(&str, &[&str], &str)],
+    violations: &mut Vec<String>,
+) {
+    // Tokenize each file once: its `pub` declarations, and the set of words
+    // its code names outside comments, strings and `use` declarations.
+    let mut decls: Vec<(usize, usize, String)> = Vec::new();
+    let mut words_of: Vec<HashSet<String>> = Vec::new();
+    let mut files_naming: HashMap<&str, usize> = HashMap::new();
+    let mut declared: HashMap<String, usize> = HashMap::new();
+    let sources: Vec<&(String, String)> = sources
+        .iter()
+        .filter(|(rel, _)| !rel.split('/').any(|c| SKIPPED_DIRS.contains(&c)))
+        .collect();
+    for (file, (rel, text)) in sources.iter().enumerate() {
+        let code = blank_use_declarations(&strip_comments_and_strings(text));
+        for (idx, line) in code.lines().enumerate() {
+            if let Some(name) = pub_item_name(line) {
+                *declared.entry(name.clone()).or_default() += 1;
+                if is_crate_src(rel) {
+                    decls.push((file, idx + 1, name));
+                }
+            }
+        }
+        words_of.push(
+            code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .filter(|w| !w.is_empty())
+                .map(str::to_string)
+                .collect(),
+        );
+    }
+    for words in &words_of {
+        for w in words {
+            *files_naming.entry(w).or_default() += 1;
+        }
+    }
+    let allowed = |rel: &str, name: &str| {
+        allowlist
+            .iter()
+            .any(|(path, names, _)| *path == rel && names.contains(&name))
+    };
+    for (file, line, name) in &decls {
+        let rel = &sources[*file].0;
+        let named_by_others = files_naming[name.as_str()] > 1;
+        if declared[name] == 1 && !named_by_others && !allowed(rel, name) {
+            violations.push(format!(
+                "{rel}:{line}: `pub` item `{name}` is named by no other file — delete it, \
+                 make it private, or add it to PUB_SURFACE_ALLOWLIST in xtask with a reason"
+            ));
+        }
+    }
+    for (path, names, _) in allowlist {
+        for name in *names {
+            if !decls
+                .iter()
+                .any(|(file, _, n)| sources[*file].0 == *path && n == name)
+            {
+                violations.push(format!(
+                    "{path}: stale PUB_SURFACE_ALLOWLIST entry `{name}` matches no `pub` \
+                     declaration"
+                ));
+            }
+        }
+    }
+}
+
+/// `crates/<name>/src/…`.
+fn is_crate_src(rel: &str) -> bool {
+    let parts: Vec<&str> = rel.split('/').collect();
+    parts.len() > 3 && parts[0] == "crates" && parts[2] == "src"
+}
+
+/// The identifier a `pub fn|struct|enum|trait|type|const|static` line
+/// declares (`pub(crate)` and the like are not `pub`).
+fn pub_item_name(code_line: &str) -> Option<String> {
+    let mut words = code_line
+        .trim_start()
+        .strip_prefix("pub ")?
+        .split_whitespace();
+    let mut kind = words.next()?;
+    while matches!(kind, "const" | "unsafe" | "async" | "extern") {
+        match words.next()? {
+            "fn" => {
+                kind = "fn";
+                break;
+            }
+            next if kind == "const" && !matches!(next, "unsafe" | "async") => {
+                return ident_prefix(next);
+            }
+            next => kind = next,
+        }
+    }
+    if !PUB_ITEM_KINDS.contains(&kind) {
+        return None;
+    }
+    let mut name = words.next()?;
+    if kind == "static" && name == "mut" {
+        name = words.next()?;
+    }
+    ident_prefix(name)
+}
+
+fn ident_prefix(s: &str) -> Option<String> {
+    let end = s
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(s.len());
+    (end > 0).then(|| s[..end].to_string())
+}
+
+/// Blank every `use …;` declaration in comment- and string-stripped code, so
+/// a re-export or an import alone names nothing.
+fn blank_use_declarations(code: &str) -> String {
+    let mut out = String::with_capacity(code.len());
+    let mut rest = code;
+    while let Some(pos) = find_word(rest, "use") {
+        out.push_str(&rest[..pos]);
+        let end = rest[pos..].find(';').map_or(rest.len(), |e| pos + e + 1);
+        out.extend(
+            rest[pos..end]
+                .chars()
+                .map(|c| if c == '\n' { '\n' } else { ' ' }),
+        );
+        rest = &rest[end..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Byte offset of the first whole-word `word` in `s`.
+fn find_word(s: &str, word: &str) -> Option<usize> {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut from = 0;
+    while let Some(off) = s[from..].find(word) {
+        let pos = from + off;
+        let before_ok = !s[..pos].chars().next_back().is_some_and(is_ident);
+        let after_ok = !s[pos + word.len()..].chars().next().is_some_and(is_ident);
+        if before_ok && after_ok {
+            return Some(pos);
+        }
+        from = pos + word.len();
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,6 +784,13 @@ mod tests {
         let s = strip_comments_and_strings("fn f<'a>(x: &'a str) -> char { 'y' }");
         assert!(s.contains("fn f<'a>(x: &'a str) -> char"));
         assert!(!s.contains('y'));
+    }
+
+    #[test]
+    fn stripper_keeps_the_line_of_a_string_continuation() {
+        let s = strip_comments_and_strings("let s = \"a \\\n b\";\nlet t = 1;\n");
+        assert_eq!(s.lines().count(), 3);
+        assert!(s.lines().nth(2).unwrap().contains("let t = 1;"));
     }
 
     #[test]
@@ -542,6 +839,112 @@ fn f(p: *const u8) -> u8 {
         v.clear();
         check_ordering_allowlist("crates/instrument/src/stats.rs", code, &mut v);
         assert!(v.is_empty());
+    }
+
+    const DECLARING: &str = "crates/a/src/lib.rs";
+
+    /// Rule 4 over `DECLARING` (declaring `pub fn lonely`) plus `others`.
+    fn pub_surface(others: &[(&str, &str)], allowlist: &[(&str, &[&str], &str)]) -> Vec<String> {
+        let mut sources = vec![(
+            DECLARING.to_string(),
+            "pub fn lonely() {}\npub fn busy() { lonely() }\n".to_string(),
+        )];
+        sources.extend(others.iter().map(|(r, t)| (r.to_string(), t.to_string())));
+        let mut v = Vec::new();
+        check_pub_surface(&sources, allowlist, &mut v);
+        v.retain(|line| !line.contains("`busy`"));
+        v
+    }
+
+    #[test]
+    fn pub_surface_flags_an_unnamed_pub_fn() {
+        let v = pub_surface(&[("crates/b/src/lib.rs", "fn other() {}\n")], &[]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].starts_with("crates/a/src/lib.rs:1: `pub` item `lonely`"));
+    }
+
+    #[test]
+    fn pub_surface_passes_a_pub_fn_named_from_another_file() {
+        for other in [
+            ("crates/b/src/lib.rs", "fn f() { a::lonely() }\n"),
+            ("tests/it.rs", "#[test]\nfn t() { a::lonely(); }\n"),
+            ("perf_ledger/src/main.rs", "fn main() { a::lonely(); }\n"),
+        ] {
+            assert!(pub_surface(&[other], &[]).is_empty(), "{other:?}");
+        }
+    }
+
+    #[test]
+    fn pub_surface_ignores_comments_strings_and_use_declarations() {
+        for text in [
+            "/// Calls [`lonely`].\nfn f() {}\n",
+            "fn f() { println!(\"lonely\"); }\n",
+            "pub use a::lonely;\n",
+            "use a::{busy, lonely};\nfn f() { busy() }\n",
+        ] {
+            let v = pub_surface(&[("crates/b/src/lib.rs", text)], &[]);
+            assert_eq!(v.len(), 1, "{text:?}: {v:?}");
+        }
+    }
+
+    #[test]
+    fn pub_surface_passes_an_allowlisted_item() {
+        let allow: &[(&str, &[&str], &str)] = &[(DECLARING, &["lonely"], "reason")];
+        assert!(pub_surface(&[], allow).is_empty());
+    }
+
+    #[test]
+    fn pub_surface_fails_a_stale_allowlist_entry() {
+        let allow: &[(&str, &[&str], &str)] = &[(DECLARING, &["lonely", "gone"], "reason")];
+        let v = pub_surface(&[], allow);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("stale") && v[0].contains("`gone`"), "{v:?}");
+    }
+
+    #[test]
+    fn pub_surface_ignores_build_output_and_old_source_trees() {
+        let v = pub_surface(
+            &[
+                ("target/debug/build/out.rs", "fn f() { lonely() }\n"),
+                (
+                    ".bench_build/54281c555cfe/crates/b/src/lib.rs",
+                    "fn f() { lonely() }\n",
+                ),
+            ],
+            &[],
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+    }
+
+    #[test]
+    fn pub_surface_skips_names_declared_twice() {
+        let v = pub_surface(&[("crates/b/src/lib.rs", "pub fn lonely() {}\n")], &[]);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn pub_item_names_cover_every_kind() {
+        for (line, name) in [
+            ("pub fn f(x: u8) {", "f"),
+            ("    pub const fn g() -> u8 {", "g"),
+            ("pub unsafe fn h() {", "h"),
+            ("pub struct S<T> {", "S"),
+            ("pub enum E {", "E"),
+            ("pub trait T: Send {", "T"),
+            ("pub type A = u8;", "A"),
+            ("pub const C: u8 = 1;", "C"),
+            ("pub static mut M: u8 = 0;", "M"),
+        ] {
+            assert_eq!(pub_item_name(line).as_deref(), Some(name), "{line}");
+        }
+        for line in [
+            "pub(crate) fn f() {",
+            "pub mod m;",
+            "pub use a::b;",
+            "fn f() {",
+        ] {
+            assert_eq!(pub_item_name(line), None, "{line}");
+        }
     }
 
     #[test]
