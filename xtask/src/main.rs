@@ -617,34 +617,28 @@ fn check_pub_surface(
 ) {
     // Tokenize each file once: its `pub` declarations, and the set of words
     // its code names outside comments, strings and `use` declarations.
-    let mut decls: Vec<(usize, usize, String)> = Vec::new();
-    let mut words_of: Vec<HashSet<String>> = Vec::new();
-    let mut files_naming: HashMap<&str, usize> = HashMap::new();
+    let mut decls: Vec<(&str, usize, String)> = Vec::new();
     let mut declared: HashMap<String, usize> = HashMap::new();
-    let sources: Vec<&(String, String)> = sources
-        .iter()
-        .filter(|(rel, _)| !rel.split('/').any(|c| SKIPPED_DIRS.contains(&c)))
-        .collect();
-    for (file, (rel, text)) in sources.iter().enumerate() {
+    let mut files_naming: HashMap<String, usize> = HashMap::new();
+    for (rel, text) in sources {
+        if rel.split('/').any(|c| SKIPPED_DIRS.contains(&c)) {
+            continue;
+        }
         let code = blank_use_declarations(&strip_comments_and_strings(text));
         for (idx, line) in code.lines().enumerate() {
             if let Some(name) = pub_item_name(line) {
                 *declared.entry(name.clone()).or_default() += 1;
                 if is_crate_src(rel) {
-                    decls.push((file, idx + 1, name));
+                    decls.push((rel, idx + 1, name));
                 }
             }
         }
-        words_of.push(
-            code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
-                .filter(|w| !w.is_empty())
-                .map(str::to_string)
-                .collect(),
-        );
-    }
-    for words in &words_of {
+        let words: HashSet<&str> = code
+            .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .filter(|w| !w.is_empty())
+            .collect();
         for w in words {
-            *files_naming.entry(w).or_default() += 1;
+            *files_naming.entry(w.to_string()).or_default() += 1;
         }
     }
     let allowed = |rel: &str, name: &str| {
@@ -652,9 +646,9 @@ fn check_pub_surface(
             .iter()
             .any(|(path, names, _)| *path == rel && names.contains(&name))
     };
-    for (file, line, name) in &decls {
-        let rel = &sources[*file].0;
-        let named_by_others = files_naming[name.as_str()] > 1;
+    for (rel, line, name) in &decls {
+        // The declaring file always names the item; another file must too.
+        let named_by_others = files_naming[name] > 1;
         if declared[name] == 1 && !named_by_others && !allowed(rel, name) {
             violations.push(format!(
                 "{rel}:{line}: `pub` item `{name}` is named by no other file — delete it, \
@@ -664,10 +658,7 @@ fn check_pub_surface(
     }
     for (path, names, _) in allowlist {
         for name in *names {
-            if !decls
-                .iter()
-                .any(|(file, _, n)| sources[*file].0 == *path && n == name)
-            {
+            if !decls.iter().any(|(rel, _, n)| rel == path && n == name) {
                 violations.push(format!(
                     "{path}: stale PUB_SURFACE_ALLOWLIST entry `{name}` matches no `pub` \
                      declaration"
@@ -686,30 +677,28 @@ fn is_crate_src(rel: &str) -> bool {
 /// The identifier a `pub fn|struct|enum|trait|type|const|static` line
 /// declares (`pub(crate)` and the like are not `pub`).
 fn pub_item_name(code_line: &str) -> Option<String> {
-    let mut words = code_line
+    let words: Vec<&str> = code_line
         .trim_start()
         .strip_prefix("pub ")?
-        .split_whitespace();
-    let mut kind = words.next()?;
-    while matches!(kind, "const" | "unsafe" | "async" | "extern") {
-        match words.next()? {
-            "fn" => {
-                kind = "fn";
-                break;
-            }
-            next if kind == "const" && !matches!(next, "unsafe" | "async") => {
-                return ident_prefix(next);
-            }
-            next => kind = next,
-        }
+        .split_whitespace()
+        .collect();
+    // Skip qualifiers: `const fn`, `const unsafe fn`, `async fn`, `unsafe trait`.
+    let mut i = 0;
+    while matches!(words.get(i), Some(&("const" | "unsafe" | "async")))
+        && matches!(
+            words.get(i + 1),
+            Some(&("fn" | "unsafe" | "async" | "trait"))
+        )
+    {
+        i += 1;
     }
-    if !PUB_ITEM_KINDS.contains(&kind) {
+    if !PUB_ITEM_KINDS.contains(words.get(i)?) {
         return None;
     }
-    let mut name = words.next()?;
-    if kind == "static" && name == "mut" {
-        name = words.next()?;
-    }
+    let name = match *words.get(i + 1)? {
+        "mut" => words.get(i + 2)?,
+        name => name,
+    };
     ident_prefix(name)
 }
 
