@@ -809,34 +809,177 @@ mod tests {
     use super::*;
     use crate::{LatencyStats, StatsRegistry};
 
+    /// Every counter, gauge, array slot and batch bucket gets a distinct
+    /// non-zero value, so a swapped or dropped field shows in the goldens
+    /// (`every_sample_is_distinct_and_non_zero` pins that).
     fn populated_registry() -> StatsRegistry {
         let r = StatsRegistry::new();
-        r.txn_committed();
-        r.txn_committed();
-        r.txn_aborted();
-        r.cs().enter(CsCategory::LockMgr, true);
-        r.cs().enter(CsCategory::MessagePassing, false);
-        r.latches().acquired(PageKind::Index, true);
-        r.latches().waited(PageKind::Index, 500);
-        r.dlb().evaluation();
+        let times = |n: u64, f: &dyn Fn()| (0..n).for_each(|_| f());
+        times(2, &|| r.txn_committed());
+        times(1, &|| r.txn_aborted());
+        r.smo_performed(100);
+        r.smo_performed(150);
+        r.smo_performed(0);
+        for (i, cat) in (0u64..).zip(CsCategory::ALL) {
+            r.cs().enter_n(cat, 1_000 + 10 * i, false);
+            r.cs().enter_n(cat, 400 + i, true);
+        }
+        for (i, kind) in (0u64..).zip(PageKind::ALL) {
+            times(60 + i, &|| r.latches().acquired(kind, false));
+            times(50 + i, &|| r.latches().acquired(kind, true));
+            times(70 + i, &|| r.latches().bypassed(kind));
+            r.latches().waited(kind, 2_000 + 100 * i);
+        }
+        times(11, &|| r.dlb().evaluation());
+        times(12, &|| r.dlb().decay_round());
+        times(13, &|| r.dlb().triggered());
+        times(14, &|| r.dlb().skipped_balanced());
+        times(15, &|| r.dlb().skipped_cost());
+        times(16, &|| r.dlb().skipped_cooldown());
+        times(17, &|| r.dlb().failed());
+        times(18, &|| r.dlb().rollback());
         r.dlb().set_observed_imbalance(1.75);
-        r.wal().flushed(3, 96);
-        r.wal().fsync();
-        r.msg().roundtrip(1_500);
-        r.msg().sent(4, true);
-        r.msg().inline_ran(3, 900);
-        r.server().connection_accepted();
-        r.server().connection_accepted();
-        r.server().connection_closed();
-        r.server().frame_decoded(48);
-        r.server().decode_error(16);
-        r.server().response_sent(52);
-        r.smo_performed(250);
+        r.dlb().set_predicted_imbalance(1.25);
+        times(4, &|| r.wal().flushed(20, 300));
+        times(21, &|| r.wal().fsync());
+        times(22, &|| r.wal().checkpoint());
+        r.wal().set_recovery(23, 24, 25);
+        times(31, &|| r.msg().roundtrip(100));
+        times(32, &|| r.msg().reply_reused());
+        times(33, &|| r.msg().reply_allocated());
+        r.msg().queue_activity(34, 35, 36, 37);
+        for (n, actions) in [(41, 2), (42, 3), (43, 5), (44, 9), (45, 17)] {
+            times(n, &|| r.msg().sent(actions, true));
+        }
+        times(46, &|| r.msg().sent(1, true));
+        times(47, &|| r.msg().sent(1, false));
+        r.msg().inline_ran(48, 4_900);
+        times(90, &|| r.server().connection_accepted());
+        times(29, &|| r.server().connection_closed());
+        times(53, &|| r.server().frame_decoded(10));
+        times(54, &|| r.server().decode_error(7));
+        times(55, &|| r.server().response_sent(12));
         for v in [100u64, 1_000, 10_000, 100_000] {
             r.latency().action_roundtrip.record(v);
             r.latency().phase_execute.record(v / 2);
         }
         r
+    }
+
+    /// `/stats.json` flattened to sorted `path = value` lines; arrays index
+    /// their elements by position.
+    fn json_leaves(json: &str) -> Vec<String> {
+        fn walk(s: &[u8], i: &mut usize, path: &str, out: &mut Vec<String>) {
+            let key = |i: &mut usize| {
+                let start = *i + 1;
+                *i = start + s[start..].iter().position(|&c| c == b'"').unwrap();
+                let k = std::str::from_utf8(&s[start..*i]).unwrap().to_string();
+                *i += 1;
+                k
+            };
+            let join = |k: &str| {
+                if path.is_empty() {
+                    k.to_string()
+                } else {
+                    format!("{path}.{k}")
+                }
+            };
+            match s[*i] {
+                b'{' | b'[' => {
+                    let close = if s[*i] == b'{' { b'}' } else { b']' };
+                    *i += 1;
+                    let mut n = 0;
+                    while s[*i] != close {
+                        if s[*i] == b',' {
+                            *i += 1;
+                        }
+                        let child = if close == b'}' {
+                            let k = key(i);
+                            *i += 1; // ':'
+                            join(&k)
+                        } else {
+                            join(&n.to_string())
+                        };
+                        walk(s, i, &child, out);
+                        n += 1;
+                    }
+                    *i += 1;
+                }
+                b'"' => {
+                    let v = key(i);
+                    out.push(format!("{path} = \"{v}\""));
+                }
+                _ => {
+                    let end = *i
+                        + s[*i..]
+                            .iter()
+                            .position(|&c| matches!(c, b',' | b'}' | b']'))
+                            .unwrap();
+                    out.push(format!(
+                        "{path} = {}",
+                        std::str::from_utf8(&s[*i..end]).unwrap()
+                    ));
+                    *i = end;
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(json.as_bytes(), &mut 0, "", &mut out);
+        out.sort();
+        out
+    }
+
+    /// Byte-for-byte comparison that names the first differing line.
+    fn assert_golden(actual: &str, golden: &str, what: &str) {
+        if actual == golden {
+            return;
+        }
+        let (a, g): (Vec<_>, Vec<_>) = (actual.lines().collect(), golden.lines().collect());
+        let line = (0..a.len().max(g.len()))
+            .find(|&i| a.get(i) != g.get(i))
+            .unwrap_or(a.len());
+        panic!(
+            "{what} differs from its golden at line {}:\n  actual: {:?}\n  golden: {:?}",
+            line + 1,
+            a.get(line),
+            g.get(line)
+        );
+    }
+
+    #[test]
+    fn exposition_matches_golden() {
+        let r = populated_registry();
+        let text = prometheus_exposition(&r.snapshot(), &r.latency().snapshot());
+        assert_golden(&text, include_str!("../testdata/metrics.prom"), "/metrics");
+    }
+
+    #[test]
+    fn stats_json_matches_golden() {
+        let r = populated_registry();
+        let leaves = json_leaves(&stats_json(&r.snapshot(), &r.latency().snapshot()));
+        let text: String = leaves.iter().map(|l| format!("{l}\n")).collect();
+        assert_golden(
+            &text,
+            include_str!("../testdata/stats_json.txt"),
+            "/stats.json",
+        );
+    }
+
+    #[test]
+    fn every_sample_is_distinct_and_non_zero() {
+        let r = populated_registry();
+        let text = prometheus_exposition(&r.snapshot(), &r.latency().snapshot());
+        let mut seen = std::collections::HashMap::new();
+        for s in parse_exposition(&text).unwrap() {
+            if s.name.starts_with("plp_latency_") {
+                continue;
+            }
+            let id = format!("{}{:?}", s.name, s.labels);
+            assert!(s.value != 0.0, "{id} is zero");
+            if let Some(other) = seen.insert(s.value.to_bits(), id.clone()) {
+                panic!("{id} and {other} share the value {}", s.value);
+            }
+        }
     }
 
     #[test]
@@ -853,29 +996,29 @@ mod tests {
         };
         assert_eq!(get("plp_txn_committed_total"), 2.0);
         assert_eq!(get("plp_txn_aborted_total"), 1.0);
-        assert_eq!(get("plp_msg_actions_total"), 1.0);
-        assert_eq!(get("plp_msg_roundtrip_nanoseconds_total"), 1_500.0);
-        assert_eq!(get("plp_msg_inline_actions_total"), 3.0);
-        assert_eq!(get("plp_msg_inline_nanoseconds_total"), 900.0);
+        assert_eq!(get("plp_msg_actions_total"), 31.0);
+        assert_eq!(get("plp_msg_roundtrip_nanoseconds_total"), 3_100.0);
+        assert_eq!(get("plp_msg_inline_actions_total"), 48.0);
+        assert_eq!(get("plp_msg_inline_nanoseconds_total"), 4_900.0);
         assert_eq!(get("plp_smo_wait_nanoseconds_total"), 250.0);
         assert_eq!(get("plp_dlb_observed_imbalance"), 1.75);
-        assert_eq!(get("plp_server_connections_accepted_total"), 2.0);
-        assert_eq!(get("plp_server_active_connections"), 1.0);
-        assert_eq!(get("plp_server_frames_decoded_total"), 1.0);
-        assert_eq!(get("plp_server_decode_errors_total"), 1.0);
-        assert_eq!(get("plp_server_bytes_in_total"), 64.0);
-        assert_eq!(get("plp_server_bytes_out_total"), 52.0);
+        assert_eq!(get("plp_server_connections_accepted_total"), 90.0);
+        assert_eq!(get("plp_server_active_connections"), 61.0);
+        assert_eq!(get("plp_server_frames_decoded_total"), 53.0);
+        assert_eq!(get("plp_server_decode_errors_total"), 54.0);
+        assert_eq!(get("plp_server_bytes_in_total"), 908.0);
+        assert_eq!(get("plp_server_bytes_out_total"), 660.0);
         let lockmgr = samples
             .iter()
             .find(|s| s.name == "plp_cs_contended_total" && s.label("category") == Some("lock_mgr"))
             .expect("lock_mgr sample");
-        assert_eq!(lockmgr.value, 1.0);
+        assert_eq!(lockmgr.value, 400.0);
         assert_eq!(lockmgr.label("class"), Some("unscalable"));
         let batch = samples
             .iter()
             .find(|s| s.name == "plp_msg_batch_size_total" && s.label("bucket") == Some("3_4"))
             .expect("batch bucket sample");
-        assert_eq!(batch.value, 1.0);
+        assert_eq!(batch.value, 42.0);
     }
 
     #[test]
@@ -945,9 +1088,9 @@ h_count 6\n";
         assert!(json.contains("\"committed\":2"));
         assert!(json.contains("\"lock_mgr\""));
         assert!(json.contains("\"action_roundtrip\""));
-        assert!(json.contains("\"inline_actions\":3,\"inline_nanos\":900"));
-        assert!(json.contains("\"server\":{\"connections_accepted\":2"));
-        assert!(json.contains("\"active_connections\":1"));
+        assert!(json.contains("\"inline_actions\":48,\"inline_nanos\":4900"));
+        assert!(json.contains("\"server\":{\"connections_accepted\":90"));
+        assert!(json.contains("\"active_connections\":61"));
         // Empty registries also serialize cleanly.
         let empty = StatsRegistry::new();
         let json = stats_json(&empty.snapshot(), &LatencyStats::default().snapshot());
