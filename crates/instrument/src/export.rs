@@ -750,17 +750,26 @@ pub fn stats_json(stats: &StatsSnapshot, latency: &LatencySnapshot) -> String {
     ));
     out.push_str(&format!(
         "\"msg\":{{\"actions\":{},\"roundtrip_nanos\":{},\"reply_reuses\":{},\
-         \"reply_allocs\":{},\"parks\":{},\"wakeups\":{},\"batches\":{},\"batch_actions\":{},\
+         \"reply_allocs\":{},\"enqueue_spins\":{},\"dequeue_spins\":{},\"parks\":{},\
+         \"wakeups\":{},\"batches\":{},\"batch_actions\":{},\"batch_size\":{{{}}},\
          \"lane_hits\":{},\"lane_fallbacks\":{},\"inline_actions\":{},\
          \"inline_nanos\":{}}},",
         stats.msg.actions,
         stats.msg.roundtrip_nanos,
         stats.msg.reply_reuses,
         stats.msg.reply_allocs,
+        stats.msg.enqueue_spins,
+        stats.msg.dequeue_spins,
         stats.msg.parks,
         stats.msg.wakeups,
         stats.msg.batches,
         stats.msg.batch_actions,
+        BATCH_BUCKET_LABELS
+            .iter()
+            .zip(stats.msg.batch_size_buckets)
+            .map(|(label, n)| format!("\"{label}\":{n}"))
+            .collect::<Vec<_>>()
+            .join(","),
         stats.msg.lane_hits,
         stats.msg.lane_fallbacks,
         stats.msg.inline_actions,
@@ -963,6 +972,43 @@ mod tests {
             include_str!("../testdata/stats_json.txt"),
             "/stats.json",
         );
+    }
+
+    /// Every non-histogram sample of `/metrics` is in `/stats.json` with
+    /// the same value, under its area's object and keyed by its labels
+    /// (values are distinct, so the value picks out one leaf).
+    #[test]
+    fn stats_json_carries_every_exposed_sample() {
+        let r = populated_registry();
+        let (stats, latency) = (r.snapshot(), r.latency().snapshot());
+        let leaves = json_leaves(&stats_json(&stats, &latency));
+        for s in parse_exposition(&prometheus_exposition(&stats, &latency)).unwrap() {
+            if s.name.starts_with("plp_latency_") {
+                continue;
+            }
+            // `plp_<area>_…`: txn and SMO counters sit at the top level.
+            let group = match s.name.split('_').nth(1).unwrap() {
+                "txn" | "smo" => "",
+                "latch" => "latches",
+                area => area,
+            };
+            let found = leaves.iter().any(|leaf| {
+                let (path, value) = leaf.split_once(" = ").unwrap();
+                let keys: Vec<&str> = path.split('.').collect();
+                let key = keys[keys.len() - 1];
+                value.parse::<f64>() == Ok(s.value)
+                    && (keys.len() == 1 && group.is_empty() || keys[0] == group)
+                    && s.labels
+                        .iter()
+                        .filter(|(k, _)| k != "class")
+                        .all(|(_, v)| keys.contains(&v.as_str()) || key.ends_with(&format!("_{v}")))
+            });
+            assert!(
+                found,
+                "/stats.json lacks {} {:?} = {}",
+                s.name, s.labels, s.value
+            );
+        }
     }
 
     #[test]
