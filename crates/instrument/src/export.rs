@@ -14,35 +14,8 @@
 //! duration (the engine's native clock; scrape-side `/ 1e9` converts).
 
 use crate::histogram::bucket_range;
-use crate::stats::{CsCategory, PageKind, StatsSnapshot};
+use crate::stats::{Metric, StatsSnapshot, Value};
 use crate::LatencySnapshot;
-
-/// Label-safe slug for a critical-section category.
-fn cs_slug(cat: CsCategory) -> &'static str {
-    match cat {
-        CsCategory::LockMgr => "lock_mgr",
-        CsCategory::PageLatch => "page_latch",
-        CsCategory::Bpool => "bpool",
-        CsCategory::Metadata => "metadata",
-        CsCategory::LogMgr => "log_mgr",
-        CsCategory::XctMgr => "xct_mgr",
-        CsCategory::MessagePassing => "message_passing",
-        CsCategory::Uncategorized => "uncategorized",
-    }
-}
-
-/// Label-safe slug for a page kind.
-fn latch_slug(kind: PageKind) -> &'static str {
-    match kind {
-        PageKind::Index => "index",
-        PageKind::Heap => "heap",
-        PageKind::CatalogSpace => "catalog_space",
-    }
-}
-
-/// Upper bounds of the legacy actions-per-batch buckets (2 / 3–4 / 5–8 /
-/// 9–16 / 17+), as `bucket` label values.
-const BATCH_BUCKET_LABELS: [&str; 5] = ["le_2", "3_4", "5_8", "9_16", "ge_17"];
 
 fn fmt_f64(v: f64) -> String {
     if v.is_nan() {
@@ -103,348 +76,25 @@ impl Exposition {
         self.out.push_str(value);
         self.out.push('\n');
     }
-
-    fn counter(&mut self, name: &str, help: &str, value: u64) {
-        self.family(name, "counter", help);
-        self.sample(name, &[], &value.to_string());
-    }
-
-    fn gauge_f64(&mut self, name: &str, help: &str, value: f64) {
-        self.family(name, "gauge", help);
-        self.sample(name, &[], &fmt_f64(value));
-    }
-
-    fn gauge_u64(&mut self, name: &str, help: &str, value: u64) {
-        self.family(name, "gauge", help);
-        self.sample(name, &[], &value.to_string());
-    }
 }
 
 /// Render a [`StatsSnapshot`] plus the latency histograms in the Prometheus
 /// text exposition format (version 0.0.4).
 pub fn prometheus_exposition(stats: &StatsSnapshot, latency: &LatencySnapshot) -> String {
     let mut e = Exposition::new();
-
-    e.counter(
-        "plp_txn_committed_total",
-        "Transactions committed.",
-        stats.committed,
-    );
-    e.counter(
-        "plp_txn_aborted_total",
-        "Transactions aborted.",
-        stats.aborted,
-    );
-    e.counter(
-        "plp_smo_total",
-        "Structure-modification operations performed.",
-        stats.smo_count,
-    );
-    e.counter(
-        "plp_smo_wait_nanoseconds_total",
-        "Time spent waiting to enter an SMO.",
-        stats.smo_wait_nanos,
-    );
-
-    e.family(
-        "plp_cs_entries_total",
-        "counter",
-        "Critical-section entries by storage-manager component.",
-    );
-    for cat in CsCategory::ALL {
-        e.sample(
-            "plp_cs_entries_total",
-            &[
-                ("category", cs_slug(cat)),
-                ("class", cat.contention_class().name()),
-            ],
-            &stats.cs.entries(cat).to_string(),
-        );
-    }
-    e.family(
-        "plp_cs_contended_total",
-        "counter",
-        "Contended critical-section entries by component.",
-    );
-    for cat in CsCategory::ALL {
-        e.sample(
-            "plp_cs_contended_total",
-            &[
-                ("category", cs_slug(cat)),
-                ("class", cat.contention_class().name()),
-            ],
-            &stats.cs.contended(cat).to_string(),
-        );
-    }
-
-    e.family(
-        "plp_latch_acquired_total",
-        "counter",
-        "Page-latch acquisitions by page kind.",
-    );
-    for kind in PageKind::ALL {
-        e.sample(
-            "plp_latch_acquired_total",
-            &[("kind", latch_slug(kind))],
-            &stats.latches.acquired(kind).to_string(),
-        );
-    }
-    e.family(
-        "plp_latch_contended_total",
-        "counter",
-        "Contended page-latch acquisitions by page kind.",
-    );
-    for kind in PageKind::ALL {
-        e.sample(
-            "plp_latch_contended_total",
-            &[("kind", latch_slug(kind))],
-            &stats.latches.contended(kind).to_string(),
-        );
-    }
-    e.family(
-        "plp_latch_bypassed_total",
-        "counter",
-        "Latch acquisitions skipped by latch-free PLP owner access.",
-    );
-    for kind in PageKind::ALL {
-        e.sample(
-            "plp_latch_bypassed_total",
-            &[("kind", latch_slug(kind))],
-            &stats.latches.bypassed(kind).to_string(),
-        );
-    }
-    e.family(
-        "plp_latch_wait_nanoseconds_total",
-        "counter",
-        "Time spent waiting on contended page latches by page kind.",
-    );
-    for kind in PageKind::ALL {
-        e.sample(
-            "plp_latch_wait_nanoseconds_total",
-            &[("kind", latch_slug(kind))],
-            &stats.latches.wait_nanos(kind).to_string(),
-        );
-    }
-
-    e.counter(
-        "plp_dlb_evaluations_total",
-        "DLB controller evaluation rounds.",
-        stats.dlb.evaluations,
-    );
-    e.counter(
-        "plp_dlb_decay_rounds_total",
-        "DLB histogram aging rounds.",
-        stats.dlb.decay_rounds,
-    );
-    e.counter(
-        "plp_dlb_repartitions_total",
-        "Repartitions the DLB controller triggered.",
-        stats.dlb.repartitions_triggered,
-    );
-    e.family(
-        "plp_dlb_skipped_total",
-        "counter",
-        "DLB evaluations that did not repartition, by reason.",
-    );
-    for (reason, n) in [
-        ("balanced", stats.dlb.skipped_balanced),
-        ("cost", stats.dlb.skipped_cost),
-        ("cooldown", stats.dlb.skipped_cooldown),
-    ] {
-        e.sample(
-            "plp_dlb_skipped_total",
-            &[("reason", reason)],
-            &n.to_string(),
-        );
-    }
-    e.counter(
-        "plp_dlb_repartitions_failed_total",
-        "Controller-triggered repartitions that failed.",
-        stats.dlb.repartitions_failed,
-    );
-    e.counter(
-        "plp_dlb_rollbacks_total",
-        "Failed repartitions rolled back from the journal.",
-        stats.dlb.rollbacks,
-    );
-    e.gauge_f64(
-        "plp_dlb_observed_imbalance",
-        "Most recent observed partition-load imbalance (max/mean).",
-        stats.dlb.observed_imbalance,
-    );
-    e.gauge_f64(
-        "plp_dlb_predicted_imbalance",
-        "Imbalance the last accepted plan predicted after repartitioning.",
-        stats.dlb.predicted_imbalance,
-    );
-
-    e.counter(
-        "plp_wal_flush_batches_total",
-        "Non-empty group-commit batches flushed.",
-        stats.wal.flush_batches,
-    );
-    e.counter(
-        "plp_wal_flushed_records_total",
-        "Log records written across all flush batches.",
-        stats.wal.flushed_records,
-    );
-    e.counter(
-        "plp_wal_flushed_bytes_total",
-        "Log bytes written to the device.",
-        stats.wal.flushed_bytes,
-    );
-    e.counter(
-        "plp_wal_fsyncs_total",
-        "fsync calls issued on log segments.",
-        stats.wal.fsyncs,
-    );
-    e.counter(
-        "plp_wal_checkpoints_total",
-        "Fuzzy checkpoint records written.",
-        stats.wal.checkpoints,
-    );
-    e.gauge_u64(
-        "plp_wal_recovered_txns",
-        "Committed writers (transactions with a commit record) replayed by the last recovery.",
-        stats.wal.recovered_txns,
-    );
-    e.gauge_u64(
-        "plp_wal_recovered_records",
-        "Redo records replayed by the last recovery.",
-        stats.wal.recovered_records,
-    );
-    e.gauge_u64(
-        "plp_wal_torn_bytes",
-        "Torn-tail bytes discarded by the last recovery.",
-        stats.wal.torn_bytes,
-    );
-
-    e.counter(
-        "plp_msg_actions_total",
-        "Action round trips measured (messages actually sent).",
-        stats.msg.actions,
-    );
-    e.counter(
-        "plp_msg_roundtrip_nanoseconds_total",
-        "Total coordinator-observed round-trip time.",
-        stats.msg.roundtrip_nanos,
-    );
-    e.counter(
-        "plp_msg_reply_reuses_total",
-        "Reply rendezvous taken from the session pool.",
-        stats.msg.reply_reuses,
-    );
-    e.counter(
-        "plp_msg_reply_allocs_total",
-        "Reply rendezvous freshly allocated.",
-        stats.msg.reply_allocs,
-    );
-    e.counter(
-        "plp_msg_enqueue_spins_total",
-        "Producer-side queue retry rounds.",
-        stats.msg.enqueue_spins,
-    );
-    e.counter(
-        "plp_msg_dequeue_spins_total",
-        "Consumer-side queue retry rounds.",
-        stats.msg.dequeue_spins,
-    );
-    e.counter(
-        "plp_msg_parks_total",
-        "Threads that exhausted the spin budget and blocked.",
-        stats.msg.parks,
-    );
-    e.counter(
-        "plp_msg_wakeups_total",
-        "Wakeups actually issued.",
-        stats.msg.wakeups,
-    );
-    e.counter(
-        "plp_msg_batches_total",
-        "Messages that carried more than one action.",
-        stats.msg.batches,
-    );
-    e.counter(
-        "plp_msg_batch_actions_total",
-        "Actions carried inside multi-action messages.",
-        stats.msg.batch_actions,
-    );
-    e.family(
-        "plp_msg_batch_size_total",
-        "counter",
-        "Batched dispatches by actions-per-batch bucket.",
-    );
-    for (label, n) in BATCH_BUCKET_LABELS
-        .iter()
-        .zip(stats.msg.batch_size_buckets.iter())
-    {
-        e.sample(
-            "plp_msg_batch_size_total",
-            &[("bucket", label)],
-            &n.to_string(),
-        );
-    }
-    e.counter(
-        "plp_msg_lane_hits_total",
-        "Dispatches that took an SPSC fast lane.",
-        stats.msg.lane_hits,
-    );
-    e.counter(
-        "plp_msg_lane_fallbacks_total",
-        "Dispatches that fell back to the shared MPMC queue.",
-        stats.msg.lane_fallbacks,
-    );
-    e.counter(
-        "plp_msg_inline_actions_total",
-        "Actions a session ran itself on an idle partition (no message sent).",
-        stats.msg.inline_actions,
-    );
-    e.counter(
-        "plp_msg_inline_nanoseconds_total",
-        "Session-observed time running inline actions.",
-        stats.msg.inline_nanos,
-    );
-
-    e.counter(
-        "plp_server_connections_accepted_total",
-        "Client connections accepted by the network front end.",
-        stats.server.connections_accepted,
-    );
-    e.counter(
-        "plp_server_connections_closed_total",
-        "Client connections closed.",
-        stats.server.connections_closed,
-    );
-    e.gauge_u64(
-        "plp_server_active_connections",
-        "Client connections currently open.",
-        stats.server.active_connections(),
-    );
-    e.counter(
-        "plp_server_frames_decoded_total",
-        "Request frames decoded successfully.",
-        stats.server.frames_decoded,
-    );
-    e.counter(
-        "plp_server_decode_errors_total",
-        "Frames rejected by the decoder (connection kept alive).",
-        stats.server.decode_errors,
-    );
-    e.counter(
-        "plp_server_responses_sent_total",
-        "Response frames written back to clients.",
-        stats.server.responses_sent,
-    );
-    e.counter(
-        "plp_server_bytes_in_total",
-        "Frame bytes read off client sockets.",
-        stats.server.bytes_in,
-    );
-    e.counter(
-        "plp_server_bytes_out_total",
-        "Frame bytes written back to clients.",
-        stats.server.bytes_out,
-    );
+    let mut family = "";
+    stats.for_each_metric(&mut |m: Metric| {
+        // Entries of one labelled family are adjacent in the table.
+        if m.name != family {
+            e.family(m.name, m.kind, m.help);
+            family = m.name;
+        }
+        let value = match m.value {
+            Value::U64(v) => v.to_string(),
+            Value::F64(v) => fmt_f64(v),
+        };
+        e.sample(m.name, &m.labels, &value);
+    });
 
     for (name, h) in latency.named() {
         let family = format!("plp_latency_{name}_nanoseconds");
@@ -676,6 +326,51 @@ pub fn validate_histogram_series(samples: &[MetricSample]) -> Result<usize, Stri
     Ok(families)
 }
 
+/// A JSON object under construction, keys in first-insertion order.
+#[derive(Default)]
+struct JsonObject(Vec<(&'static str, JsonNode)>);
+
+enum JsonNode {
+    Leaf(String),
+    Object(JsonObject),
+}
+
+impl JsonObject {
+    /// Put `leaf` at `path`, creating the objects on the way.
+    fn insert(&mut self, path: &[&'static str], leaf: String) {
+        let (&key, rest) = path.split_first().expect("a metric has a JSON key");
+        if rest.is_empty() {
+            self.0.push((key, JsonNode::Leaf(leaf)));
+            return;
+        }
+        let at = match self.0.iter().position(|(k, _)| *k == key) {
+            Some(at) => at,
+            None => {
+                self.0.push((key, JsonNode::Object(JsonObject::default())));
+                self.0.len() - 1
+            }
+        };
+        if let JsonNode::Object(child) = &mut self.0[at].1 {
+            child.insert(rest, leaf);
+        }
+    }
+
+    fn write(&self, out: &mut String) {
+        out.push('{');
+        for (i, (key, node)) in self.0.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("\"{key}\":"));
+            match node {
+                JsonNode::Leaf(v) => out.push_str(v),
+                JsonNode::Object(child) => child.write(out),
+            }
+        }
+        out.push('}');
+    }
+}
+
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
@@ -687,107 +382,18 @@ fn json_f64(v: f64) -> String {
 /// Render the counters and latency summaries as a JSON document (the
 /// `/stats.json` endpoint body).
 pub fn stats_json(stats: &StatsSnapshot, latency: &LatencySnapshot) -> String {
+    let mut root = JsonObject::default();
+    stats.for_each_metric(&mut |m: Metric| {
+        let value = match m.value {
+            Value::U64(v) => v.to_string(),
+            Value::F64(v) => json_f64(v),
+        };
+        root.insert(&m.path, value);
+    });
     let mut out = String::with_capacity(4 * 1024);
-    out.push('{');
-    out.push_str(&format!(
-        "\"committed\":{},\"aborted\":{},\"smo_count\":{},\"smo_wait_nanos\":{},",
-        stats.committed, stats.aborted, stats.smo_count, stats.smo_wait_nanos
-    ));
-    out.push_str("\"cs\":{");
-    for (i, cat) in CsCategory::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{}\":{{\"entries\":{},\"contended\":{}}}",
-            cs_slug(*cat),
-            stats.cs.entries(*cat),
-            stats.cs.contended(*cat)
-        ));
-    }
-    out.push_str("},\"latches\":{");
-    for (i, kind) in PageKind::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{}\":{{\"acquired\":{},\"contended\":{},\"bypassed\":{},\"wait_nanos\":{}}}",
-            latch_slug(*kind),
-            stats.latches.acquired(*kind),
-            stats.latches.contended(*kind),
-            stats.latches.bypassed(*kind),
-            stats.latches.wait_nanos(*kind)
-        ));
-    }
-    out.push_str(&format!(
-        "}},\"dlb\":{{\"evaluations\":{},\"decay_rounds\":{},\"repartitions_triggered\":{},\
-         \"skipped_balanced\":{},\"skipped_cost\":{},\"skipped_cooldown\":{},\
-         \"repartitions_failed\":{},\"rollbacks\":{},\"observed_imbalance\":{},\
-         \"predicted_imbalance\":{}}},",
-        stats.dlb.evaluations,
-        stats.dlb.decay_rounds,
-        stats.dlb.repartitions_triggered,
-        stats.dlb.skipped_balanced,
-        stats.dlb.skipped_cost,
-        stats.dlb.skipped_cooldown,
-        stats.dlb.repartitions_failed,
-        stats.dlb.rollbacks,
-        json_f64(stats.dlb.observed_imbalance),
-        json_f64(stats.dlb.predicted_imbalance)
-    ));
-    out.push_str(&format!(
-        "\"wal\":{{\"flush_batches\":{},\"flushed_records\":{},\"flushed_bytes\":{},\
-         \"fsyncs\":{},\"checkpoints\":{},\"recovered_txns\":{},\"recovered_records\":{},\
-         \"torn_bytes\":{}}},",
-        stats.wal.flush_batches,
-        stats.wal.flushed_records,
-        stats.wal.flushed_bytes,
-        stats.wal.fsyncs,
-        stats.wal.checkpoints,
-        stats.wal.recovered_txns,
-        stats.wal.recovered_records,
-        stats.wal.torn_bytes
-    ));
-    out.push_str(&format!(
-        "\"msg\":{{\"actions\":{},\"roundtrip_nanos\":{},\"reply_reuses\":{},\
-         \"reply_allocs\":{},\"enqueue_spins\":{},\"dequeue_spins\":{},\"parks\":{},\
-         \"wakeups\":{},\"batches\":{},\"batch_actions\":{},\"batch_size\":{{{}}},\
-         \"lane_hits\":{},\"lane_fallbacks\":{},\"inline_actions\":{},\
-         \"inline_nanos\":{}}},",
-        stats.msg.actions,
-        stats.msg.roundtrip_nanos,
-        stats.msg.reply_reuses,
-        stats.msg.reply_allocs,
-        stats.msg.enqueue_spins,
-        stats.msg.dequeue_spins,
-        stats.msg.parks,
-        stats.msg.wakeups,
-        stats.msg.batches,
-        stats.msg.batch_actions,
-        BATCH_BUCKET_LABELS
-            .iter()
-            .zip(stats.msg.batch_size_buckets)
-            .map(|(label, n)| format!("\"{label}\":{n}"))
-            .collect::<Vec<_>>()
-            .join(","),
-        stats.msg.lane_hits,
-        stats.msg.lane_fallbacks,
-        stats.msg.inline_actions,
-        stats.msg.inline_nanos
-    ));
-    out.push_str(&format!(
-        "\"server\":{{\"connections_accepted\":{},\"connections_closed\":{},\
-         \"active_connections\":{},\"frames_decoded\":{},\"decode_errors\":{},\
-         \"responses_sent\":{},\"bytes_in\":{},\"bytes_out\":{}}},",
-        stats.server.connections_accepted,
-        stats.server.connections_closed,
-        stats.server.active_connections(),
-        stats.server.frames_decoded,
-        stats.server.decode_errors,
-        stats.server.responses_sent,
-        stats.server.bytes_in,
-        stats.server.bytes_out
-    ));
+    root.write(&mut out);
+    out.pop(); // the closing brace: the latency array follows
+    out.push(',');
     out.push_str("\"latency\":[");
     let mut first = true;
     for (name, h) in latency.named() {
@@ -816,7 +422,7 @@ pub fn stats_json(stats: &StatsSnapshot, latency: &LatencySnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LatencyStats, StatsRegistry};
+    use crate::{CsCategory, LatencyStats, PageKind, StatsRegistry};
 
     /// Every counter, gauge, array slot and batch bucket gets a distinct
     /// non-zero value, so a swapped or dropped field shows in the goldens

@@ -8,6 +8,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::histogram::{bucket_index, bucket_range, Histogram, HistogramSnapshot};
+
 /// The storage-manager component that owns a critical section.
 ///
 /// These are exactly the categories of Figure 1 in the paper.
@@ -71,6 +73,27 @@ impl CsCategory {
             CsCategory::Uncategorized => "Uncategorized",
         }
     }
+
+    /// Label-safe slug: the `category` label and the `/stats.json` key.
+    fn slug(self) -> &'static str {
+        match self {
+            CsCategory::LockMgr => "lock_mgr",
+            CsCategory::PageLatch => "page_latch",
+            CsCategory::Bpool => "bpool",
+            CsCategory::Metadata => "metadata",
+            CsCategory::LogMgr => "log_mgr",
+            CsCategory::XctMgr => "xct_mgr",
+            CsCategory::MessagePassing => "message_passing",
+            CsCategory::Uncategorized => "uncategorized",
+        }
+    }
+
+    fn labels(self) -> Vec<(&'static str, &'static str)> {
+        vec![
+            ("category", self.slug()),
+            ("class", self.contention_class().name()),
+        ]
+    }
 }
 
 impl fmt::Display for CsCategory {
@@ -132,6 +155,19 @@ impl PageKind {
             PageKind::CatalogSpace => CsCategory::Metadata,
         }
     }
+
+    /// Label-safe slug: the `kind` label and the `/stats.json` key.
+    fn slug(self) -> &'static str {
+        match self {
+            PageKind::Index => "index",
+            PageKind::Heap => "heap",
+            PageKind::CatalogSpace => "catalog_space",
+        }
+    }
+
+    fn labels(self) -> Vec<(&'static str, &'static str)> {
+        vec![("kind", self.slug())]
+    }
 }
 
 impl fmt::Display for PageKind {
@@ -140,29 +176,439 @@ impl fmt::Display for PageKind {
     }
 }
 
-const N_CATEGORIES: usize = 8;
-const N_PAGE_KINDS: usize = 3;
+/// One exported value: a Prometheus sample and a `/stats.json` leaf.
+pub(crate) struct Metric {
+    pub(crate) name: &'static str,
+    pub(crate) help: &'static str,
+    /// Prometheus `TYPE`: `counter` or `gauge`.
+    pub(crate) kind: &'static str,
+    pub(crate) labels: Vec<(&'static str, &'static str)>,
+    /// Keys from the `/stats.json` root down to the leaf.
+    pub(crate) path: Vec<&'static str>,
+    pub(crate) value: Value,
+}
 
-/// Critical-section entry counters, one slot per [`CsCategory`].
-#[derive(Debug, Default)]
-pub struct CsStats {
-    entries: [AtomicU64; N_CATEGORIES],
-    contended: [AtomicU64; N_CATEGORIES],
+pub(crate) enum Value {
+    U64(u64),
+    F64(f64),
+}
+
+/// Declares every counter of [`StatsRegistry`] once, and derives the rest.
+///
+/// Each entry is `field: kind => "prometheus_name" {label = "value"} /
+/// "HELP text",` (the label is optional; so is the HELP of an entry that
+/// continues the family above it). Kinds:
+///
+/// * `counter` — cumulative `u64`; `delta` subtracts.
+/// * `gauge`, `gauge_f64` — point-in-time value (an `f64` is stored as its
+///   bits); `delta` keeps the later value.
+/// * `per[Enum]` — one counter per slot of `Enum::ALL`, labelled and keyed
+///   by the slot (`Enum::labels`, `Enum::slug`).
+/// * `buckets["a", …]` — a [`Histogram`] exported as the legacy
+///   actions-per-message buckets, labelled `bucket`.
+/// * `derived` — no storage: a gauge read from the snapshot method of the
+///   same name.
+///
+/// `registry` lists the counters kept on [`StatsRegistry`] itself (counters
+/// only), `extras` its other members (each has a `reset`), and every group
+/// after them becomes a field of the registry and of its snapshot.
+///
+/// From the table it generates each group's atomic struct (the fields in
+/// table order) and `Copy` snapshot, their `snapshot`, `reset` and `delta`,
+/// the snapshot accessors of `per` arrays, [`StatsRegistry`] and
+/// [`StatsSnapshot`], and the table-order walk that `/metrics` and
+/// `/stats.json` render. Recording methods and derived read-outs are
+/// written by hand below the table.
+macro_rules! stats_table {
+    (
+        registry { $($(#[$ta:meta])* $top:ident: counter => $tname:literal / $thelp:literal,)* }
+        extras { $($(#[$xa:meta])* $x:ident: $X:ty,)* }
+        $($(#[$ga:meta])* $group:ident: $Stats:ident / $Snap:ident { $($body:tt)* })*
+    ) => {
+        $(stats_table!(@split [$(#[$ga])* $group $Stats $Snap] [] []; $($body)*);)*
+
+        /// Shared registry of all instrumentation counters for one engine
+        /// instance: 1 152 bytes inline (pinned below), plus about 109 KB of
+        /// boxed histogram buckets (14 histograms × 976 buckets × 8 B).
+        ///
+        /// Cloning the `Arc<StatsRegistry>` is how every component gains
+        /// access.
+        #[derive(Debug, Default)]
+        pub struct StatsRegistry {
+            $($group: $Stats,)*
+            $($(#[$ta])* $top: AtomicU64,)*
+            $($(#[$xa])* $x: $X,)*
+        }
+
+        impl StatsRegistry {
+            $(pub fn $group(&self) -> &$Stats {
+                &self.$group
+            })*
+
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($group: self.$group.snapshot(),)*
+                    $($top: self.$top.load(Ordering::Relaxed),)*
+                }
+            }
+
+            /// Zero every counter, histogram, trace ring and log.
+            pub fn reset(&self) {
+                $(self.$group.reset();)*
+                $(self.$top.store(0, Ordering::Relaxed);)*
+                $(self.$x.reset();)*
+            }
+        }
+
+        /// A consistent-enough snapshot of every counter in a
+        /// [`StatsRegistry`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
+        pub struct StatsSnapshot {
+            $(pub $group: $Snap,)*
+            $(pub $top: u64,)*
+        }
+
+        impl StatsSnapshot {
+            /// Counter difference (`self - earlier`, saturating at zero);
+            /// gauges keep the later value.
+            pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($group: self.$group.delta(&earlier.$group),)*
+                    $($top: self.$top.saturating_sub(earlier.$top),)*
+                }
+            }
+
+            /// Every exported value, in table order.
+            pub(crate) fn for_each_metric(&self, f: &mut dyn FnMut(Metric)) {
+                $(f(Metric {
+                    name: $tname,
+                    help: $thelp,
+                    kind: "counter",
+                    labels: Vec::new(),
+                    path: vec![stringify!($top)],
+                    value: Value::U64(self.$top),
+                });)*
+                $(self.$group.visit(f);)*
+            }
+        }
+    };
+
+    // Split a group's entries into the stored ones and the exported ones
+    // (all of them, `derived` included).
+    (@split $hdr:tt $stored:tt $all:tt;) => {
+        stats_table!(@group $hdr $stored $all);
+    };
+    (@split $hdr:tt $stored:tt [$($all:tt)*];
+        $field:ident: derived => $name:literal / $help:literal, $($rest:tt)*) => {
+        stats_table!(@split $hdr $stored [$($all)* [$field (derived) $name [] $help]]; $($rest)*);
+    };
+    (@split $hdr:tt [$($stored:tt)*] [$($all:tt)*];
+        $(#[$fa:meta])* $field:ident: $kind:ident $([$($arg:tt)*])? => $name:literal
+        $({$lk:ident = $lv:literal})? $(/ $help:literal)?, $($rest:tt)*) => {
+        stats_table!(@split $hdr
+            [$($stored)* [$(#[$fa])* $field ($kind $([$($arg)*])?)]]
+            [$($all)* [$field ($kind $([$($arg)*])?) $name [$($lk $lv)?] $($help)?]];
+            $($rest)*);
+    };
+
+    (@group [$(#[$ga:meta])* $group:ident $Stats:ident $Snap:ident]
+        [$([$(#[$fa:meta])* $field:ident $kind:tt])*]
+        [$([$vfield:ident $vkind:tt $name:literal [$($lk:ident $lv:literal)?] $($help:literal)?])*]
+    ) => {
+        $(#[$ga])*
+        #[derive(Debug, Default)]
+        pub struct $Stats {
+            $($(#[$fa])* $field: stats_table!(@atomic $kind),)*
+        }
+
+        #[doc = concat!("An immutable copy of [`", stringify!($Stats), "`].")]
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
+        pub struct $Snap {
+            $(pub $field: stats_table!(@value $kind),)*
+        }
+
+        impl $Stats {
+            pub fn snapshot(&self) -> $Snap {
+                $Snap {
+                    $($field: stats_table!(@load $kind self.$field),)*
+                }
+            }
+
+            pub fn reset(&self) {
+                $(stats_table!(@reset $kind self.$field);)*
+            }
+        }
+
+        impl $Snap {
+            /// Counter difference (`self - earlier`, saturating at zero);
+            /// gauges keep the later value.
+            pub fn delta(&self, earlier: &Self) -> Self {
+                $Snap {
+                    $($field: stats_table!(@delta $kind self.$field, earlier.$field),)*
+                }
+            }
+
+            $(stats_table!(@accessor $kind $field);)*
+
+            fn visit(&self, f: &mut dyn FnMut(Metric)) {
+                $(stats_table!(@visit $vkind self $group $vfield $name
+                    [$($lk $lv)?] concat!("" $(, $help)?), f);)*
+            }
+        }
+    };
+
+    (@atomic (per [$Idx:ident])) => { [AtomicU64; $Idx::ALL.len()] };
+    (@atomic (buckets $labels:tt)) => { Histogram };
+    (@atomic ($scalar:ident)) => { AtomicU64 };
+
+    (@value (gauge_f64)) => { f64 };
+    (@value (per [$Idx:ident])) => { [u64; $Idx::ALL.len()] };
+    (@value (buckets [$($label:literal),*])) => { [u64; [$($label),*].len()] };
+    (@value ($scalar:ident)) => { u64 };
+
+    (@load (gauge_f64) $x:expr) => { f64::from_bits($x.load(Ordering::Relaxed)) };
+    (@load (per $idx:tt) $x:expr) => { std::array::from_fn(|i| $x[i].load(Ordering::Relaxed)) };
+    (@load (buckets $labels:tt) $x:expr) => { legacy_buckets(&$x.snapshot()) };
+    (@load ($scalar:ident) $x:expr) => { $x.load(Ordering::Relaxed) };
+
+    (@reset (per $idx:tt) $x:expr) => { $x.iter().for_each(|a| a.store(0, Ordering::Relaxed)) };
+    (@reset (buckets $labels:tt) $x:expr) => { $x.reset() };
+    (@reset ($scalar:ident) $x:expr) => { $x.store(0, Ordering::Relaxed) };
+
+    (@delta (counter) $a:expr, $b:expr) => { $a.saturating_sub($b) };
+    (@delta ($array:ident $arg:tt) $a:expr, $b:expr) => {
+        std::array::from_fn(|i| $a[i].saturating_sub($b[i]))
+    };
+    (@delta ($gauge:ident) $a:expr, $b:expr) => { $a };
+
+    (@accessor (per [$Idx:ident]) $field:ident) => {
+        pub fn $field(&self, slot: $Idx) -> u64 {
+            self.$field[slot as usize]
+        }
+    };
+    (@accessor $kind:tt $field:ident) => {};
+
+    (@visit (per [$Idx:ident]) $s:ident $group:ident $field:ident $name:literal [] $help:expr, $f:ident) => {
+        for slot in $Idx::ALL {
+            $f(Metric {
+                name: $name,
+                help: $help,
+                kind: "counter",
+                labels: slot.labels(),
+                path: vec![stringify!($group), slot.slug(), stringify!($field)],
+                value: Value::U64($s.$field[slot as usize]),
+            });
+        }
+    };
+    (@visit (buckets [$($label:literal),*]) $s:ident $group:ident $field:ident $name:literal [] $help:expr, $f:ident) => {
+        for (label, &n) in [$($label),*].into_iter().zip(&$s.$field) {
+            $f(Metric {
+                name: $name,
+                help: $help,
+                kind: "counter",
+                labels: vec![("bucket", label)],
+                path: vec![stringify!($group), stringify!($field), label],
+                value: Value::U64(n),
+            });
+        }
+    };
+    (@visit ($kind:ident) $s:ident $group:ident $field:ident $name:literal [$($lk:ident $lv:literal)?] $help:expr, $f:ident) => {
+        $f(Metric {
+            name: $name,
+            help: $help,
+            kind: if stringify!($kind) == "counter" { "counter" } else { "gauge" },
+            labels: vec![$((stringify!($lk), $lv))?],
+            path: vec![stringify!($group), stringify!($field)],
+            value: stats_table!(@export $kind $s.$field),
+        });
+    };
+
+    (@export gauge_f64 $s:ident.$field:ident) => { Value::F64($s.$field) };
+    (@export derived $s:ident.$field:ident) => { Value::U64($s.$field()) };
+    (@export $kind:ident $s:ident.$field:ident) => { Value::U64($s.$field) };
+}
+
+stats_table! {
+    registry {
+        committed: counter => "plp_txn_committed_total" / "Transactions committed.",
+        aborted: counter => "plp_txn_aborted_total" / "Transactions aborted.",
+        /// Structure-modification operations performed (page splits,
+        /// slices, melds).
+        smo_count: counter => "plp_smo_total" / "Structure-modification operations performed.",
+        /// The ARIES/KVL one-SMO-at-a-time serialization the paper calls
+        /// out; shown as "Latch-smo" in Figure 10.
+        smo_wait_nanos: counter =>
+            "plp_smo_wait_nanoseconds_total" / "Time spent waiting to enter an SMO.",
+    }
+
+    extras {
+        /// Latency histograms (action round-trip, dispatch, WAL, locks,
+        /// DLB), snapshotted separately from [`StatsSnapshot`] (which stays
+        /// `Copy`).
+        latency: crate::histogram::LatencyStats,
+        /// Per-thread trace rings (see [`crate::trace`]).
+        trace: crate::trace::TraceRegistry,
+        /// Top-K slowest transactions with phase breakdowns (see
+        /// [`crate::slowlog`]).
+        slow: crate::slowlog::SlowLog,
+        /// DLB controller decision audit ring (see [`crate::slowlog`]).
+        decisions: crate::slowlog::DecisionLog,
+    }
+
+    /// Critical-section entry counters, one slot per [`CsCategory`].
+    cs: CsStats / CsStatsSnapshot {
+        entries: per[CsCategory] =>
+            "plp_cs_entries_total" / "Critical-section entries by storage-manager component.",
+        contended: per[CsCategory] =>
+            "plp_cs_contended_total" / "Contended critical-section entries by component.",
+    }
+
+    /// Page-latch acquisition counters broken down by page kind.
+    latches: LatchStats / LatchStatsSnapshot {
+        acquired: per[PageKind] =>
+            "plp_latch_acquired_total" / "Page-latch acquisitions by page kind.",
+        contended: per[PageKind] =>
+            "plp_latch_contended_total" / "Contended page-latch acquisitions by page kind.",
+        bypassed: per[PageKind] => "plp_latch_bypassed_total"
+            / "Latch acquisitions skipped by latch-free PLP owner access.",
+        wait_nanos: per[PageKind] => "plp_latch_wait_nanoseconds_total"
+            / "Time spent waiting on contended page latches by page kind.",
+    }
+
+    /// Dynamic-load-balancing counters (the paper's Section 5 controller),
+    /// updated by the background load balancer in `plp-core::dlb`.
+    dlb: DlbStats / DlbStatsSnapshot {
+        evaluations: counter => "plp_dlb_evaluations_total" / "DLB controller evaluation rounds.",
+        decay_rounds: counter => "plp_dlb_decay_rounds_total" / "DLB histogram aging rounds.",
+        repartitions_triggered: counter =>
+            "plp_dlb_repartitions_total" / "Repartitions the DLB controller triggered.",
+        skipped_balanced: counter => "plp_dlb_skipped_total"{reason = "balanced"}
+            / "DLB evaluations that did not repartition, by reason.",
+        skipped_cost: counter => "plp_dlb_skipped_total"{reason = "cost"},
+        skipped_cooldown: counter => "plp_dlb_skipped_total"{reason = "cooldown"},
+        repartitions_failed: counter => "plp_dlb_repartitions_failed_total"
+            / "Controller-triggered repartitions that failed.",
+        rollbacks: counter =>
+            "plp_dlb_rollbacks_total" / "Failed repartitions rolled back from the journal.",
+        observed_imbalance: gauge_f64 => "plp_dlb_observed_imbalance"
+            / "Most recent observed partition-load imbalance (max/mean).",
+        predicted_imbalance: gauge_f64 => "plp_dlb_predicted_imbalance"
+            / "Imbalance the last accepted plan predicted after repartitioning.",
+    }
+
+    /// Durability counters: group-commit flush batches, fsyncs and recovery
+    /// progress, updated by the log manager's flusher and `Engine::recover`.
+    wal: WalStats / WalStatsSnapshot {
+        flush_batches: counter =>
+            "plp_wal_flush_batches_total" / "Non-empty group-commit batches flushed.",
+        flushed_records: counter =>
+            "plp_wal_flushed_records_total" / "Log records written across all flush batches.",
+        flushed_bytes: counter => "plp_wal_flushed_bytes_total" / "Log bytes written to the device.",
+        fsyncs: counter => "plp_wal_fsyncs_total" / "fsync calls issued on log segments.",
+        checkpoints: counter => "plp_wal_checkpoints_total" / "Fuzzy checkpoint records written.",
+        recovered_txns: gauge => "plp_wal_recovered_txns" / "Committed writers (transactions with \
+            a commit record) replayed by the last recovery.",
+        recovered_records: gauge =>
+            "plp_wal_recovered_records" / "Redo records replayed by the last recovery.",
+        torn_bytes: gauge =>
+            "plp_wal_torn_bytes" / "Torn-tail bytes discarded by the last recovery.",
+    }
+
+    /// Message-passing cost counters for the worker request/reply hot path
+    /// (the paper's Figure 1 "Message passing" component, in time as well
+    /// as in counts).
+    ///
+    /// Every counter here except the inline pair moves only when a session
+    /// sends a message: one per action group it could not run itself,
+    /// whatever the group's size.  The queue counters (spins, parks,
+    /// wakeups) are slow-path counters folded in from the channel shim by
+    /// `Database::sync_channel_metrics`.
+    msg: MsgStats / MsgStatsSnapshot {
+        actions: counter =>
+            "plp_msg_actions_total" / "Action round trips measured (messages actually sent).",
+        roundtrip_nanos: counter => "plp_msg_roundtrip_nanoseconds_total"
+            / "Total coordinator-observed round-trip time.",
+        reply_reuses: counter =>
+            "plp_msg_reply_reuses_total" / "Reply rendezvous taken from the session pool.",
+        reply_allocs: counter =>
+            "plp_msg_reply_allocs_total" / "Reply rendezvous freshly allocated.",
+        enqueue_spins: counter =>
+            "plp_msg_enqueue_spins_total" / "Producer-side queue retry rounds.",
+        dequeue_spins: counter =>
+            "plp_msg_dequeue_spins_total" / "Consumer-side queue retry rounds.",
+        parks: counter =>
+            "plp_msg_parks_total" / "Threads that exhausted the spin budget and blocked.",
+        wakeups: counter => "plp_msg_wakeups_total" / "Wakeups actually issued.",
+        batches: counter =>
+            "plp_msg_batches_total" / "Messages that carried more than one action.",
+        batch_actions: counter =>
+            "plp_msg_batch_actions_total" / "Actions carried inside multi-action messages.",
+        batch_size: buckets["le_2", "3_4", "5_8", "9_16", "ge_17"] =>
+            "plp_msg_batch_size_total" / "Batched dispatches by actions-per-batch bucket.",
+        lane_hits: counter =>
+            "plp_msg_lane_hits_total" / "Dispatches that took an SPSC fast lane.",
+        lane_fallbacks: counter =>
+            "plp_msg_lane_fallbacks_total" / "Dispatches that fell back to the shared MPMC queue.",
+        inline_actions: counter => "plp_msg_inline_actions_total"
+            / "Actions a session ran itself on an idle partition (no message sent).",
+        /// Zero in `obs-stub` builds, which read no clock there.
+        inline_nanos: counter => "plp_msg_inline_nanoseconds_total"
+            / "Session-observed time running inline actions.",
+    }
+
+    /// Network front-end counters for the `plp-server` connection server;
+    /// its per-request latency is the `server_request` histogram.
+    server: ServerStats / ServerStatsSnapshot {
+        connections_accepted: counter => "plp_server_connections_accepted_total"
+            / "Client connections accepted by the network front end.",
+        connections_closed: counter =>
+            "plp_server_connections_closed_total" / "Client connections closed.",
+        active_connections: derived =>
+            "plp_server_active_connections" / "Client connections currently open.",
+        frames_decoded: counter =>
+            "plp_server_frames_decoded_total" / "Request frames decoded successfully.",
+        decode_errors: counter => "plp_server_decode_errors_total"
+            / "Frames rejected by the decoder (connection kept alive).",
+        responses_sent: counter =>
+            "plp_server_responses_sent_total" / "Response frames written back to clients.",
+        bytes_in: counter => "plp_server_bytes_in_total" / "Frame bytes read off client sockets.",
+        bytes_out: counter =>
+            "plp_server_bytes_out_total" / "Frame bytes written back to clients.",
+    }
+
+}
+
+// The layout the ledger's numbers were measured on (ROADMAP finding 7:
+// 16 bytes of layout move `tatp_inproc` by ±20 %).
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<StatsRegistry>() == 1152);
+
+/// Collapse the actions-per-message histogram into the legacy 2 / 3–4 /
+/// 5–8 / 9–16 / 17+ buckets. Exact: below 16 every histogram bucket holds
+/// one value, and value 16 has a dedicated bucket (the first of the 16–31
+/// octave), so each legacy boundary coincides with a histogram bucket edge.
+fn legacy_buckets(h: &HistogramSnapshot) -> [u64; 5] {
+    let mut out = [0u64; 5];
+    for (i, &n) in h.buckets.iter().enumerate() {
+        let legacy = match bucket_range(i).0 {
+            0..=2 => 0,
+            3..=4 => 1,
+            5..=8 => 2,
+            9..=16 => 3,
+            _ => 4,
+        };
+        out[legacy] += n;
+    }
+    debug_assert_eq!(bucket_range(bucket_index(16)), (16, 16));
+    out
 }
 
 impl CsStats {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record entry into a critical section.  `contended` means the thread had
     /// to wait (the try-acquire failed and it fell back to blocking).
     #[inline]
     pub fn enter(&self, cat: CsCategory, contended: bool) {
-        self.entries[cat as usize].fetch_add(1, Ordering::Relaxed);
-        if contended {
-            self.contended[cat as usize].fetch_add(1, Ordering::Relaxed);
-        }
+        self.enter_n(cat, 1, contended);
     }
 
     /// Record `n` entries at once (used by composable critical sections where
@@ -174,41 +620,9 @@ impl CsStats {
             self.contended[cat as usize].fetch_add(n, Ordering::Relaxed);
         }
     }
-
-    pub fn snapshot(&self) -> CsStatsSnapshot {
-        let mut entries = [0u64; N_CATEGORIES];
-        let mut contended = [0u64; N_CATEGORIES];
-        for i in 0..N_CATEGORIES {
-            entries[i] = self.entries[i].load(Ordering::Relaxed);
-            contended[i] = self.contended[i].load(Ordering::Relaxed);
-        }
-        CsStatsSnapshot { entries, contended }
-    }
-
-    pub fn reset(&self) {
-        for i in 0..N_CATEGORIES {
-            self.entries[i].store(0, Ordering::Relaxed);
-            self.contended[i].store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// An immutable copy of [`CsStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CsStatsSnapshot {
-    entries: [u64; N_CATEGORIES],
-    contended: [u64; N_CATEGORIES],
 }
 
 impl CsStatsSnapshot {
-    pub fn entries(&self, cat: CsCategory) -> u64 {
-        self.entries[cat as usize]
-    }
-
-    pub fn contended(&self, cat: CsCategory) -> u64 {
-        self.contended[cat as usize]
-    }
-
     pub fn total_entries(&self) -> u64 {
         self.entries.iter().sum()
     }
@@ -223,16 +637,6 @@ impl CsStatsSnapshot {
             .sum()
     }
 
-    /// Difference between two snapshots (`self - earlier`), saturating at zero.
-    pub fn delta(&self, earlier: &CsStatsSnapshot) -> CsStatsSnapshot {
-        let mut out = CsStatsSnapshot::default();
-        for i in 0..N_CATEGORIES {
-            out.entries[i] = self.entries[i].saturating_sub(earlier.entries[i]);
-            out.contended[i] = self.contended[i].saturating_sub(earlier.contended[i]);
-        }
-        out
-    }
-
     /// Scale every counter by `1 / divisor` producing per-transaction floats.
     pub fn per_txn(&self, divisor: u64) -> Vec<(CsCategory, f64, f64)> {
         let d = divisor.max(1) as f64;
@@ -243,22 +647,7 @@ impl CsStatsSnapshot {
     }
 }
 
-/// Page-latch acquisition counters broken down by page kind.
-#[derive(Debug, Default)]
-pub struct LatchStats {
-    acquired: [AtomicU64; N_PAGE_KINDS],
-    contended: [AtomicU64; N_PAGE_KINDS],
-    /// Latch acquisitions that were *skipped* because the access was latch-free
-    /// (PLP owner access).  Useful for sanity-checking the designs.
-    bypassed: [AtomicU64; N_PAGE_KINDS],
-    wait_nanos: [AtomicU64; N_PAGE_KINDS],
-}
-
 impl LatchStats {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     #[inline]
     pub fn acquired(&self, kind: PageKind, contended: bool) {
         self.acquired[kind as usize].fetch_add(1, Ordering::Relaxed);
@@ -267,6 +656,8 @@ impl LatchStats {
         }
     }
 
+    /// Record an acquisition *skipped* because the access was latch-free
+    /// (PLP owner access).
     #[inline]
     pub fn bypassed(&self, kind: PageKind) {
         self.bypassed[kind as usize].fetch_add(1, Ordering::Relaxed);
@@ -276,114 +667,15 @@ impl LatchStats {
     pub fn waited(&self, kind: PageKind, nanos: u64) {
         self.wait_nanos[kind as usize].fetch_add(nanos, Ordering::Relaxed);
     }
-
-    pub fn snapshot(&self) -> LatchStatsSnapshot {
-        let mut acquired = [0u64; N_PAGE_KINDS];
-        let mut contended = [0u64; N_PAGE_KINDS];
-        let mut bypassed = [0u64; N_PAGE_KINDS];
-        let mut wait_nanos = [0u64; N_PAGE_KINDS];
-        for i in 0..N_PAGE_KINDS {
-            acquired[i] = self.acquired[i].load(Ordering::Relaxed);
-            contended[i] = self.contended[i].load(Ordering::Relaxed);
-            bypassed[i] = self.bypassed[i].load(Ordering::Relaxed);
-            wait_nanos[i] = self.wait_nanos[i].load(Ordering::Relaxed);
-        }
-        LatchStatsSnapshot {
-            acquired,
-            contended,
-            bypassed,
-            wait_nanos,
-        }
-    }
-
-    pub fn reset(&self) {
-        for i in 0..N_PAGE_KINDS {
-            self.acquired[i].store(0, Ordering::Relaxed);
-            self.contended[i].store(0, Ordering::Relaxed);
-            self.bypassed[i].store(0, Ordering::Relaxed);
-            self.wait_nanos[i].store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// An immutable copy of [`LatchStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatchStatsSnapshot {
-    acquired: [u64; N_PAGE_KINDS],
-    contended: [u64; N_PAGE_KINDS],
-    bypassed: [u64; N_PAGE_KINDS],
-    wait_nanos: [u64; N_PAGE_KINDS],
 }
 
 impl LatchStatsSnapshot {
-    pub fn acquired(&self, kind: PageKind) -> u64 {
-        self.acquired[kind as usize]
-    }
-
-    pub fn contended(&self, kind: PageKind) -> u64 {
-        self.contended[kind as usize]
-    }
-
-    pub fn bypassed(&self, kind: PageKind) -> u64 {
-        self.bypassed[kind as usize]
-    }
-
-    pub fn wait_nanos(&self, kind: PageKind) -> u64 {
-        self.wait_nanos[kind as usize]
-    }
-
     pub fn total_acquired(&self) -> u64 {
         self.acquired.iter().sum()
     }
-
-    pub fn delta(&self, earlier: &LatchStatsSnapshot) -> LatchStatsSnapshot {
-        let mut out = LatchStatsSnapshot::default();
-        for i in 0..N_PAGE_KINDS {
-            out.acquired[i] = self.acquired[i].saturating_sub(earlier.acquired[i]);
-            out.contended[i] = self.contended[i].saturating_sub(earlier.contended[i]);
-            out.bypassed[i] = self.bypassed[i].saturating_sub(earlier.bypassed[i]);
-            out.wait_nanos[i] = self.wait_nanos[i].saturating_sub(earlier.wait_nanos[i]);
-        }
-        out
-    }
-}
-
-/// Dynamic-load-balancing counters (the paper's Section 5 controller).
-///
-/// Updated by the background load balancer in `plp-core::dlb`; exposed here so
-/// the benchmark driver's snapshot/delta machinery covers DLB activity the
-/// same way it covers critical sections and latches.
-#[derive(Debug, Default)]
-pub struct DlbStats {
-    /// Controller evaluation rounds (histogram snapshot + imbalance check).
-    evaluations: AtomicU64,
-    /// Histogram aging (decay) rounds applied.
-    decay_rounds: AtomicU64,
-    /// Repartitions the controller actually triggered.
-    repartitions_triggered: AtomicU64,
-    /// Evaluations skipped because the load was already balanced.
-    skipped_balanced: AtomicU64,
-    /// Evaluations skipped because the cost model vetoed the candidate plan
-    /// (predicted movement cost exceeded the predicted gain).
-    skipped_cost: AtomicU64,
-    /// Evaluations skipped because a repartition happened too recently.
-    skipped_cooldown: AtomicU64,
-    /// Controller-triggered repartitions that failed (and were rolled back).
-    repartitions_failed: AtomicU64,
-    /// Failed repartitions whose journal rollback restored the old boundaries.
-    rollbacks: AtomicU64,
-    /// Most recent observed imbalance (max/mean partition load, f64 bits).
-    observed_imbalance_bits: AtomicU64,
-    /// Imbalance the last accepted plan predicted after repartitioning
-    /// (f64 bits).
-    predicted_imbalance_bits: AtomicU64,
 }
 
 impl DlbStats {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     #[inline]
     pub fn evaluation(&self) {
         self.evaluations.fetch_add(1, Ordering::Relaxed);
@@ -404,6 +696,8 @@ impl DlbStats {
         self.skipped_balanced.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// The cost model vetoed the candidate plan (predicted movement cost
+    /// exceeded the predicted gain).
     #[inline]
     pub fn skipped_cost(&self) {
         self.skipped_cost.fetch_add(1, Ordering::Relaxed);
@@ -427,125 +721,19 @@ impl DlbStats {
     /// Record the imbalance observed in an evaluation round.
     #[inline]
     pub fn set_observed_imbalance(&self, imbalance: f64) {
-        self.observed_imbalance_bits
+        self.observed_imbalance
             .store(imbalance.to_bits(), Ordering::Relaxed);
     }
 
     /// Record the imbalance the accepted plan predicts after repartitioning.
     #[inline]
     pub fn set_predicted_imbalance(&self, imbalance: f64) {
-        self.predicted_imbalance_bits
+        self.predicted_imbalance
             .store(imbalance.to_bits(), Ordering::Relaxed);
     }
-
-    pub fn snapshot(&self) -> DlbStatsSnapshot {
-        DlbStatsSnapshot {
-            evaluations: self.evaluations.load(Ordering::Relaxed),
-            decay_rounds: self.decay_rounds.load(Ordering::Relaxed),
-            repartitions_triggered: self.repartitions_triggered.load(Ordering::Relaxed),
-            skipped_balanced: self.skipped_balanced.load(Ordering::Relaxed),
-            skipped_cost: self.skipped_cost.load(Ordering::Relaxed),
-            skipped_cooldown: self.skipped_cooldown.load(Ordering::Relaxed),
-            repartitions_failed: self.repartitions_failed.load(Ordering::Relaxed),
-            rollbacks: self.rollbacks.load(Ordering::Relaxed),
-            observed_imbalance: f64::from_bits(
-                self.observed_imbalance_bits.load(Ordering::Relaxed),
-            ),
-            predicted_imbalance: f64::from_bits(
-                self.predicted_imbalance_bits.load(Ordering::Relaxed),
-            ),
-        }
-    }
-
-    pub fn reset(&self) {
-        self.evaluations.store(0, Ordering::Relaxed);
-        self.decay_rounds.store(0, Ordering::Relaxed);
-        self.repartitions_triggered.store(0, Ordering::Relaxed);
-        self.skipped_balanced.store(0, Ordering::Relaxed);
-        self.skipped_cost.store(0, Ordering::Relaxed);
-        self.skipped_cooldown.store(0, Ordering::Relaxed);
-        self.repartitions_failed.store(0, Ordering::Relaxed);
-        self.rollbacks.store(0, Ordering::Relaxed);
-        self.observed_imbalance_bits.store(0, Ordering::Relaxed);
-        self.predicted_imbalance_bits.store(0, Ordering::Relaxed);
-    }
-}
-
-/// An immutable copy of [`DlbStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DlbStatsSnapshot {
-    pub evaluations: u64,
-    pub decay_rounds: u64,
-    pub repartitions_triggered: u64,
-    pub skipped_balanced: u64,
-    pub skipped_cost: u64,
-    pub skipped_cooldown: u64,
-    pub repartitions_failed: u64,
-    pub rollbacks: u64,
-    pub observed_imbalance: f64,
-    pub predicted_imbalance: f64,
-}
-
-impl DlbStatsSnapshot {
-    /// Counter difference (`self - earlier`); the imbalance gauges keep the
-    /// later value (they are point-in-time, not cumulative).
-    pub fn delta(&self, earlier: &DlbStatsSnapshot) -> DlbStatsSnapshot {
-        DlbStatsSnapshot {
-            evaluations: self.evaluations.saturating_sub(earlier.evaluations),
-            decay_rounds: self.decay_rounds.saturating_sub(earlier.decay_rounds),
-            repartitions_triggered: self
-                .repartitions_triggered
-                .saturating_sub(earlier.repartitions_triggered),
-            skipped_balanced: self
-                .skipped_balanced
-                .saturating_sub(earlier.skipped_balanced),
-            skipped_cost: self.skipped_cost.saturating_sub(earlier.skipped_cost),
-            skipped_cooldown: self
-                .skipped_cooldown
-                .saturating_sub(earlier.skipped_cooldown),
-            repartitions_failed: self
-                .repartitions_failed
-                .saturating_sub(earlier.repartitions_failed),
-            rollbacks: self.rollbacks.saturating_sub(earlier.rollbacks),
-            observed_imbalance: self.observed_imbalance,
-            predicted_imbalance: self.predicted_imbalance,
-        }
-    }
-}
-
-/// Durability counters: group-commit flush batches, fsyncs and recovery
-/// progress (the file-backed log device of `plp-wal`).
-///
-/// Updated by the log manager's flusher thread and by `Engine::recover`;
-/// exposed here so the benchmark driver's snapshot/delta machinery covers
-/// durability activity the same way it covers critical sections and latches.
-#[derive(Debug, Default)]
-pub struct WalStats {
-    /// Non-empty group-commit batches written by the flusher.
-    flush_batches: AtomicU64,
-    /// Log records written across all flush batches (mean group-commit batch
-    /// size = `flushed_records / flush_batches`).
-    flushed_records: AtomicU64,
-    /// Log bytes written to the device.
-    flushed_bytes: AtomicU64,
-    /// `fsync` calls issued on log segment files.
-    fsyncs: AtomicU64,
-    /// Fuzzy checkpoint records written.
-    checkpoints: AtomicU64,
-    /// Committed writers (transactions with a commit record) replayed by the
-    /// last recovery (gauge).
-    recovered_txns: AtomicU64,
-    /// Redo records replayed by the last recovery (gauge).
-    recovered_records: AtomicU64,
-    /// Torn-tail bytes discarded by the last recovery (gauge).
-    torn_bytes: AtomicU64,
 }
 
 impl WalStats {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record one group-commit batch of `records` records / `bytes` bytes.
     #[inline]
     pub fn flushed(&self, records: u64, bytes: u64) {
@@ -570,43 +758,6 @@ impl WalStats {
         self.recovered_records.store(records, Ordering::Relaxed);
         self.torn_bytes.store(torn_bytes, Ordering::Relaxed);
     }
-
-    pub fn snapshot(&self) -> WalStatsSnapshot {
-        WalStatsSnapshot {
-            flush_batches: self.flush_batches.load(Ordering::Relaxed),
-            flushed_records: self.flushed_records.load(Ordering::Relaxed),
-            flushed_bytes: self.flushed_bytes.load(Ordering::Relaxed),
-            fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            recovered_txns: self.recovered_txns.load(Ordering::Relaxed),
-            recovered_records: self.recovered_records.load(Ordering::Relaxed),
-            torn_bytes: self.torn_bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    pub fn reset(&self) {
-        self.flush_batches.store(0, Ordering::Relaxed);
-        self.flushed_records.store(0, Ordering::Relaxed);
-        self.flushed_bytes.store(0, Ordering::Relaxed);
-        self.fsyncs.store(0, Ordering::Relaxed);
-        self.checkpoints.store(0, Ordering::Relaxed);
-        self.recovered_txns.store(0, Ordering::Relaxed);
-        self.recovered_records.store(0, Ordering::Relaxed);
-        self.torn_bytes.store(0, Ordering::Relaxed);
-    }
-}
-
-/// An immutable copy of [`WalStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalStatsSnapshot {
-    pub flush_batches: u64,
-    pub flushed_records: u64,
-    pub flushed_bytes: u64,
-    pub fsyncs: u64,
-    pub checkpoints: u64,
-    pub recovered_txns: u64,
-    pub recovered_records: u64,
-    pub torn_bytes: u64,
 }
 
 impl WalStatsSnapshot {
@@ -614,54 +765,9 @@ impl WalStatsSnapshot {
     pub fn mean_batch_size(&self) -> f64 {
         self.flushed_records as f64 / self.flush_batches.max(1) as f64
     }
-
-    /// Counter difference (`self - earlier`); the recovery fields keep the
-    /// later value (they are point-in-time gauges, not cumulative).
-    pub fn delta(&self, earlier: &WalStatsSnapshot) -> WalStatsSnapshot {
-        WalStatsSnapshot {
-            flush_batches: self.flush_batches.saturating_sub(earlier.flush_batches),
-            flushed_records: self.flushed_records.saturating_sub(earlier.flushed_records),
-            flushed_bytes: self.flushed_bytes.saturating_sub(earlier.flushed_bytes),
-            fsyncs: self.fsyncs.saturating_sub(earlier.fsyncs),
-            checkpoints: self.checkpoints.saturating_sub(earlier.checkpoints),
-            recovered_txns: self.recovered_txns,
-            recovered_records: self.recovered_records,
-            torn_bytes: self.torn_bytes,
-        }
-    }
-}
-
-/// Network front-end counters for the `plp-server` connection server:
-/// connection lifecycle, frame decode outcomes and wire traffic volume.
-/// Recorded by the server's accept and connection threads; the per-request
-/// server-side latency distribution lives in the `server_request` histogram
-/// (see [`crate::histogram::LatencyStats`]).
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Connections accepted by the listener.
-    connections_accepted: AtomicU64,
-    /// Connections closed (client disconnect, protocol breakdown or server
-    /// shutdown).  Active connections = accepted - closed.
-    connections_closed: AtomicU64,
-    /// Request frames decoded successfully.
-    frames_decoded: AtomicU64,
-    /// Frames rejected by the decoder (bad magic/version/CRC, truncated or
-    /// oversized) — the connection survives and receives an error response.
-    decode_errors: AtomicU64,
-    /// Response frames written back to clients.
-    responses_sent: AtomicU64,
-    /// Payload bytes read off client sockets (frame bytes, including
-    /// headers; excludes bytes of frames abandoned mid-read).
-    bytes_in: AtomicU64,
-    /// Bytes written back to clients.
-    bytes_out: AtomicU64,
 }
 
 impl ServerStats {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     #[inline]
     pub fn connection_accepted(&self) {
         self.connections_accepted.fetch_add(1, Ordering::Relaxed);
@@ -692,40 +798,6 @@ impl ServerStats {
         self.responses_sent.fetch_add(1, Ordering::Relaxed);
         self.bytes_out.fetch_add(bytes, Ordering::Relaxed);
     }
-
-    pub fn snapshot(&self) -> ServerStatsSnapshot {
-        ServerStatsSnapshot {
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_closed: self.connections_closed.load(Ordering::Relaxed),
-            frames_decoded: self.frames_decoded.load(Ordering::Relaxed),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-            responses_sent: self.responses_sent.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-        }
-    }
-
-    pub fn reset(&self) {
-        self.connections_accepted.store(0, Ordering::Relaxed);
-        self.connections_closed.store(0, Ordering::Relaxed);
-        self.frames_decoded.store(0, Ordering::Relaxed);
-        self.decode_errors.store(0, Ordering::Relaxed);
-        self.responses_sent.store(0, Ordering::Relaxed);
-        self.bytes_in.store(0, Ordering::Relaxed);
-        self.bytes_out.store(0, Ordering::Relaxed);
-    }
-}
-
-/// An immutable copy of [`ServerStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStatsSnapshot {
-    pub connections_accepted: u64,
-    pub connections_closed: u64,
-    pub frames_decoded: u64,
-    pub decode_errors: u64,
-    pub responses_sent: u64,
-    pub bytes_in: u64,
-    pub bytes_out: u64,
 }
 
 impl ServerStatsSnapshot {
@@ -734,82 +806,9 @@ impl ServerStatsSnapshot {
         self.connections_accepted
             .saturating_sub(self.connections_closed)
     }
-
-    /// Counter difference (`self - earlier`).
-    pub fn delta(&self, earlier: &ServerStatsSnapshot) -> ServerStatsSnapshot {
-        ServerStatsSnapshot {
-            connections_accepted: self
-                .connections_accepted
-                .saturating_sub(earlier.connections_accepted),
-            connections_closed: self
-                .connections_closed
-                .saturating_sub(earlier.connections_closed),
-            frames_decoded: self.frames_decoded.saturating_sub(earlier.frames_decoded),
-            decode_errors: self.decode_errors.saturating_sub(earlier.decode_errors),
-            responses_sent: self.responses_sent.saturating_sub(earlier.responses_sent),
-            bytes_in: self.bytes_in.saturating_sub(earlier.bytes_in),
-            bytes_out: self.bytes_out.saturating_sub(earlier.bytes_out),
-        }
-    }
-}
-
-/// Message-passing cost counters for the worker request/reply hot path (the
-/// paper's Figure 1 "Message passing" component, now measured in time as
-/// well as in counts).
-///
-/// Every counter here except the inline pair moves only when a session sends
-/// a message: one per action group it could not run itself, whatever the
-/// group's size.  The round-trip, send and reply-pool counters are recorded
-/// by the coordinator in `plp-core`; the queue counters (spins, parks,
-/// wakeups) are slow-path counters folded in from the channel shim by
-/// `Database::sync_channel_metrics`.
-#[derive(Debug, Default)]
-pub struct MsgStats {
-    /// Message round trips measured (send → replies consumed); one per
-    /// message, however many actions it carried.
-    actions: AtomicU64,
-    /// Total coordinator-observed round-trip time.
-    roundtrip_nanos: AtomicU64,
-    /// Reply rendezvous taken from the session pool (steady state).
-    reply_reuses: AtomicU64,
-    /// Reply rendezvous freshly allocated (pool warm-up).
-    reply_allocs: AtomicU64,
-    /// Producer-side queue retry rounds (failed CAS / full-queue spins).
-    enqueue_spins: AtomicU64,
-    /// Consumer-side queue retry rounds.
-    dequeue_spins: AtomicU64,
-    /// Threads that exhausted the spin budget and blocked.
-    parks: AtomicU64,
-    /// Wakeups actually issued (skipped when no one sleeps).
-    wakeups: AtomicU64,
-    /// Messages that carried more than one action (a singleton message is
-    /// not a batch).
-    batches: AtomicU64,
-    /// Actions carried inside those multi-action messages.
-    batch_actions: AtomicU64,
-    /// Full actions-per-message distribution of the multi-action messages.
-    /// The legacy 5-bucket view in [`MsgStatsSnapshot::batch_size_buckets`]
-    /// is recomputed from this exactly (all five legacy boundaries fall on
-    /// histogram bucket edges).
-    batch_hist: crate::histogram::Histogram,
-    /// Messages that took a session's SPSC fast lane.
-    lane_hits: AtomicU64,
-    /// Messages that went over the shared MPMC queue instead (lane full, or
-    /// the session has no lane to that worker).
-    lane_fallbacks: AtomicU64,
-    /// Actions a session ran itself after claiming an idle partition — no
-    /// message was sent for them, so none of the counters above moved.
-    inline_actions: AtomicU64,
-    /// Session-observed time running those actions (claim held → last
-    /// action done); zero in `obs-stub` builds, which read no clock there.
-    inline_nanos: AtomicU64,
 }
 
 impl MsgStats {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record one action round trip.
     #[inline]
     pub fn roundtrip(&self, nanos: u64) {
@@ -834,7 +833,7 @@ impl MsgStats {
         if actions > 1 {
             self.batches.fetch_add(1, Ordering::Relaxed);
             self.batch_actions.fetch_add(actions, Ordering::Relaxed);
-            self.batch_hist.record(actions);
+            self.batch_size.record(actions);
         }
         if fast_lane {
             self.lane_hits.fetch_add(1, Ordering::Relaxed);
@@ -859,89 +858,6 @@ impl MsgStats {
         self.parks.fetch_add(parks, Ordering::Relaxed);
         self.wakeups.fetch_add(wakeups, Ordering::Relaxed);
     }
-
-    pub fn snapshot(&self) -> MsgStatsSnapshot {
-        MsgStatsSnapshot {
-            actions: self.actions.load(Ordering::Relaxed),
-            roundtrip_nanos: self.roundtrip_nanos.load(Ordering::Relaxed),
-            reply_reuses: self.reply_reuses.load(Ordering::Relaxed),
-            reply_allocs: self.reply_allocs.load(Ordering::Relaxed),
-            enqueue_spins: self.enqueue_spins.load(Ordering::Relaxed),
-            dequeue_spins: self.dequeue_spins.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batch_actions: self.batch_actions.load(Ordering::Relaxed),
-            batch_size_buckets: Self::legacy_buckets(&self.batch_hist.snapshot()),
-            lane_hits: self.lane_hits.load(Ordering::Relaxed),
-            lane_fallbacks: self.lane_fallbacks.load(Ordering::Relaxed),
-            inline_actions: self.inline_actions.load(Ordering::Relaxed),
-            inline_nanos: self.inline_nanos.load(Ordering::Relaxed),
-        }
-    }
-
-    pub fn reset(&self) {
-        self.actions.store(0, Ordering::Relaxed);
-        self.roundtrip_nanos.store(0, Ordering::Relaxed);
-        self.reply_reuses.store(0, Ordering::Relaxed);
-        self.reply_allocs.store(0, Ordering::Relaxed);
-        self.enqueue_spins.store(0, Ordering::Relaxed);
-        self.dequeue_spins.store(0, Ordering::Relaxed);
-        self.parks.store(0, Ordering::Relaxed);
-        self.wakeups.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
-        self.batch_actions.store(0, Ordering::Relaxed);
-        self.batch_hist.reset();
-        self.lane_hits.store(0, Ordering::Relaxed);
-        self.lane_fallbacks.store(0, Ordering::Relaxed);
-        self.inline_actions.store(0, Ordering::Relaxed);
-        self.inline_nanos.store(0, Ordering::Relaxed);
-    }
-
-    /// Collapse the histogram into the legacy 2 / 3–4 / 5–8 / 9–16 / 17+
-    /// buckets. Exact: below 16 every histogram bucket holds one value, and
-    /// value 16 has a dedicated bucket (the first of the 16–31 octave), so
-    /// each legacy boundary coincides with a histogram bucket edge.
-    fn legacy_buckets(h: &crate::histogram::HistogramSnapshot) -> [u64; 5] {
-        use crate::histogram::{bucket_index, bucket_range};
-        let mut out = [0u64; 5];
-        for (i, &n) in h.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let (lo, _) = bucket_range(i);
-            let legacy = match lo {
-                0..=2 => 0,
-                3..=4 => 1,
-                5..=8 => 2,
-                9..=16 => 3,
-                _ => 4,
-            };
-            out[legacy] += n;
-        }
-        debug_assert_eq!(bucket_range(bucket_index(16)), (16, 16));
-        out
-    }
-}
-
-/// An immutable copy of [`MsgStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MsgStatsSnapshot {
-    pub actions: u64,
-    pub roundtrip_nanos: u64,
-    pub reply_reuses: u64,
-    pub reply_allocs: u64,
-    pub enqueue_spins: u64,
-    pub dequeue_spins: u64,
-    pub parks: u64,
-    pub wakeups: u64,
-    pub batches: u64,
-    pub batch_actions: u64,
-    pub batch_size_buckets: [u64; 5],
-    pub lane_hits: u64,
-    pub lane_fallbacks: u64,
-    pub inline_actions: u64,
-    pub inline_nanos: u64,
 }
 
 impl MsgStatsSnapshot {
@@ -1000,65 +916,6 @@ impl MsgStatsSnapshot {
         }
         self.lane_hits as f64 / total as f64
     }
-
-    /// Counter difference (`self - earlier`); all fields are cumulative.
-    pub fn delta(&self, earlier: &MsgStatsSnapshot) -> MsgStatsSnapshot {
-        MsgStatsSnapshot {
-            actions: self.actions.saturating_sub(earlier.actions),
-            roundtrip_nanos: self.roundtrip_nanos.saturating_sub(earlier.roundtrip_nanos),
-            reply_reuses: self.reply_reuses.saturating_sub(earlier.reply_reuses),
-            reply_allocs: self.reply_allocs.saturating_sub(earlier.reply_allocs),
-            enqueue_spins: self.enqueue_spins.saturating_sub(earlier.enqueue_spins),
-            dequeue_spins: self.dequeue_spins.saturating_sub(earlier.dequeue_spins),
-            parks: self.parks.saturating_sub(earlier.parks),
-            wakeups: self.wakeups.saturating_sub(earlier.wakeups),
-            batches: self.batches.saturating_sub(earlier.batches),
-            batch_actions: self.batch_actions.saturating_sub(earlier.batch_actions),
-            batch_size_buckets: [
-                self.batch_size_buckets[0].saturating_sub(earlier.batch_size_buckets[0]),
-                self.batch_size_buckets[1].saturating_sub(earlier.batch_size_buckets[1]),
-                self.batch_size_buckets[2].saturating_sub(earlier.batch_size_buckets[2]),
-                self.batch_size_buckets[3].saturating_sub(earlier.batch_size_buckets[3]),
-                self.batch_size_buckets[4].saturating_sub(earlier.batch_size_buckets[4]),
-            ],
-            lane_hits: self.lane_hits.saturating_sub(earlier.lane_hits),
-            lane_fallbacks: self.lane_fallbacks.saturating_sub(earlier.lane_fallbacks),
-            inline_actions: self.inline_actions.saturating_sub(earlier.inline_actions),
-            inline_nanos: self.inline_nanos.saturating_sub(earlier.inline_nanos),
-        }
-    }
-}
-
-/// Shared registry of all instrumentation counters for one engine instance.
-///
-/// Cloning the `Arc<StatsRegistry>` is how every component gains access; the
-/// registry itself is cheap (a few cache lines of atomics).
-#[derive(Debug, Default)]
-pub struct StatsRegistry {
-    cs: CsStats,
-    latches: LatchStats,
-    dlb: DlbStats,
-    wal: WalStats,
-    msg: MsgStats,
-    server: ServerStats,
-    committed_txns: AtomicU64,
-    aborted_txns: AtomicU64,
-    /// Structure-modification operations performed (page splits, slices, melds).
-    smo_count: AtomicU64,
-    /// Nanoseconds spent waiting to enter an SMO (the ARIES/KVL one-SMO-at-a-time
-    /// serialization the paper calls out; shown as "Latch-smo" in Figure 10).
-    smo_wait_nanos: AtomicU64,
-    /// Latency histograms (action round-trip, dispatch, WAL, locks, DLB).
-    /// Snapshotted separately from [`StatsSnapshot`] (which stays `Copy`):
-    /// see [`StatsRegistry::latency`] and
-    /// [`LatencyStats::snapshot`](crate::LatencyStats::snapshot).
-    latency: crate::histogram::LatencyStats,
-    /// Per-thread trace rings (see [`crate::trace`]).
-    trace: crate::trace::TraceRegistry,
-    /// Top-K slowest transactions with phase breakdowns (see [`crate::slowlog`]).
-    slow: crate::slowlog::SlowLog,
-    /// DLB controller decision audit ring (see [`crate::slowlog`]).
-    decisions: crate::slowlog::DecisionLog,
 }
 
 impl StatsRegistry {
@@ -1068,31 +925,6 @@ impl StatsRegistry {
 
     pub fn new_shared() -> Arc<Self> {
         Arc::new(Self::new())
-    }
-
-    pub fn cs(&self) -> &CsStats {
-        &self.cs
-    }
-
-    pub fn latches(&self) -> &LatchStats {
-        &self.latches
-    }
-
-    pub fn dlb(&self) -> &DlbStats {
-        &self.dlb
-    }
-
-    pub fn wal(&self) -> &WalStats {
-        &self.wal
-    }
-
-    pub fn msg(&self) -> &MsgStats {
-        &self.msg
-    }
-
-    /// The network front end's connection/frame counters.
-    pub fn server(&self) -> &ServerStats {
-        &self.server
     }
 
     /// The engine's latency histograms.
@@ -1117,20 +949,20 @@ impl StatsRegistry {
 
     #[inline]
     pub fn txn_committed(&self) {
-        self.committed_txns.fetch_add(1, Ordering::Relaxed);
+        self.committed.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
     pub fn txn_aborted(&self) {
-        self.aborted_txns.fetch_add(1, Ordering::Relaxed);
+        self.aborted.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn committed(&self) -> u64 {
-        self.committed_txns.load(Ordering::Relaxed)
+        self.committed.load(Ordering::Relaxed)
     }
 
     pub fn aborted(&self) -> u64 {
-        self.aborted_txns.load(Ordering::Relaxed)
+        self.aborted.load(Ordering::Relaxed)
     }
 
     /// Record one structure-modification operation and the time spent waiting
@@ -1145,74 +977,6 @@ impl StatsRegistry {
 
     pub fn smo_count(&self) -> u64 {
         self.smo_count.load(Ordering::Relaxed)
-    }
-
-    pub fn smo_wait_nanos(&self) -> u64 {
-        self.smo_wait_nanos.load(Ordering::Relaxed)
-    }
-
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            cs: self.cs.snapshot(),
-            latches: self.latches.snapshot(),
-            dlb: self.dlb.snapshot(),
-            wal: self.wal.snapshot(),
-            msg: self.msg.snapshot(),
-            server: self.server.snapshot(),
-            committed: self.committed(),
-            aborted: self.aborted(),
-            smo_count: self.smo_count(),
-            smo_wait_nanos: self.smo_wait_nanos(),
-        }
-    }
-
-    pub fn reset(&self) {
-        self.cs.reset();
-        self.latches.reset();
-        self.dlb.reset();
-        self.wal.reset();
-        self.msg.reset();
-        self.server.reset();
-        self.committed_txns.store(0, Ordering::Relaxed);
-        self.aborted_txns.store(0, Ordering::Relaxed);
-        self.smo_count.store(0, Ordering::Relaxed);
-        self.smo_wait_nanos.store(0, Ordering::Relaxed);
-        self.latency.reset();
-        self.trace.reset();
-        self.slow.reset();
-        self.decisions.reset();
-    }
-}
-
-/// A consistent-enough snapshot of every counter in a [`StatsRegistry`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StatsSnapshot {
-    pub cs: CsStatsSnapshot,
-    pub latches: LatchStatsSnapshot,
-    pub dlb: DlbStatsSnapshot,
-    pub wal: WalStatsSnapshot,
-    pub msg: MsgStatsSnapshot,
-    pub server: ServerStatsSnapshot,
-    pub committed: u64,
-    pub aborted: u64,
-    pub smo_count: u64,
-    pub smo_wait_nanos: u64,
-}
-
-impl StatsSnapshot {
-    pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            cs: self.cs.delta(&earlier.cs),
-            latches: self.latches.delta(&earlier.latches),
-            dlb: self.dlb.delta(&earlier.dlb),
-            wal: self.wal.delta(&earlier.wal),
-            msg: self.msg.delta(&earlier.msg),
-            server: self.server.delta(&earlier.server),
-            committed: self.committed.saturating_sub(earlier.committed),
-            aborted: self.aborted.saturating_sub(earlier.aborted),
-            smo_count: self.smo_count.saturating_sub(earlier.smo_count),
-            smo_wait_nanos: self.smo_wait_nanos.saturating_sub(earlier.smo_wait_nanos),
-        }
     }
 }
 
@@ -1246,7 +1010,7 @@ mod tests {
 
     #[test]
     fn cs_stats_count_and_delta() {
-        let s = CsStats::new();
+        let s = CsStats::default();
         s.enter(CsCategory::LockMgr, false);
         s.enter(CsCategory::LockMgr, true);
         s.enter_n(CsCategory::LogMgr, 5, false);
@@ -1263,7 +1027,7 @@ mod tests {
 
     #[test]
     fn contentious_counts_only_unscalable() {
-        let s = CsStats::new();
+        let s = CsStats::default();
         s.enter(CsCategory::LockMgr, true);
         s.enter(CsCategory::XctMgr, true); // fixed: excluded
         s.enter(CsCategory::LogMgr, true); // composable: excluded
@@ -1274,7 +1038,7 @@ mod tests {
 
     #[test]
     fn latch_stats_by_kind() {
-        let l = LatchStats::new();
+        let l = LatchStats::default();
         l.acquired(PageKind::Index, false);
         l.acquired(PageKind::Index, true);
         l.acquired(PageKind::Heap, false);
@@ -1291,7 +1055,7 @@ mod tests {
 
     #[test]
     fn per_txn_normalisation() {
-        let s = CsStats::new();
+        let s = CsStats::default();
         s.enter_n(CsCategory::PageLatch, 100, false);
         let snap = s.snapshot();
         let rows = snap.per_txn(10);
@@ -1318,7 +1082,7 @@ mod tests {
 
     #[test]
     fn dlb_stats_counters_and_gauges() {
-        let d = DlbStats::new();
+        let d = DlbStats::default();
         d.evaluation();
         d.evaluation();
         d.decay_round();
@@ -1350,7 +1114,7 @@ mod tests {
 
     #[test]
     fn wal_stats_counters_gauges_and_batch_size() {
-        let w = WalStats::new();
+        let w = WalStats::default();
         w.flushed(10, 1000);
         w.flushed(20, 2000);
         w.fsync();
@@ -1375,12 +1139,12 @@ mod tests {
         assert_eq!(w.snapshot().flush_batches, 0);
         assert_eq!(w.snapshot().recovered_records, 0);
         // Empty stats report a 0 batch size, not NaN.
-        assert_eq!(WalStats::new().snapshot().mean_batch_size(), 0.0);
+        assert_eq!(WalStats::default().snapshot().mean_batch_size(), 0.0);
     }
 
     #[test]
     fn msg_stats_roundtrips_pool_and_queue_activity() {
-        let m = MsgStats::new();
+        let m = MsgStats::default();
         m.roundtrip(1_000);
         m.roundtrip(3_000);
         m.reply_reused();
@@ -1405,15 +1169,15 @@ mod tests {
         m.reset();
         assert_eq!(m.snapshot().actions, 0);
         // Empty stats report 0, not NaN.
-        assert_eq!(MsgStats::new().snapshot().mean_roundtrip_nanos(), 0.0);
-        assert_eq!(MsgStats::new().snapshot().reply_pool_hit_rate(), 0.0);
-        assert_eq!(MsgStats::new().snapshot().mean_action_nanos(), 0.0);
-        assert_eq!(MsgStats::new().snapshot().inline_share(), 0.0);
+        assert_eq!(MsgStats::default().snapshot().mean_roundtrip_nanos(), 0.0);
+        assert_eq!(MsgStats::default().snapshot().reply_pool_hit_rate(), 0.0);
+        assert_eq!(MsgStats::default().snapshot().mean_action_nanos(), 0.0);
+        assert_eq!(MsgStats::default().snapshot().inline_share(), 0.0);
     }
 
     #[test]
     fn msg_stats_cost_per_action_spans_both_paths() {
-        let m = MsgStats::new();
+        let m = MsgStats::default();
         // One singleton message, one 3-action message, 4 inline actions.
         m.sent(1, false);
         m.roundtrip(10_000);
@@ -1465,6 +1229,100 @@ mod tests {
         assert_eq!(r.snapshot().dlb.repartitions_triggered, 1);
         r.reset();
         assert_eq!(r.snapshot().dlb.repartitions_triggered, 0);
+    }
+
+    /// Bumps every recorder once; `round` varies the amounts and gauges.
+    fn record_everything(r: &StatsRegistry, round: u64) {
+        r.txn_committed();
+        r.txn_aborted();
+        r.smo_performed(round);
+        for cat in CsCategory::ALL {
+            r.cs().enter_n(cat, round, true);
+        }
+        for kind in PageKind::ALL {
+            r.latches().acquired(kind, true);
+            r.latches().bypassed(kind);
+            r.latches().waited(kind, round);
+        }
+        let d = r.dlb();
+        let bumps: [fn(&DlbStats); 8] = [
+            DlbStats::evaluation,
+            DlbStats::decay_round,
+            DlbStats::triggered,
+            DlbStats::skipped_balanced,
+            DlbStats::skipped_cost,
+            DlbStats::skipped_cooldown,
+            DlbStats::failed,
+            DlbStats::rollback,
+        ];
+        bumps.iter().for_each(|bump| bump(d));
+        d.set_observed_imbalance(round as f64 + 0.5);
+        d.set_predicted_imbalance(round as f64 + 0.25);
+        r.wal().flushed(round, 10 * round);
+        r.wal().fsync();
+        r.wal().checkpoint();
+        r.wal().set_recovery(round, round + 1, round + 2);
+        let m = r.msg();
+        m.roundtrip(round);
+        m.reply_reused();
+        m.reply_allocated();
+        m.queue_activity(round, round, round, round);
+        for actions in [1, 2, 3, 5, 9, 17] {
+            m.sent(actions, actions % 2 == 1);
+        }
+        m.inline_ran(round, round);
+        let s = r.server();
+        s.connection_accepted();
+        s.connection_accepted();
+        s.connection_closed();
+        s.frame_decoded(round);
+        s.decode_error(round);
+        s.response_sent(round);
+    }
+
+    fn exported(s: &StatsSnapshot) -> Vec<(String, &'static str, f64)> {
+        let mut out = Vec::new();
+        s.for_each_metric(&mut |m| {
+            let value = match m.value {
+                Value::U64(v) => v as f64,
+                Value::F64(v) => v,
+            };
+            out.push((m.path.join("."), m.kind, value));
+        });
+        out
+    }
+
+    /// The table's rules over every exported value: counters subtract,
+    /// gauges keep the later value, and `reset` zeroes all of it, the batch
+    /// histogram included.
+    #[test]
+    fn delta_and_reset_follow_each_kind() {
+        let r = StatsRegistry::new();
+        record_everything(&r, 1);
+        let a = r.snapshot();
+        record_everything(&r, 3);
+        let b = r.snapshot();
+        let (a, b, d) = (exported(&a), exported(&b), exported(&b.delta(&a)));
+        for ((path, kind, before), ((_, _, after), (_, _, delta))) in a.iter().zip(b.iter().zip(&d))
+        {
+            assert!(*after > 0.0, "{path} was never recorded");
+            // A `derived` gauge is its formula over the subtracted counters.
+            if path == "server.active_connections" {
+                assert_eq!(*delta, 1.0);
+                continue;
+            }
+            let want = if *kind == "counter" {
+                after - before
+            } else {
+                *after
+            };
+            assert_eq!(*delta, want, "{path} ({kind})");
+        }
+        r.reset();
+        for (path, _, value) in exported(&r.snapshot()) {
+            assert_eq!(value, 0.0, "{path} survived reset");
+        }
+        assert_eq!(r.msg().batch_size.snapshot().count, 0);
     }
 
     #[test]
