@@ -3,9 +3,10 @@
 //!
 //! One background thread owns the listener and serves connections *serially*
 //! — scrapes are read-only snapshots off the atomics, so a slow or stuck
-//! client delays other scrapers, never the engine (bounded by the socket
-//! read/write timeouts). The accept loop polls a non-blocking listener so
-//! shutdown never blocks on a quiet socket.
+//! client delays other scrapers, never the engine, and by at most
+//! [`IO_TIMEOUT`]: one deadline covers a connection's whole request read and
+//! reply write. The accept loop polls a non-blocking listener so shutdown
+//! never blocks on a quiet socket.
 //!
 //! Routes:
 //!
@@ -23,15 +24,16 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::recorder::FlightRecorder;
 use crate::stats::StatsRegistry;
 
 /// How long a quiet accept loop sleeps between polls.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
-/// Per-connection socket timeouts: a stalled scraper is dropped, it cannot
-/// wedge the server thread (let alone a worker).
+/// Per-connection deadline, from accept to the last byte of the reply: a
+/// stalled or trickling scraper is dropped, it cannot wedge the server
+/// thread (let alone a worker).
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// Maximum request head accepted before the connection is dropped.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
@@ -110,11 +112,23 @@ fn serve_loop(
     }
 }
 
-/// Read the request head (start line + headers), bounded in size and time.
-fn read_request_head(stream: &mut TcpStream) -> std::io::Result<String> {
+/// Time left before `deadline`, as a socket timeout; `TimedOut` once it has
+/// passed (a zero timeout would mean "none").
+fn time_left(deadline: Instant) -> std::io::Result<Option<Duration>> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(std::io::ErrorKind::TimedOut.into());
+    }
+    Ok(Some(left))
+}
+
+/// Read the request head (start line + headers), bounded in size and by
+/// `deadline`.
+fn read_request_head(stream: &mut TcpStream, deadline: Instant) -> std::io::Result<String> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
+        stream.set_read_timeout(time_left(deadline)?)?;
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             break;
@@ -132,10 +146,9 @@ fn serve_connection(
     stats: &StatsRegistry,
     recorder: Option<&FlightRecorder>,
 ) -> std::io::Result<()> {
+    let deadline = Instant::now() + IO_TIMEOUT;
     stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let head = read_request_head(&mut stream)?;
+    let head = read_request_head(&mut stream, deadline)?;
     let mut parts = head.lines().next().unwrap_or("").split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
     let (status, content_type, body) = if method != "GET" {
@@ -186,9 +199,17 @@ fn serve_connection(
          Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(header.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
+    for mut bytes in [header.as_bytes(), body.as_bytes()] {
+        while !bytes.is_empty() {
+            stream.set_write_timeout(time_left(deadline)?)?;
+            match stream.write(bytes) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => bytes = &bytes[n..],
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
     Ok(())
 }
 
@@ -289,6 +310,47 @@ mod tests {
                 assert!(!out.contains("200 OK"), "server still answering: {out}");
             }
         }
+    }
+
+    /// A client that sends one byte every 500 ms and never ends its request
+    /// head is dropped at the connection deadline, so the scrape queued
+    /// behind it is answered in time.
+    #[test]
+    fn a_trickling_client_cannot_hold_the_endpoint() {
+        let (server, _stats) = test_server();
+        let addr = server.addr();
+        let stop = Arc::new(AtomicBool::new(false));
+        let trickler = {
+            let stop = Arc::clone(&stop);
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) && stream.write_all(b"G").is_ok() {
+                    std::thread::sleep(Duration::from_millis(500));
+                }
+            })
+        };
+        // Let the server thread take the trickler first.
+        std::thread::sleep(Duration::from_millis(200));
+        let started = Instant::now();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(6)))
+            .unwrap();
+        stream
+            .write_all(b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n")
+            .unwrap();
+        let mut response = String::new();
+        let read = stream.read_to_string(&mut response);
+        stop.store(true, Ordering::Relaxed);
+        trickler.join().unwrap();
+        assert!(
+            read.is_ok(),
+            "no full reply after {:?}: {read:?}",
+            started.elapsed()
+        );
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        assert!(response.contains("plp_txn_committed_total 1"), "{response}");
+        assert!(started.elapsed() < Duration::from_secs(6));
     }
 
     #[test]
