@@ -739,7 +739,7 @@ pub fn parse_msgcost_json(doc: &str) -> Result<Vec<MsgCostPoint>, String> {
 /// the baseline's by more than `threshold` (relative, plus a small absolute
 /// epsilon so near-zero baselines don't trip on noise) — but never while
 /// the lock-free path is still roughly at parity with the mutex one: the
-/// limit has a floor of [`RATIO_FLOOR`] (1.10, i.e. up to 10% past mutex
+/// limit has a floor of `RATIO_FLOOR` (1.10, i.e. up to 10% past mutex
 /// parity is tolerated).  The baseline is measured on whatever box
 /// refreshed it last, and scheduler-dependent ratios do not transfer
 /// exactly between hosts — on an oversubscribed shared CI runner a

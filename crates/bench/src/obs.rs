@@ -12,7 +12,7 @@
 //! The gated metric is the **stubbed/instrumented throughput ratio**: 1.0
 //! means recording is free, 1.10 means it costs 10%.  Both sides run on the
 //! same host in the same CI job, so the ratio is hardware-independent.  The
-//! gate is baseline-relative, with [`OBS_OVERHEAD_FLOOR`] as the least limit
+//! gate is baseline-relative, with `OBS_OVERHEAD_FLOOR` as the least limit
 //! it ever applies (see [`obs_limit`]).
 //!
 //! The stubbed side necessarily lives in a different compilation of the
@@ -125,7 +125,7 @@ pub fn is_stubbed() -> bool {
 
 /// Measure TATP throughput on PLP-Regular in *this* build — instrumented or
 /// stubbed is decided at compile time by the `obs-stub` feature.  Max of
-/// [`SAMPLES`] runs over a warmed engine.
+/// `SAMPLES` runs over a warmed engine.
 ///
 /// The instrumented side is measured with the live exposition endpoint up
 /// and a scraper hitting `/metrics` throughout, so the gated overhead ratio
@@ -287,7 +287,7 @@ pub fn parse_obs_json(doc: &str) -> Option<ObsResult> {
 
 /// The overhead-ratio limit the gate enforces: the baseline's ratio plus
 /// `threshold` relative slack (and a small absolute epsilon), floored at
-/// [`OBS_OVERHEAD_FLOOR`]; with no baseline entry the floor alone gates.
+/// `OBS_OVERHEAD_FLOOR`; with no baseline entry the floor alone gates.
 pub fn obs_limit(baseline: Option<&ObsResult>, threshold: f64) -> f64 {
     baseline
         .map(|b| b.overhead_ratio() * (1.0 + threshold) + 0.02)

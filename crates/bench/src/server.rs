@@ -224,7 +224,7 @@ pub fn server_sweep_json(r: &ServerResult) -> String {
 }
 
 /// Gate: the fresh saturation throughput must stay within `threshold` of the
-/// baseline's, and above the absolute [`SERVER_TPS_FLOOR`] regardless.
+/// baseline's, and above the absolute `SERVER_TPS_FLOOR` regardless.
 pub fn check_server_against_baseline(
     current: &ServerResult,
     baseline: Option<&ServerResult>,

@@ -51,7 +51,7 @@ impl NodeView {
         page.write_u64(OFF_HIGH_KEY, NO_HIGH_KEY);
     }
 
-    /// Exclusive upper bound of keys this leaf may hold ([`NO_HIGH_KEY`] means
+    /// Exclusive upper bound of keys this leaf may hold (`NO_HIGH_KEY` means
     /// unbounded).  Used by probes/inserts to detect that a racing split moved
     /// their key range to the right sibling (Blink-tree style "move right").
     pub fn high_key(page: &Page) -> u64 {

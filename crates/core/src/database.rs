@@ -206,7 +206,7 @@ impl Database {
 
     /// Fold the channel layer's slow-path counters (queue spins, parks,
     /// wakeups) accumulated since the last sync into this engine's
-    /// [`plp_instrument::MsgStats`].  The underlying counters are
+    /// [`plp_instrument::stats::MsgStats`].  The underlying counters are
     /// process-global, so with several engines running concurrently in one
     /// process the attribution is approximate; the benchmark driver runs
     /// engines one at a time.

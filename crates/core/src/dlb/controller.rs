@@ -6,7 +6,7 @@
 //! cost model predicts the move pays for itself — invokes
 //! [`PartitionManager::repartition`] with boundaries that equalize predicted
 //! load.  Every decision (taken or skipped, and why) is counted in
-//! [`plp_instrument::DlbStats`].
+//! [`plp_instrument::stats::DlbStats`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

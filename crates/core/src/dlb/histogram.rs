@@ -1,6 +1,6 @@
 //! Aging two-level access histograms (Section 5.1 of the paper).
 //!
-//! Each table gets one [`AgingHistogram`] over its primary-key space.  The
+//! Each table gets one `AgingHistogram` over its primary-key space.  The
 //! top level is a fixed-width array of at most 64 coarse buckets; inside
 //! buckets the controller has marked *hot*, a second level of fixed-width
 //! sub-buckets refines the picture so partition boundaries can be placed

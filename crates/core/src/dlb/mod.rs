@@ -34,7 +34,7 @@
 //! The whole subsystem is off by default ([`DlbConfig::enabled`] is
 //! `false`): no histograms are allocated and the routing path is unchanged.
 //! Enable it with [`crate::catalog::EngineConfig::with_dlb`]; observe it via
-//! [`plp_instrument::DlbStats`] (decisions taken/skipped, predicted vs.
+//! [`plp_instrument::stats::DlbStats`] (decisions taken/skipped, predicted vs.
 //! observed imbalance) and drive it manually with
 //! [`crate::engine::Engine::dlb`].
 

@@ -9,7 +9,7 @@
 use plp_btree::costmodel::{CostModelParams, RepartitionCost, SystemKind};
 
 /// A fine-grained load snapshot over one table's (or alignment group's) key
-/// space, produced from [`super::AgingHistogram::weights`].
+/// space, produced from `AgingHistogram::weights`.
 #[derive(Debug, Clone)]
 pub struct LoadSnapshot {
     pub key_space: u64,

@@ -1,11 +1,11 @@
 //! Declarative, value-typed transaction requests.
 //!
-//! The closure-based [`TransactionPlan`](crate::TransactionPlan) API is the
+//! The closure-based [`TransactionPlan`] API is the
 //! richest way to express a transaction — arbitrary logic, multi-stage
 //! rendezvous — but a boxed `FnOnce` cannot cross a process boundary.  This
 //! module is the wire-friendly subset: a [`Request`] is a list of [`Op`]
 //! values (point reads, writes, deletes and small range scans), each of which
-//! *lowers* onto one routed [`Action`](crate::Action) and executes through
+//! *lowers* onto one routed [`Action`] and executes through
 //! exactly the same plan/dispatch machinery as closure plans.  In-process
 //! callers ([`Session::run`](crate::engine::Session::run)) and the
 //! `plp-server` wire decoder share this surface verbatim, so a request

@@ -2,7 +2,7 @@
 //!
 //! PLP's invariant is that a partition's pages and lock table are touched by
 //! one thread *at a time*.  It is enforced by a per-partition **claim**: the
-//! partition-local state ([`PartitionState`]: the thread-local lock table and
+//! partition-local state (`PartitionState`: the thread-local lock table and
 //! the owner token that opens latch-free page access) sits behind one mutex
 //! owned by the [`WorkerHandle`], and whoever holds that mutex *is* the
 //! partition's thread for as long as it holds it.
@@ -10,9 +10,9 @@
 //! # Caller runs; the worker is the executor of last resort
 //!
 //! A session that finds its partition idle — the claim free and nothing
-//! queued or in a fast lane ([`WorkerHandle::try_claim`]) — runs the stage's
+//! queued or in a fast lane (`WorkerHandle::try_claim`) — runs the stage's
 //! action group itself, on its own thread, through the same
-//! [`PartitionState::run_group`] the worker uses, and pays no message at
+//! `PartitionState::run_group` the worker uses, and pays no message at
 //! all.  Otherwise it sends the group as one message (below), and the
 //! partition's worker thread takes the claim with a blocking `lock` around
 //! every request it executes (action groups, page cleaning).  The choice
@@ -30,7 +30,7 @@
 //! happens-before argument.
 //!
 //! Repartitioning needs nothing new: inline execution happens under the
-//! session's [`crate::partition::TxnTicket`] and the dispatch gate's read
+//! session's `TxnTicket` and the dispatch gate's read
 //! side, so the drain plus the gate's write side exclude it exactly as they
 //! exclude an enqueue.
 //!
@@ -45,7 +45,7 @@
 //! reply leg is a pooled [`BatchReplySlot`] rendezvous whose reply `Vec` is
 //! recycled across rounds, so the steady state allocates nothing per message
 //! (see [`crate::reply`]).  The worker executes the group strictly in order
-//! through [`PartitionState::run_group`] — a `Run` of *n* behaves exactly
+//! through `PartitionState::run_group` — a `Run` of *n* behaves exactly
 //! like *n* messages from the same sender — pushing one [`ActionReply`] per
 //! action (per-action results, log records and abort outcomes survive
 //! grouping), and wakes the coordinator once with `finish`.
@@ -268,7 +268,7 @@ impl WorkerHandle {
     /// waits on the slot at the stage's rendezvous point and can then reuse
     /// it — the steady state allocates nothing.  The send does all of the
     /// message's accounting: the coordinator's half of the message-passing
-    /// critical-section pair and [`plp_instrument::MsgStats::sent`].
+    /// critical-section pair and [`plp_instrument::stats::MsgStats::sent`].
     pub fn send(
         &self,
         txn_id: u64,

@@ -4,7 +4,7 @@
 //! One background thread owns the listener and serves connections *serially*
 //! — scrapes are read-only snapshots off the atomics, so a slow or stuck
 //! client delays other scrapers, never the engine, and by at most
-//! [`IO_TIMEOUT`]: one deadline covers a connection's whole request read and
+//! `IO_TIMEOUT`: one deadline covers a connection's whole request read and
 //! reply write. The accept loop polls a non-blocking listener so shutdown
 //! never blocks on a quiet socket.
 //!

@@ -281,7 +281,7 @@ impl Frame {
 pub enum SoftError {
     /// `len` below the fixed header + CRC size.
     TooShort(u32),
-    /// `len` above [`MAX_FRAME`]; the body was skipped without buffering.
+    /// `len` above `MAX_FRAME`; the body was skipped without buffering.
     TooLarge(u32),
     BadMagic,
     BadVersion(u8),

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! A connection thread decodes the frames its read buffer holds and runs
-//! each through its own [`Session`](plp_core::engine::Session) in arrival
+//! each through its own [`Session`] in arrival
 //! order, with the commit's durability wait deferred.  Once no complete
 //! frame is left buffered, it waits once for the largest LSN of the burst,
 //! writes every held reply in one `write`, and only then blocks in `read`

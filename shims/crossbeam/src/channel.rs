@@ -1,4 +1,4 @@
-//! MPMC channels over the lock-free queues of [`crate::queue`].
+//! MPMC channels over the lock-free queues of `crate::queue`.
 //!
 //! `bounded`/`unbounded` return `Sender`/`Receiver` pairs that are both
 //! `Clone + Send + Sync`, with crossbeam's disconnect semantics.  The hot
@@ -6,7 +6,7 @@
 //! single lock-free queue operation plus a sleeper check (one fence and one
 //! atomic load when nobody sleeps); no mutex is touched.  Blocking is
 //! layered on top: a bounded spin-then-yield phase first, then a park on a
-//! [`Gate`] (mutex + condvar used *only* while someone actually sleeps).
+//! `Gate` (mutex + condvar used *only* while someone actually sleeps).
 //!
 //! # Waking and disconnects
 //!
@@ -32,7 +32,7 @@
 //! # Fast lanes
 //!
 //! [`Sender::fast_lane`] attaches a dedicated single-producer ring
-//! ([`crate::queue::Spsc`]) to the channel and returns a [`LaneSender`]: a
+//! (`queue::Spsc`) to the channel and returns a [`LaneSender`]: a
 //! producer handle whose `send` is a wait-free slot write with no CAS and no
 //! contention with other producers, falling back to the shared MPMC queue
 //! when the ring is full.  Lanes share the channel's `not_empty` gate, so
@@ -46,8 +46,8 @@
 //!
 //! 1. **No lost wakeup for lane sends.**  The same Dekker pairing as above:
 //!    the lane push's `Release` stamp store precedes the notifier's `SeqCst`
-//!    fence in [`Gate::notify`]; the waiter's sleeper increment (`SeqCst`)
-//!    precedes the `SeqCst` fence in [`Shared::lane_ready`], which precedes
+//!    fence in `Gate::notify`; the waiter's sleeper increment (`SeqCst`)
+//!    precedes the `SeqCst` fence in `Shared::lane_ready`, which precedes
 //!    its `Acquire` stamp load.  Fence-to-fence ordering makes one side see
 //!    the other.  Pinned by `model_lane_send_wakes_parked_receiver`.
 //! 2. **Lane messages enqueued before a main-queue message are visible to a
@@ -401,7 +401,7 @@ impl<T> Drop for Receiver<T> {
 
 /// Single-producer handle for a dedicated fast lane of one channel, created
 /// by [`Sender::fast_lane`].  Deliberately neither `Clone` nor `Sync`: the
-/// unique-producer contract of the underlying [`Spsc`] ring is enforced by
+/// unique-producer contract of the underlying `Spsc` ring is enforced by
 /// this type's shape, not by runtime checks.  `Send` is fine — moving the
 /// handle moves the producer role with it.
 pub struct LaneSender<T> {

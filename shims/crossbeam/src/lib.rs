@@ -13,7 +13,7 @@
 //! (the "Message passing" component of the paper's Figure 1), so since PR 5
 //! the channels are **lock-free on the hot path**:
 //!
-//! * `bounded(n)` is a Vyukov-style array queue ([`queue`] has the
+//! * `bounded(n)` is a Vyukov-style array queue (`queue` has the
 //!   algorithm and the memory-ordering argument);
 //! * `unbounded()` is a segmented block-linked queue in the style of
 //!   crossbeam-channel's "list" flavor, with cooperative block reclamation;

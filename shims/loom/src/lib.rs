@@ -6,7 +6,7 @@
 //! [`model`] runs a closure under a cooperative scheduler many times,
 //! exploring every thread interleaving within a preemption bound *and* every
 //! weak-memory value a `Relaxed`/`Acquire`/`Release`/`SeqCst` load is
-//! allowed to observe (see [`rt`]'s module docs for the memory model and its
+//! allowed to observe (see `rt`'s module docs for the memory model and its
 //! documented approximations).  Code is threaded through the types in
 //! [`sync`] and [`thread`]; outside a model run those types delegate
 //! directly to `std`, so a binary built with this crate linked in — but no

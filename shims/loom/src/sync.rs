@@ -2,7 +2,7 @@
 //!
 //! Outside a model execution these delegate straight to `std`.  Inside one,
 //! lock ownership and condvar wait queues are mirrored into the runtime
-//! ([`crate::rt`]) so the scheduler can explore wake orders and detect
+//! (`crate::rt`) so the scheduler can explore wake orders and detect
 //! deadlocks/lost wakeups, while the *data* still lives in the wrapped std
 //! mutex (the baton scheduler guarantees the std lock is always free by the
 //! time the model grants ownership, so taking it never blocks the OS

@@ -1,7 +1,7 @@
 //! Workspace maintenance tasks.
 //!
 //! `cargo run -p xtask -- pairs …` and `… -- judge …` run the benchmark
-//! against a parent revision and apply its landing rule (see [`bench`]).
+//! against a parent revision and apply its landing rule (see [`bench`](mod@bench)).
 //!
 //! `cargo run -p xtask -- lint` walks the workspace sources and enforces the
 //! rules that rustc/clippy cannot express:
