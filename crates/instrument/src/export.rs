@@ -390,32 +390,26 @@ pub fn stats_json(stats: &StatsSnapshot, latency: &LatencySnapshot) -> String {
         };
         root.insert(&m.path, value);
     });
+    let summaries: Vec<String> = latency
+        .named()
+        .into_iter()
+        .filter(|(_, h)| h.count > 0)
+        .map(|(name, h)| {
+            format!(
+                "{{\"name\":{},\"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
+                crate::json_string_literal(name),
+                h.count,
+                h.sum,
+                json_f64(h.mean()),
+                h.p50(),
+                h.p99(),
+                h.max
+            )
+        })
+        .collect();
+    root.insert(&["latency"], format!("[{}]", summaries.join(",")));
     let mut out = String::with_capacity(4 * 1024);
     root.write(&mut out);
-    out.pop(); // the closing brace: the latency array follows
-    out.push(',');
-    out.push_str("\"latency\":[");
-    let mut first = true;
-    for (name, h) in latency.named() {
-        if h.count == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":{},\"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
-            crate::json_string_literal(name),
-            h.count,
-            h.sum,
-            json_f64(h.mean()),
-            h.p50(),
-            h.p99(),
-            h.max
-        ));
-    }
-    out.push_str("]}");
     out
 }
 

@@ -11,8 +11,9 @@
 //! * **Page-latch counters** per page kind (Figures 2 and 3): index pages,
 //!   heap pages, catalog/space-management pages.
 //! * **Per-transaction time breakdowns** (Figures 6, 7 and 10): views over
-//!   the contended-latch wait time per page kind (`LatchStats::wait_nanos`),
-//!   the SMO wait time (`smo_wait_nanos`) and the run's wall time.
+//!   the contended-latch wait time per page kind (recorded by
+//!   `LatchStats::waited`, read as `LatchStatsSnapshot::wait_nanos`), the
+//!   SMO wait time (`smo_wait_nanos`) and the run's wall time.
 //!
 //! This crate provides those counters.  Every other crate in the workspace
 //! takes a [`StatsRegistry`] handle and reports events into it; the benchmark

@@ -496,8 +496,9 @@ stats_table! {
             / "Imbalance the last accepted plan predicted after repartitioning.",
     }
 
-    /// Durability counters: group-commit flush batches, fsyncs and recovery
-    /// progress, updated by the log manager's flusher and `Engine::recover`.
+    /// Durability counters: group-commit flush batches, fsync calls and
+    /// recovery progress, updated by the log manager's flusher and
+    /// `Engine::recover`.
     wal: WalStats / WalStatsSnapshot {
         flush_batches: counter =>
             "plp_wal_flush_batches_total" / "Non-empty group-commit batches flushed.",
