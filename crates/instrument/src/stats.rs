@@ -591,6 +591,9 @@ const _: () = assert!(std::mem::size_of::<StatsRegistry>() == 1152);
 fn legacy_buckets(h: &HistogramSnapshot) -> [u64; 5] {
     let mut out = [0u64; 5];
     for (i, &n) in h.buckets.iter().enumerate() {
+        if n == 0 {
+            continue;
+        }
         let legacy = match bucket_range(i).0 {
             0..=2 => 0,
             3..=4 => 1,
@@ -609,7 +612,10 @@ impl CsStats {
     /// to wait (the try-acquire failed and it fell back to blocking).
     #[inline]
     pub fn enter(&self, cat: CsCategory, contended: bool) {
-        self.enter_n(cat, 1, contended);
+        self.entries[cat as usize].fetch_add(1, Ordering::Relaxed);
+        if contended {
+            self.contended[cat as usize].fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Record `n` entries at once (used by composable critical sections where
