@@ -2,7 +2,9 @@
 //! plus a small exposition parser used by the round-trip tests and the CI
 //! scrape smoke.
 //!
-//! The exposition covers every [`StatsSnapshot`] counter family and renders
+//! Both renderings walk the same counter table (`stats_table!` in
+//! [`crate::stats`]), so `/metrics` and `/stats.json` carry the same
+//! [`StatsSnapshot`] counters. The exposition also renders
 //! each latency histogram as a cumulative `_bucket{le="…"}` series straight
 //! off the log-linear buckets (the `le` bound of a bucket is its inclusive
 //! upper value from [`crate::histogram::bucket_range`]; empty buckets are
