@@ -4,14 +4,15 @@
 //! worker-routed partitioned execution) against behavioural drift without
 //! involving the workload crate.
 
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use plp_core::{
     Action, ActionOutput, DataContext, Design, Engine, EngineConfig, EngineError, TableId,
     TableSpec, TransactionPlan,
 };
-use plp_instrument::obs_enabled;
+use plp_instrument::{obs_enabled, CsCategory};
 
 const TABLE: TableId = TableId(0);
 const KEY_SPACE: u64 = 256;
@@ -241,5 +242,106 @@ fn requests_before_finish_loading_answer_not_ready_on_every_design() {
             Response::Ok(vec![ActionOutput::empty()]),
             "{design:?}"
         );
+    }
+}
+
+/// Transaction-manager critical sections entered so far.
+fn xct_mgr_entries(engine: &Engine) -> u64 {
+    engine
+        .db()
+        .stats()
+        .snapshot()
+        .cs
+        .entries(CsCategory::XctMgr)
+}
+
+/// A read of `key` that answers with the value stored there (every
+/// preloaded record holds its own key).
+fn read_value(key: u64) -> Action {
+    Action::new(TABLE, key, move |ctx| {
+        let row = ctx.read(TABLE, key)?.expect("key is preloaded");
+        Ok(ActionOutput::with_values(vec![u64::from_le_bytes(
+            row[..8].try_into().unwrap(),
+        )]))
+    })
+}
+
+/// First key of partition 1 (two partitions split the key space in half).
+const P1: u64 = KEY_SPACE / 2;
+
+/// The second stage is built from the first stage's outputs, and the result
+/// is stage 1's outputs followed by stage 2's, each in action-index order.
+/// A commit enters the transaction manager once at begin and once per action
+/// of every stage.
+#[test]
+fn a_continuation_reads_the_previous_stage_on_every_design() {
+    for design in Design::ALL {
+        let mut engine = build_engine(design);
+        let before = xct_mgr_entries(&engine);
+        let plan = TransactionPlan::parallel(vec![read_value(P1 + 2), read_value(2)]).followed_by(
+            |outputs: &[ActionOutput]| {
+                // Stage 2 reverses stage 1 and reads each key's neighbour.
+                TransactionPlan::parallel(
+                    outputs
+                        .iter()
+                        .rev()
+                        .map(|o| read_value(o.values[0] + 2))
+                        .collect(),
+                )
+            },
+        );
+        let outputs = engine.session().execute(plan).expect("commits");
+        let values: Vec<Vec<u64>> = outputs.into_iter().map(|o| o.values).collect();
+        assert_eq!(
+            values,
+            vec![vec![P1 + 2], vec![2], vec![4], vec![P1 + 4]],
+            "{design}"
+        );
+        assert_eq!(xct_mgr_entries(&engine) - before, 1 + 4, "{design}");
+        engine.shutdown();
+    }
+}
+
+/// A parallel stage over both partitions whose actions 1 and 2 fail with
+/// different errors answers action 1's error on every design — whether the
+/// design stops at the first failure or runs the whole stage — and the
+/// failing stage's continuation never runs.
+#[test]
+fn a_failing_stage_answers_its_lowest_indexed_error_on_every_design() {
+    for design in Design::ALL {
+        let mut engine = build_engine(design);
+        let continued = Arc::new(AtomicBool::new(false));
+        let flag = continued.clone();
+        let failing_stage = move |_: &[ActionOutput]| {
+            TransactionPlan::parallel(vec![
+                read_value(2),
+                // Partition 1: a duplicate insert.
+                Action::new(TABLE, P1 + 2, |ctx| {
+                    ctx.insert(TABLE, P1 + 2, b"taken", None)?;
+                    Ok(ActionOutput::empty())
+                }),
+                // Partition 0, grouped with action 0 ahead of action 1.
+                Action::new(TABLE, 4, |_ctx| Err(EngineError::Abort("action 2".into()))),
+            ])
+            .followed_by(move |_| {
+                flag.store(true, Ordering::SeqCst);
+                TransactionPlan::empty()
+            })
+        };
+        let plan = TransactionPlan::single(read_value(P1 + 4)).followed_by(failing_stage);
+        let result = engine.session().execute(plan);
+        assert_eq!(
+            result,
+            Err(EngineError::DuplicateKey {
+                table: TABLE,
+                key: P1 + 2
+            }),
+            "{design}"
+        );
+        assert!(
+            !continued.load(Ordering::SeqCst),
+            "{design}: a failing stage called its continuation"
+        );
+        engine.shutdown();
     }
 }

@@ -7,15 +7,18 @@
 //!
 //! The message path is forced the way `flight_recorder.rs` does it: other
 //! sessions hold both partitions' claims inside blocking actions while the
-//! session under test dispatches a stage to them.
+//! session under test dispatches a stage to them.  The same holders pin the
+//! stage semantics of `design_smoke.rs` on the message path.
 
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use plp_core::{
-    Action, ActionOutput, Design, Engine, EngineConfig, TableId, TableSpec, TransactionPlan,
+    Action, ActionOutput, Design, Engine, EngineConfig, EngineError, TableId, TableSpec,
+    TransactionPlan,
 };
-use plp_instrument::{parse_exposition, prometheus_exposition};
+use plp_instrument::{parse_exposition, prometheus_exposition, CsCategory};
 
 const TABLE: TableId = TableId(0);
 const KEY_SPACE: u64 = 4096;
@@ -133,4 +136,155 @@ fn a_contended_group_is_one_message_whatever_its_size() {
         );
     });
     engine.shutdown();
+}
+
+/// Transaction-manager critical sections entered so far.
+fn xct_mgr_entries(engine: &Engine) -> u64 {
+    engine
+        .db()
+        .stats()
+        .snapshot()
+        .cs
+        .entries(CsCategory::XctMgr)
+}
+
+/// A read of `key` that answers with the value stored there (every loaded
+/// record holds its own key).
+fn read_value(key: u64) -> Action {
+    Action::new(TABLE, key, move |ctx| {
+        let row = ctx.read(TABLE, key)?.expect("key is loaded");
+        Ok(ActionOutput::with_values(vec![u64::from_le_bytes(
+            row[..8].try_into().unwrap(),
+        )]))
+    })
+}
+
+/// Execute `plan` while one holder per partition keeps its claim, releasing
+/// the holders once the plan's first stage has sent its two messages.
+/// Returns the plan's result and the transaction-manager critical sections
+/// the holders and the plan entered.
+fn execute_with_claims_held(
+    engine: &Engine,
+    plan: TransactionPlan,
+) -> (Result<Vec<ActionOutput>, EngineError>, u64) {
+    let xct_before = xct_mgr_entries(engine);
+    let result = std::thread::scope(|scope| {
+        let mut releases = Vec::new();
+        let mut holders = Vec::new();
+        for key in [5, P1 + 5] {
+            let (entered_tx, entered_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            holders.push(scope.spawn(move || {
+                engine
+                    .session()
+                    .execute(TransactionPlan::single(Action::new(
+                        TABLE,
+                        key,
+                        move |_ctx| {
+                            entered_tx.send(()).unwrap();
+                            release_rx.recv().unwrap();
+                            Ok(ActionOutput::empty())
+                        },
+                    )))
+                    .expect("holder commits once released")
+            }));
+            entered_rx.recv().expect("holder is inside its action");
+            releases.push(release_tx);
+        }
+        let sent_before = messages_sent(engine);
+        let victim = scope.spawn(move || engine.session().execute(plan));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while messages_sent(engine) < sent_before + 2 {
+            assert!(
+                Instant::now() < deadline,
+                "the first stage's two messages never went out"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for release in releases {
+            release.send(()).unwrap();
+        }
+        for holder in holders {
+            holder.join().expect("holder thread");
+        }
+        victim.join().expect("victim thread")
+    });
+    (result, xct_mgr_entries(engine) - xct_before)
+}
+
+/// The stage semantics `design_smoke.rs` pins on the inline path, on the
+/// message path of every partitioned design: a continuation reads its
+/// messaged stage's outputs, results come back stage by stage in index
+/// order, a commit enters the transaction manager 1 + (actions) times, and
+/// a failing stage answers its lowest-indexed error without continuing.
+#[test]
+fn a_messaged_stage_keeps_the_stage_semantics() {
+    for design in Design::ALL.into_iter().filter(|d| d.is_partitioned()) {
+        let config = EngineConfig::new(design).with_partitions(2);
+        let mut engine = Engine::start(config, &[TableSpec::new(0, "shape", KEY_SPACE)]);
+        for k in (0..16).chain(P1..P1 + 16) {
+            engine
+                .db()
+                .load_record(TABLE, k, &k.to_le_bytes(), None)
+                .unwrap();
+        }
+        engine.finish_loading();
+
+        let two_stages = TransactionPlan::parallel(vec![read_value(P1 + 1), read_value(2)])
+            .followed_by(|outputs: &[ActionOutput]| {
+                TransactionPlan::parallel(
+                    outputs
+                        .iter()
+                        .rev()
+                        .map(|o| read_value(o.values[0] + 1))
+                        .collect(),
+                )
+            });
+        let (result, xct) = execute_with_claims_held(&engine, two_stages);
+        let values: Vec<Vec<u64>> = result
+            .expect("commits")
+            .into_iter()
+            .map(|o| o.values)
+            .collect();
+        assert_eq!(
+            values,
+            vec![vec![P1 + 1], vec![2], vec![3], vec![P1 + 2]],
+            "{design}"
+        );
+        // Each holder: begin plus a one-action commit.
+        assert_eq!(xct, 2 * 2 + 1 + 4, "{design}");
+
+        let continued = Arc::new(AtomicBool::new(false));
+        let flag = continued.clone();
+        // Partition 1's group [0, 2] is sent, and answers, ahead of
+        // partition 0's [1].
+        let failing = TransactionPlan::parallel(vec![
+            read_value(P1 + 1),
+            Action::new(TABLE, 2, |ctx| {
+                ctx.insert(TABLE, 2, b"taken", None)?;
+                Ok(ActionOutput::empty())
+            }),
+            Action::new(TABLE, P1 + 3, |_ctx| {
+                Err(EngineError::Abort("action 2".into()))
+            }),
+        ])
+        .followed_by(move |_| {
+            flag.store(true, Ordering::SeqCst);
+            TransactionPlan::empty()
+        });
+        let (result, _) = execute_with_claims_held(&engine, failing);
+        assert_eq!(
+            result,
+            Err(EngineError::DuplicateKey {
+                table: TABLE,
+                key: 2
+            }),
+            "{design}"
+        );
+        assert!(
+            !continued.load(Ordering::SeqCst),
+            "{design}: a failing stage called its continuation"
+        );
+        engine.shutdown();
+    }
 }
