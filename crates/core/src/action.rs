@@ -7,7 +7,8 @@
 //!
 //! Each action targets one table and one routing key; its body is a closure
 //! over the [`DataContext`] trait.  The *same closure* runs in every design —
-//! what changes is the context implementation behind the trait:
+//! what changes is how the one context behind the trait isolates the action
+//! and reaches its pages:
 //!
 //! * the conventional engine runs all actions inline on the client thread,
 //!   with centralized locking and latched page accesses;

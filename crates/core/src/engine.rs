@@ -16,9 +16,9 @@ use plp_lock::AgentLockCache;
 use plp_txn::Transaction;
 use plp_wal::{CheckpointData, Lsn};
 
-use crate::action::{ActionFn, ActionOutput, PlanContinuation, TransactionPlan};
+use crate::action::{Action, ActionFn, ActionOutput, PlanContinuation, TransactionPlan};
 use crate::catalog::{Design, EngineConfig, TableId, TableSpec};
-use crate::ctx::ConventionalCtx;
+use crate::ctx::ActionCtx;
 use crate::database::Database;
 use crate::dlb::{HistogramSet, LoadBalancerHandle};
 use crate::error::EngineError;
@@ -35,8 +35,8 @@ pub struct Engine {
     // Field order matters for drop: the checkpointer, metrics sampler and
     // DLB controller must stop before the partition workers they observe are
     // torn down.
-    checkpointer: Option<CheckpointerHandle>,
-    sampler: Option<MetricsSamplerHandle>,
+    checkpointer: Option<Periodic>,
+    sampler: Option<Periodic>,
     /// Live observability endpoint, present when
     /// [`EngineConfig::obs_endpoint`] is configured (and the build is not
     /// `obs-stub`).  Reads only the shared stats registry and the flight
@@ -129,11 +129,13 @@ impl Engine {
             (None, None)
         };
         let checkpointer = match (config.checkpoint_interval, db.log_manager().has_device()) {
-            (Some(interval), true) => Some(CheckpointerHandle::start(
-                db.clone(),
-                partition_mgr.clone(),
-                interval,
-            )),
+            (Some(interval), true) => {
+                let (db, pm) = (db.clone(), partition_mgr.clone());
+                Some(Periodic::start("plp-checkpointer", interval, move || {
+                    let data = gather_checkpoint(&db, pm.as_deref());
+                    db.log_manager().write_checkpoint(data);
+                }))
+            }
             _ => None,
         };
         // The flight recorder exists whenever anything consumes it: a
@@ -151,11 +153,12 @@ impl Engine {
             plp_instrument::register_flight_dump(path.clone(), rec, db.stats());
         }
         let sampler = match (&recorder, config.metrics_interval) {
-            (Some(rec), Some(interval)) => Some(MetricsSamplerHandle::start(
-                db.clone(),
-                rec.clone(),
-                interval,
-            )),
+            (Some(rec), Some(interval)) => {
+                let (db, rec) = (db.clone(), rec.clone());
+                Some(Periodic::start("plp-metrics", interval, move || {
+                    rec.sample_now(db.stats())
+                }))
+            }
             _ => None,
         };
         // In obs-stub builds there is nothing worth exposing (histograms and
@@ -470,15 +473,12 @@ impl Engine {
         if let Some(mut obs) = self.obs.take() {
             obs.stop();
         }
-        if let Some(ckpt) = self.checkpointer.take() {
-            ckpt.stop();
-        }
+        // Dropping a `Periodic` stops and joins its thread.
+        drop(self.checkpointer.take());
         if self.db.log_manager().has_device() {
             self.checkpoint_now();
         }
-        if let Some(sampler) = self.sampler.take() {
-            sampler.stop();
-        }
+        drop(self.sampler.take());
         if let Some(rec) = self.recorder.take() {
             // Final cut so the dump covers activity since the last tick, then
             // an explicit "shutdown" autopsy before the panic hook forgets us.
@@ -520,18 +520,20 @@ fn gather_checkpoint(db: &Database, pm: Option<&PartitionManager>) -> Checkpoint
     }
 }
 
-/// Background thread that cuts a fuzzy checkpoint every `interval`.
-struct CheckpointerHandle {
+/// A named background thread that runs `tick` every `interval` until the
+/// handle drops, which stops and joins it (the checkpointer and the metrics
+/// sampler).
+struct Periodic {
     stop: Arc<(Mutex<bool>, Condvar)>,
     thread: Option<JoinHandle<()>>,
 }
 
-impl CheckpointerHandle {
-    fn start(db: Arc<Database>, pm: Option<Arc<PartitionManager>>, interval: Duration) -> Self {
+impl Periodic {
+    fn start(name: &str, interval: Duration, mut tick: impl FnMut() + Send + 'static) -> Self {
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let stop2 = stop.clone();
         let thread = std::thread::Builder::new()
-            .name("plp-checkpointer".into())
+            .name(name.into())
             .spawn(move || {
                 let (lock, cv) = &*stop2;
                 loop {
@@ -544,99 +546,25 @@ impl CheckpointerHandle {
                             return;
                         }
                     }
-                    let data = gather_checkpoint(&db, pm.as_deref());
-                    db.log_manager().write_checkpoint(data);
+                    tick();
                 }
             })
-            .expect("spawn checkpointer");
+            .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
         Self {
             stop,
             thread: Some(thread),
         }
     }
+}
 
-    fn stop(mut self) {
-        self.signal_stop();
-        self.join();
-    }
-
-    fn signal_stop(&self) {
+impl Drop for Periodic {
+    fn drop(&mut self) {
         let (lock, cv) = &*self.stop;
         *lock.lock() = true;
         cv.notify_all();
-    }
-
-    fn join(&mut self) {
         if let Some(t) = self.thread.take() {
             crate::worker::join_unless_self(t);
         }
-    }
-}
-
-impl Drop for CheckpointerHandle {
-    fn drop(&mut self) {
-        self.signal_stop();
-        self.join();
-    }
-}
-
-/// Background thread that snapshots the stats registry into the flight
-/// recorder every [`EngineConfig::metrics_interval`].
-struct MetricsSamplerHandle {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl MetricsSamplerHandle {
-    fn start(db: Arc<Database>, recorder: Arc<FlightRecorder>, interval: Duration) -> Self {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop2 = stop.clone();
-        let thread = std::thread::Builder::new()
-            .name("plp-metrics".into())
-            .spawn(move || {
-                let (lock, cv) = &*stop2;
-                loop {
-                    {
-                        let mut stopped = lock.lock();
-                        if !*stopped {
-                            cv.wait_for(&mut stopped, interval);
-                        }
-                        if *stopped {
-                            return;
-                        }
-                    }
-                    recorder.sample_now(db.stats());
-                }
-            })
-            .expect("spawn metrics sampler");
-        Self {
-            stop,
-            thread: Some(thread),
-        }
-    }
-
-    fn stop(mut self) {
-        self.signal_stop();
-        self.join();
-    }
-
-    fn signal_stop(&self) {
-        let (lock, cv) = &*self.stop;
-        *lock.lock() = true;
-        cv.notify_all();
-    }
-
-    fn join(&mut self) {
-        if let Some(t) = self.thread.take() {
-            crate::worker::join_unless_self(t);
-        }
-    }
-}
-
-impl Drop for MetricsSamplerHandle {
-    fn drop(&mut self) {
-        self.signal_stop();
-        self.join();
     }
 }
 
@@ -806,11 +734,7 @@ impl Session<'_> {
         // central lock waits (conventional design), and the commit-time WAL
         // wait below.
         let mut phases = PhaseBreakdown::default();
-        let result = if self.engine.design.is_partitioned() {
-            self.execute_partitioned(&db, &mut txn, plan, &mut phases)
-        } else {
-            self.execute_conventional(&db, &mut txn, plan, &mut phases)
-        };
+        let result = self.run_stages(&db, &mut txn, plan, &mut phases);
         let commit_t0 = obs_now();
         // An abort waits too: what the transaction read may not be durable.
         let lsn = match result {
@@ -864,267 +788,276 @@ impl Session<'_> {
         (result, lsn)
     }
 
-    fn execute_conventional(
+    /// The one stage driver.  It admits the transaction — the partitioned
+    /// designs hold a `TxnTicket` for all its stages, the
+    /// conventional design checks the lock manager's loaded flag — then runs
+    /// the plan stage by stage until one fails or the plan ends.
+    fn run_stages(
         &mut self,
         db: &Database,
         txn: &mut Transaction,
         mut plan: TransactionPlan,
         phases: &mut PhaseBreakdown,
     ) -> Result<Vec<ActionOutput>, EngineError> {
-        if !db.lock_manager().loaded() {
-            return Err(EngineError::NotReady);
-        }
-        let mut all_outputs = Vec::new();
-        let mut total_actions = 0u32;
-        loop {
-            let mut stage_outputs = Vec::with_capacity(plan.actions.len());
-            for action in plan.actions {
-                total_actions += 1;
-                let mut ctx = ConventionalCtx::new(db, txn, self.sli.as_mut(), phases);
-                stage_outputs.push((action.run)(&mut ctx)?);
-            }
-            match next_stage(plan.then, stage_outputs, &mut all_outputs) {
-                Some(next) => plan = next,
-                None => break,
-            }
-        }
-        txn.set_action_count(total_actions);
-        Ok(all_outputs)
-    }
-
-    fn execute_partitioned(
-        &mut self,
-        db: &Database,
-        txn: &mut Transaction,
-        mut plan: TransactionPlan,
-        txn_phases: &mut PhaseBreakdown,
-    ) -> Result<Vec<ActionOutput>, EngineError> {
-        let pm = self
-            .engine
-            .partition_mgr
-            .as_ref()
-            .expect("partitioned design has a partition manager");
+        let pm = self.engine.partition_mgr.as_deref();
         // Register the whole (possibly multi-stage) transaction as in
         // flight: a concurrent repartition drains these tickets to zero
         // before moving ownership, so no stage ever runs under boundaries
         // different from its predecessors'.  Before loading has finished
         // the ticket is refused (`NotReady`).
-        let _ticket = pm.txn_ticket()?;
-        // Arc clone so trace spans can live across the mutable borrows of the
-        // reply pools below (one refcount bump per transaction).
-        let ring = self.ring.clone();
-        let stats = db.stats();
-        let txn_id = txn.id();
+        let _ticket = match pm {
+            Some(pm) => Some(pm.txn_ticket()?),
+            None if db.lock_manager().loaded() => None,
+            None => return Err(EngineError::NotReady),
+        };
         let mut all_outputs = Vec::new();
         let mut total_actions = 0u32;
-        // The lowest-indexed failing action of the current stage (a
-        // deterministic choice that does not depend on how actions were
-        // grouped, or on which thread ran them).
+        let result = loop {
+            total_actions += plan.actions.len() as u32;
+            let stage = match pm {
+                Some(pm) => self.partitioned_stage(pm, db, txn, plan.actions, phases),
+                None => self.conventional_stage(db, txn, plan.actions, phases),
+            };
+            match stage.map(|outputs| next_stage(plan.then, outputs, &mut all_outputs)) {
+                Ok(Some(next)) => plan = next,
+                Ok(None) => break Ok(all_outputs),
+                Err(e) => break Err(e),
+            }
+        };
+        txn.set_action_count(total_actions);
+        result
+    }
+
+    /// Run a stage's actions in order on this thread, under central locks,
+    /// stopping at the first failure.
+    fn conventional_stage(
+        &mut self,
+        db: &Database,
+        txn: &mut Transaction,
+        actions: Vec<Action>,
+        phases: &mut PhaseBreakdown,
+    ) -> Result<Vec<ActionOutput>, EngineError> {
+        let mut outputs = Vec::with_capacity(actions.len());
+        for action in actions {
+            let mut ctx = ActionCtx::conventional(db, txn, self.sli.as_mut(), phases);
+            outputs.push((action.run)(&mut ctx)?);
+        }
+        Ok(outputs)
+    }
+
+    /// Route a stage's actions to their partitions, run each partition's
+    /// group inline if the partition is idle or send it as one message, and
+    /// wait at the rendezvous point.  Every action runs; a failing stage
+    /// answers its lowest-indexed error.
+    fn partitioned_stage(
+        &mut self,
+        pm: &PartitionManager,
+        db: &Database,
+        txn: &mut Transaction,
+        actions: Vec<Action>,
+        txn_phases: &mut PhaseBreakdown,
+    ) -> Result<Vec<ActionOutput>, EngineError> {
+        let ring = &*self.ring;
+        let stats = db.stats();
+        let txn_id = txn.id();
+        // The lowest-indexed failing action (a deterministic choice that
+        // does not depend on how actions were grouped, or on which thread
+        // ran them).
         let mut abort: Option<(usize, EngineError)> = None;
-        loop {
-            let num_actions = plan.actions.len();
-            // Replies scatter back into stage order by original index.
-            let mut stage_slots: Vec<Option<ActionOutput>> = Vec::with_capacity(num_actions);
-            stage_slots.resize_with(num_actions, || None);
-            let mut consume = |index: usize,
-                               reply: ActionReply,
-                               stage_slots: &mut Vec<Option<ActionOutput>>,
-                               txn: &mut Transaction| {
-                let ActionReply { result, log, .. } = reply;
-                // Merge the action's log records into the transaction so the
-                // commit record covers them (one consolidated insert).
-                for record in log {
-                    db.log_manager().log_record(txn.log_handle_mut(), record);
-                }
-                match result {
-                    Ok(out) => stage_slots[index] = Some(out),
-                    Err(e) => {
-                        if abort.as_ref().is_none_or(|(i, _)| index < *i) {
-                            abort = Some((index, e));
-                        }
+        let num_actions = actions.len();
+        // Replies scatter back into stage order by original index.
+        let mut stage_slots: Vec<Option<ActionOutput>> = Vec::with_capacity(num_actions);
+        stage_slots.resize_with(num_actions, || None);
+        let mut consume = |index: usize,
+                           reply: ActionReply,
+                           stage_slots: &mut Vec<Option<ActionOutput>>,
+                           txn: &mut Transaction| {
+            let ActionReply { result, log, .. } = reply;
+            // Merge the action's log records into the transaction so the
+            // commit record covers them (one consolidated insert).
+            for record in log {
+                db.log_manager().log_record(txn.log_handle_mut(), record);
+            }
+            match result {
+                Ok(out) => stage_slots[index] = Some(out),
+                Err(e) => {
+                    if abort.as_ref().is_none_or(|(i, _)| index < *i) {
+                        abort = Some((index, e));
                     }
-                }
-            };
-            // Every group ends the same way whichever thread ran it: its
-            // session-observed time lands in `action_roundtrip`, and its
-            // phases — reply wait derived as the remainder, so the four sum
-            // to that time exactly (all reads come off one clock) — are
-            // accumulated.  The phase histograms record once per
-            // *transaction* (see `execute`), keeping this path free of
-            // further histogram stores.
-            let mut settle = |observed: u64, mut phases: PhaseBreakdown| {
-                stats.latency().action_roundtrip.record(observed);
-                if obs_enabled() {
-                    phases.reply_nanos = observed.saturating_sub(phases.total());
-                    txn_phases.merge(&phases);
-                }
-            };
-            // Run or dispatch the whole stage, then wait at the rendezvous
-            // point for whatever was dispatched.  The dispatch guard pins the
-            // routing tables and ownership for the route → run-or-send
-            // window, so a concurrent (DLB-triggered) repartition can never
-            // slip between routing an action and executing or enqueueing it;
-            // it is dropped before blocking on replies.
-            let mut pending: Vec<Pending> = Vec::new();
-            // One timestamp opens the dispatch span (which covers routing and
-            // the groups this session runs itself), and one closes it AND
-            // feeds the stage_dispatch histogram: on this path recording cost
-            // is gated by fig_obs, so adjacent events share clock reads.
-            let stage_t0 = obs_now();
-            let mut inline_nanos = 0u64;
-            {
-                let _gate = pm.dispatch_guard();
-                // Group the stage's actions by routed worker: each partition
-                // is claimed (or messaged, and woken) ONCE per stage instead
-                // of once per action.  Stage fan-out is small, so a linear
-                // scan beats a map.
-                let mut groups: Vec<(usize, Vec<usize>, Vec<ActionFn>)> = Vec::new();
-                for (index, action) in plan.actions.into_iter().enumerate() {
-                    total_actions += 1;
-                    let worker = pm.route(action.table, action.routing_key);
-                    match groups.iter_mut().find(|g| g.0 == worker) {
-                        Some(g) => {
-                            g.1.push(index);
-                            g.2.push(action.run);
-                        }
-                        None => groups.push((worker, vec![index], vec![action.run])),
-                    }
-                }
-                for (worker, indices, actions) in groups {
-                    // Caller runs: an idle partition (claim free, nothing
-                    // queued for its worker) is executed right here, through
-                    // the same `run_group` the worker uses.  The claim is the
-                    // one critical section this group costs.
-                    if let Some(mut partition) = pm.worker(worker).try_claim() {
-                        stats.cs().enter(CsCategory::MessagePassing, false);
-                        let started = obs_now();
-                        let ran = actions.len() as u64;
-                        let mut phases = PhaseBreakdown::default();
-                        let mut targets = indices.iter();
-                        let finished =
-                            partition.run_group(&ring, txn_id, started, 0, actions, |reply| {
-                                phases.merge(&reply.phases);
-                                let index = *targets.next().expect("one reply per action");
-                                consume(index, reply, &mut stage_slots, txn);
-                            });
-                        drop(partition);
-                        let observed = finished.saturating_sub(started);
-                        inline_nanos += observed;
-                        stats.msg().inline_ran(ran, observed);
-                        settle(observed, phases);
-                        continue;
-                    }
-                    // Contended: pay the message.  Lazily wire one SPSC fast
-                    // lane per worker the first time this session sends at
-                    // all; the worker count is fixed for the engine's
-                    // lifetime.
-                    if self.lanes.is_empty() {
-                        self.lanes = (0..pm.worker_count())
-                            .map(|i| pm.worker(i).fast_lane())
-                            .collect();
-                    }
-                    let mut slot = match self.reply_pool.pop() {
-                        Some(slot) => {
-                            stats.msg().reply_reused();
-                            slot
-                        }
-                        None => {
-                            stats.msg().reply_allocated();
-                            BatchReplySlot::new()
-                        }
-                    };
-                    // One clock read serves as the round-trip origin AND the
-                    // queue-wait baseline the worker subtracts from its
-                    // dequeue time — taken just *before* the enqueue so the
-                    // worker never sees a timestamp from its future.
-                    let sent_at = now_nanos();
-                    pm.worker(worker).send(
-                        txn_id,
-                        actions,
-                        &mut slot,
-                        self.lanes.get(worker),
-                        stats,
-                        sent_at,
-                    );
-                    pending.push(Pending {
-                        indices,
-                        slot,
-                        sent_at,
-                    });
                 }
             }
-            let dispatch_end = obs_now();
-            let num_pending = pending.len();
+        };
+        // Every group ends the same way whichever thread ran it: its
+        // session-observed time lands in `action_roundtrip`, and its
+        // phases — reply wait derived as the remainder, so the four sum
+        // to that time exactly (all reads come off one clock) — are
+        // accumulated.  The phase histograms record once per
+        // *transaction* (see `execute`), keeping this path free of
+        // further histogram stores.
+        let mut settle = |observed: u64, mut phases: PhaseBreakdown| {
+            stats.latency().action_roundtrip.record(observed);
             if obs_enabled() {
-                ring.event(
-                    TraceEvent::Dispatch,
-                    num_actions as u64,
-                    stage_t0,
-                    dispatch_end - stage_t0,
+                phases.reply_nanos = observed.saturating_sub(phases.total());
+                txn_phases.merge(&phases);
+            }
+        };
+        // Run or dispatch the whole stage, then wait at the rendezvous
+        // point for whatever was dispatched.  The dispatch guard pins the
+        // routing tables and ownership for the route → run-or-send
+        // window, so a concurrent (DLB-triggered) repartition can never
+        // slip between routing an action and executing or enqueueing it;
+        // it is dropped before blocking on replies.
+        let mut pending: Vec<Pending> = Vec::new();
+        // One timestamp opens the dispatch span (which covers routing and
+        // the groups this session runs itself), and one closes it AND
+        // feeds the stage_dispatch histogram: on this path recording cost
+        // is gated by fig_obs, so adjacent events share clock reads.
+        let stage_t0 = obs_now();
+        let mut inline_nanos = 0u64;
+        {
+            let _gate = pm.dispatch_guard();
+            // Group the stage's actions by routed worker: each partition
+            // is claimed (or messaged, and woken) ONCE per stage instead
+            // of once per action.  Stage fan-out is small, so a linear
+            // scan beats a map.
+            let mut groups: Vec<(usize, Vec<usize>, Vec<ActionFn>)> = Vec::new();
+            for (index, action) in actions.into_iter().enumerate() {
+                let worker = pm.route(action.table, action.routing_key);
+                match groups.iter_mut().find(|g| g.0 == worker) {
+                    Some(g) => {
+                        g.1.push(index);
+                        g.2.push(action.run);
+                    }
+                    None => groups.push((worker, vec![index], vec![action.run])),
+                }
+            }
+            for (worker, indices, actions) in groups {
+                // Caller runs: an idle partition (claim free, nothing
+                // queued for its worker) is executed right here, through
+                // the same `run_group` the worker uses.  The claim is the
+                // one critical section this group costs.
+                if let Some(mut partition) = pm.worker(worker).try_claim() {
+                    stats.cs().enter(CsCategory::MessagePassing, false);
+                    let started = obs_now();
+                    let ran = actions.len() as u64;
+                    let mut phases = PhaseBreakdown::default();
+                    let mut targets = indices.iter();
+                    let finished =
+                        partition.run_group(ring, txn_id, started, 0, actions, |reply| {
+                            phases.merge(&reply.phases);
+                            let index = *targets.next().expect("one reply per action");
+                            consume(index, reply, &mut stage_slots, txn);
+                        });
+                    drop(partition);
+                    let observed = finished.saturating_sub(started);
+                    inline_nanos += observed;
+                    stats.msg().inline_ran(ran, observed);
+                    settle(observed, phases);
+                    continue;
+                }
+                // Contended: pay the message.  Lazily wire one SPSC fast
+                // lane per worker the first time this session sends at
+                // all; the worker count is fixed for the engine's
+                // lifetime.
+                if self.lanes.is_empty() {
+                    self.lanes = (0..pm.worker_count())
+                        .map(|i| pm.worker(i).fast_lane())
+                        .collect();
+                }
+                let mut slot = match self.reply_pool.pop() {
+                    Some(slot) => {
+                        stats.msg().reply_reused();
+                        slot
+                    }
+                    None => {
+                        stats.msg().reply_allocated();
+                        BatchReplySlot::new()
+                    }
+                };
+                // One clock read serves as the round-trip origin AND the
+                // queue-wait baseline the worker subtracts from its
+                // dequeue time — taken just *before* the enqueue so the
+                // worker never sees a timestamp from its future.
+                let sent_at = now_nanos();
+                pm.worker(worker).send(
+                    txn_id,
+                    actions,
+                    &mut slot,
+                    self.lanes.get(worker),
+                    stats,
+                    sent_at,
                 );
-                // Route + enqueue of a stage that sent something — not the
-                // execution the session did in between, which
-                // `phase_execute` already has.  A stage that ran entirely
-                // inline dispatched nothing.
-                if num_pending > 0 {
-                    stats
-                        .latency()
-                        .stage_dispatch
-                        .record((dispatch_end - stage_t0).saturating_sub(inline_nanos));
-                }
-            }
-            // The wake that consumes each reply stamps `wait_end`, so the
-            // ReplyWait span closes without a clock read of its own.
-            let mut wait_end = dispatch_end;
-            for Pending {
-                indices,
-                mut slot,
-                sent_at,
-            } in pending
-            {
-                let replies = slot.wait();
-                wait_end = now_nanos();
-                let mut replies = replies.map_err(|_| EngineError::Shutdown)?;
-                debug_assert_eq!(replies.len(), indices.len(), "one reply per action");
-                // Sum the group's worker-side phases (queue wait rides on the
-                // first reply only).
-                let mut phases = PhaseBreakdown::default();
-                for (index, reply) in indices.iter().copied().zip(replies.drain(..)) {
-                    phases.merge(&reply.phases);
-                    consume(index, reply, &mut stage_slots, txn);
-                }
-                // Hand the (now empty) reply Vec back to the slot so the next
-                // message reuses its capacity.
-                slot.recycle(replies);
-                if self.reply_pool.len() < REPLY_POOL_MAX {
-                    self.reply_pool.push(slot);
-                }
-                let rt = wait_end.saturating_sub(sent_at);
-                stats.msg().roundtrip(rt);
-                settle(rt, phases);
-            }
-            if obs_enabled() && num_pending > 0 {
-                ring.event(
-                    TraceEvent::ReplyWait,
-                    num_pending as u64,
-                    dispatch_end,
-                    wait_end.saturating_sub(dispatch_end),
-                );
-            }
-            if let Some((_, e)) = abort {
-                txn.set_action_count(total_actions);
-                return Err(e);
-            }
-            let stage_outputs: Vec<ActionOutput> = stage_slots
-                .into_iter()
-                .map(|o| o.expect("no abort, so every action produced an output"))
-                .collect();
-            match next_stage(plan.then, stage_outputs, &mut all_outputs) {
-                Some(next) => plan = next,
-                None => break,
+                pending.push(Pending {
+                    indices,
+                    slot,
+                    sent_at,
+                });
             }
         }
-        txn.set_action_count(total_actions);
-        Ok(all_outputs)
+        let dispatch_end = obs_now();
+        let num_pending = pending.len();
+        if obs_enabled() {
+            ring.event(
+                TraceEvent::Dispatch,
+                num_actions as u64,
+                stage_t0,
+                dispatch_end - stage_t0,
+            );
+            // Route + enqueue of a stage that sent something — not the
+            // execution the session did in between, which
+            // `phase_execute` already has.  A stage that ran entirely
+            // inline dispatched nothing.
+            if num_pending > 0 {
+                stats
+                    .latency()
+                    .stage_dispatch
+                    .record((dispatch_end - stage_t0).saturating_sub(inline_nanos));
+            }
+        }
+        // The wake that consumes each reply stamps `wait_end`, so the
+        // ReplyWait span closes without a clock read of its own.
+        let mut wait_end = dispatch_end;
+        for Pending {
+            indices,
+            mut slot,
+            sent_at,
+        } in pending
+        {
+            let replies = slot.wait();
+            wait_end = now_nanos();
+            let mut replies = replies.map_err(|_| EngineError::Shutdown)?;
+            debug_assert_eq!(replies.len(), indices.len(), "one reply per action");
+            // Sum the group's worker-side phases (queue wait rides on the
+            // first reply only).
+            let mut phases = PhaseBreakdown::default();
+            for (index, reply) in indices.iter().copied().zip(replies.drain(..)) {
+                phases.merge(&reply.phases);
+                consume(index, reply, &mut stage_slots, txn);
+            }
+            // Hand the (now empty) reply Vec back to the slot so the next
+            // message reuses its capacity.
+            slot.recycle(replies);
+            if self.reply_pool.len() < REPLY_POOL_MAX {
+                self.reply_pool.push(slot);
+            }
+            let rt = wait_end.saturating_sub(sent_at);
+            stats.msg().roundtrip(rt);
+            settle(rt, phases);
+        }
+        if obs_enabled() && num_pending > 0 {
+            ring.event(
+                TraceEvent::ReplyWait,
+                num_pending as u64,
+                dispatch_end,
+                wait_end.saturating_sub(dispatch_end),
+            );
+        }
+        if let Some((_, e)) = abort {
+            return Err(e);
+        }
+        Ok(stage_slots
+            .into_iter()
+            .map(|o| o.expect("no abort, so every action produced an output"))
+            .collect())
     }
 }

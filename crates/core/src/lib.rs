@@ -24,7 +24,7 @@
 
 pub mod action;
 pub mod catalog;
-pub mod ctx;
+mod ctx;
 pub mod database;
 pub mod dlb;
 pub mod engine;

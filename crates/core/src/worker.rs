@@ -81,7 +81,7 @@ use plp_wal::LogRecord;
 
 use crate::action::{ActionFn, ActionOutput};
 use crate::catalog::Design;
-use crate::ctx::PartitionCtx;
+use crate::ctx::ActionCtx;
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::primitives::{Mutex, MutexGuard};
@@ -169,7 +169,7 @@ impl PartitionState {
         let mut prev = started;
         let mut executed = 0u64;
         for run in actions {
-            let mut ctx = PartitionCtx::new(
+            let mut ctx = ActionCtx::partition(
                 &self.db,
                 self.design,
                 self.token,

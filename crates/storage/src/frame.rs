@@ -54,8 +54,6 @@ pub enum Access {
     Owned(OwnerToken),
 }
 
-impl Access {}
-
 /// One buffer-pool frame: a page plus its latch, dirty bit and owner tag.
 pub struct Frame {
     id: PageId,

@@ -108,10 +108,11 @@ impl TxnManager {
     /// transaction observed when it logged nothing (`Lsn::ZERO` under
     /// `Lazy`), the same rule a read-only commit follows: an abort after a
     /// read must not answer before what it read is durable.  Central locks
-    /// it recorded stay with it for the caller to release.  (The
-    /// reproduction does not implement undo — no experiment in the paper
-    /// exercises rollback of applied changes; aborts happen only on lock
-    /// timeouts before any physical change was applied.)
+    /// it recorded stay with it for the caller to release.  There is no
+    /// undo: changes the transaction already applied in memory stay there
+    /// (a multi-op request can abort after some of its actions wrote), and
+    /// only recovery drops them, because it replays committed transactions
+    /// alone.
     pub fn abort(&self, txn: &mut Transaction) -> Lsn {
         assert!(txn.is_active(), "abort of a finished transaction");
         self.stats.cs().enter(CsCategory::XctMgr, false);
