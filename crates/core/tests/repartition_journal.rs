@@ -320,17 +320,23 @@ fn mid_table_failure_on_sibling_restores_whole_group() {
 
 #[test]
 fn repartition_drains_inflight_multistage_transactions() {
+    for design in Design::ALL.into_iter().filter(|d| d.is_partitioned()) {
+        repartition_races_every_execution_path(design);
+    }
+}
+
+/// Multi-stage transactions racing controller-style repartitions and page
+/// cleaning on `design`: stage 2 must always run under the same boundaries
+/// its stage 1 was routed with (the drain closes the stage-2-loses-locks
+/// hole).  Without the drain this trips latch-free ownership panics / lost
+/// thread-local locks.  Four sessions on two partitions collide on claims,
+/// so groups run both inline on the session thread and by message on the
+/// worker; the ticket drain and every partition's claim must exclude both,
+/// and a cleaning pass, from the window in which ownership moves.
+fn repartition_races_every_execution_path(design: Design) {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-    // Multi-stage transactions racing controller-style repartitions: stage 2
-    // must always run under the same boundaries its stage 1 was routed with
-    // (the drain closes the stage-2-loses-locks hole).  Without the drain
-    // this test trips latch-free ownership panics / lost thread-local locks.
-    // The sessions run their groups inline whenever the partition is idle —
-    // i.e. almost always, on both sides of the moving cut — so the drain and
-    // the dispatch gate's write side must exclude *execution on the session
-    // thread*, not only enqueues.
-    let engine = Arc::new(aligned_engine(Design::PlpRegular));
+    let engine = Arc::new(aligned_engine(design));
     let stop = AtomicBool::new(false);
     let committed = AtomicU64::new(0);
 
@@ -339,7 +345,7 @@ fn repartition_drains_inflight_multistage_transactions() {
         let stop = &stop;
         let committed = &committed;
         let mut sessions = Vec::new();
-        for t in 0..2u64 {
+        for t in 0..4u64 {
             sessions.push(scope.spawn(move || {
                 let mut session = eng.session();
                 let mut i = 0u64;
@@ -385,6 +391,13 @@ fn repartition_drains_inflight_multistage_transactions() {
                 bumped
             }));
         }
+        // Page cleaning races the load and the repartitions.
+        scope.spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                eng.clean_pages();
+                std::thread::yield_now();
+            }
+        });
         scope.spawn(move || {
             // Bounce the boundaries back and forth while the load runs.
             for round in 0..6 {
@@ -400,22 +413,34 @@ fn repartition_drains_inflight_multistage_transactions() {
             .map(|s| s.join().expect("session thread"))
             .collect()
     });
-    assert!(committed.load(Ordering::Relaxed) > 0);
+    assert!(committed.load(Ordering::Relaxed) > 0, "{design}");
     // All sibling tables stayed aligned with the final cut.
     let pm = engine.partition_manager().unwrap();
-    assert_eq!(pm.bounds(ROOT), vec![0, 256]);
-    assert_eq!(pm.bounds(SIBLING_A), vec![0, 1024]);
-    assert_eq!(pm.bounds(SIBLING_B), vec![0, 2048]);
-    // The load really ran on the session threads, nothing is left in flight,
-    // and no row or acknowledged update went missing while ownership moved
-    // under it: byte 0 of each root row counts its stage-2 updates.
+    assert_eq!(pm.bounds(ROOT), vec![0, 256], "{design}");
+    assert_eq!(pm.bounds(SIBLING_A), vec![0, 1024], "{design}");
+    assert_eq!(pm.bounds(SIBLING_B), vec![0, 2048], "{design}");
+    // The load ran on the session threads and on the workers, nothing is
+    // left in flight, and no row or acknowledged update went missing while
+    // ownership moved under it: byte 0 of each root row counts its stage-2
+    // updates.
     let msg = engine.db().stats().snapshot().msg;
-    assert!(msg.inline_actions > 0, "sessions never ran inline: {msg:?}");
-    assert_eq!(pm.inflight_txns(), 0);
+    assert!(
+        msg.inline_actions > 0,
+        "{design}: sessions never ran inline: {msg:?}"
+    );
+    assert!(
+        msg.lane_hits + msg.lane_fallbacks > 0,
+        "{design}: no group went by message: {msg:?}"
+    );
+    assert_eq!(pm.inflight_txns(), 0, "{design}");
     for k in 0..512u64 {
         let row = read_transaction(&engine, ROOT, k).expect("root row lost");
         let expected: u64 = bumps.iter().map(|b| b[k as usize]).sum();
-        assert_eq!(row[0], b'r'.wrapping_add(expected as u8), "root key {k}");
+        assert_eq!(
+            row[0],
+            b'r'.wrapping_add(expected as u8),
+            "{design}: root key {k}"
+        );
         assert_eq!(&row[1..], &format!("root-{k}").as_bytes()[1..]);
         assert!(read_transaction(&engine, SIBLING_A, k * 4).is_some());
         assert!(read_transaction(&engine, SIBLING_B, k * 8).is_some());
