@@ -262,9 +262,10 @@ impl MrbTree {
     /// of `at_key` are copied; whole sub-trees to the right of the path are
     /// re-parented by pointer (Section A.3.2).
     ///
-    /// The caller is responsible for quiescing the affected partition (the
-    /// partition manager does this); the operation itself takes the sub-tree's
-    /// SMO serialisation implicitly by being single-threaded per partition.
+    /// The caller is responsible for excluding every other user of the
+    /// affected partition (the partition manager drains transactions and
+    /// holds every claim); the operation itself takes the sub-tree's SMO
+    /// serialisation implicitly by being single-threaded per partition.
     pub fn slice(&self, at_key: u64) -> Result<RepartitionReport, BTreeError> {
         let (old_pid, old_tree) = self.route(at_key);
         let (start, _end) = self.table.range_of(old_pid);

@@ -18,8 +18,9 @@ use crate::error::EngineError;
 
 /// What differs between the designs' data contexts.
 pub(crate) trait Isolation {
-    /// Whether a range read locks every row it returned (central locking)
-    /// or only the range's two ends (a partition's thread-local locking).
+    /// Whether a range read locks every row before it reads it (central
+    /// locking) or only the range's two ends (a partition's thread-local
+    /// locking).
     const LOCKS_EVERY_ROW: bool;
 
     /// Lock `key` of `table` in `mode` for the action's transaction.
@@ -292,17 +293,25 @@ impl<I: Isolation> DataContext for ActionCtx<'_, I> {
         lo: u64,
         hi: u64,
     ) -> Result<Vec<(u64, Vec<u8>)>, EngineError> {
-        let rows = self
-            .db
-            .table(table)?
-            .range_scan(lo, hi, self.index, self.heap)?;
-        if I::LOCKS_EVERY_ROW {
-            for (k, _) in &rows {
-                self.isolation.lock(table, *k, LockMode::S)?;
-            }
-        } else {
+        let t = self.db.table(table)?;
+        if !I::LOCKS_EVERY_ROW {
             for k in [lo, hi] {
                 self.isolation.lock(table, k, LockMode::S)?;
+            }
+            return t.range_scan(lo, hi, self.index, self.heap);
+        }
+        // Central locking reads a row only under its S lock: the index
+        // scan names the keys, and each is then read the way `read` does.
+        // A key deleted before its lock was granted is skipped.
+        let keys = t
+            .primary()
+            .range_scan(lo, hi, self.index)
+            .map_err(|e| EngineError::from_btree(table, e))?;
+        let mut rows = Vec::with_capacity(keys.len());
+        for (k, _) in keys {
+            self.isolation.lock(table, k, LockMode::S)?;
+            if let Some(row) = t.read(k, self.index, self.heap)? {
+                rows.push((k, row));
             }
         }
         Ok(rows)

@@ -114,7 +114,6 @@ impl DlbConfig {
 }
 
 enum DlbCommand {
-    Pause,
     Resume,
     Stop,
 }
@@ -127,31 +126,24 @@ pub struct LoadBalancerHandle {
 }
 
 impl LoadBalancerHandle {
-    /// Spawn the controller.  It starts paused when `start_paused` (the
-    /// engine unpauses it in `finish_loading`, so the loading phase never
-    /// triggers a repartition).
+    /// Spawn the controller, paused: the engine resumes it in
+    /// `finish_loading`, so the loading phase never triggers a repartition.
     pub(crate) fn start(
         db: Arc<Database>,
         pm: Arc<PartitionManager>,
         histograms: Arc<HistogramSet>,
         design: Design,
         config: DlbConfig,
-        start_paused: bool,
     ) -> Self {
         let (tx, rx) = unbounded();
         let thread = std::thread::Builder::new()
             .name("plp-dlb".to_string())
-            .spawn(move || controller_loop(db, pm, histograms, design, config, rx, start_paused))
+            .spawn(move || controller_loop(db, pm, histograms, design, config, rx))
             .expect("spawn dlb controller");
         Self {
             sender: tx,
             thread: Mutex::new(Some(thread)),
         }
-    }
-
-    /// Temporarily stop aging and evaluation (e.g. during bulk loading).
-    pub fn pause(&self) {
-        let _ = self.sender.send(DlbCommand::Pause);
     }
 
     /// Resume aging and evaluation.
@@ -187,18 +179,13 @@ fn controller_loop(
     design: Design,
     config: DlbConfig,
     rx: Receiver<DlbCommand>,
-    start_paused: bool,
 ) {
-    let mut paused = start_paused;
+    let mut paused = true;
     let mut ticks = 0u32;
     let mut last_repartition: Option<Instant> = None;
     loop {
         match rx.recv_timeout(config.aging_interval) {
             Ok(DlbCommand::Stop) | Err(RecvTimeoutError::Disconnected) => return,
-            Ok(DlbCommand::Pause) => {
-                paused = true;
-                continue;
-            }
             Ok(DlbCommand::Resume) => {
                 paused = false;
                 continue;

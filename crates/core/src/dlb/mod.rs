@@ -26,10 +26,11 @@
 //!   gain net of movement cost is positive.
 //!
 //! * **Repartition integration** (§5.3): accepted plans are applied through
-//!   [`crate::partition::PartitionManager::repartition`], which quiesces the
-//!   workers, slices/melds the MRBTrees, propagates boundaries across the
-//!   declared alignment group and journals old boundaries so a failed
-//!   sibling repartition rolls back instead of wedging the engine.
+//!   [`crate::partition::PartitionManager::repartition`], which drains the
+//!   in-flight transactions, takes every partition's claim, slices/melds the
+//!   MRBTrees, propagates boundaries across the declared alignment group and
+//!   journals old boundaries so a failed sibling repartition rolls back
+//!   instead of wedging the engine.
 //!
 //! The whole subsystem is off by default ([`DlbConfig::enabled`] is
 //! `false`): no histograms are allocated and the routing path is unchanged.

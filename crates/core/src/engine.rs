@@ -121,9 +121,8 @@ impl Engine {
                 None
             };
             let pm = Arc::new(pm);
-            let dlb = histograms.map(|h| {
-                LoadBalancerHandle::start(db.clone(), pm.clone(), h, design, dlb_config, true)
-            });
+            let dlb = histograms
+                .map(|h| LoadBalancerHandle::start(db.clone(), pm.clone(), h, design, dlb_config));
             (Some(pm), dlb)
         } else {
             (None, None)
@@ -362,8 +361,8 @@ impl Engine {
     }
 
     /// Handle to the dynamic-load-balancing controller, when enabled via
-    /// [`EngineConfig::dlb`].  Use it to pause/resume the controller around
-    /// phases the balancer should not react to; its activity counters live in
+    /// [`EngineConfig::dlb`].  The controller starts paused and
+    /// [`Engine::finish_loading`] resumes it; its activity counters live in
     /// the shared stats registry (`db().stats().dlb()`).
     pub fn dlb(&self) -> Option<&LoadBalancerHandle> {
         self.dlb.as_ref()
@@ -456,7 +455,7 @@ impl Engine {
         }
     }
 
-    /// Run one page-cleaning round appropriate to the design.
+    /// Run one page-cleaning round for the design; returns the pages cleaned.
     pub fn clean_pages(&self) -> usize {
         match &self.partition_mgr {
             Some(pm) if self.design.latch_free_index() => pm.clean_pages(),
@@ -902,11 +901,11 @@ impl Session<'_> {
             }
         };
         // Run or dispatch the whole stage, then wait at the rendezvous
-        // point for whatever was dispatched.  The dispatch guard pins the
-        // routing tables and ownership for the route → run-or-send
-        // window, so a concurrent (DLB-triggered) repartition can never
-        // slip between routing an action and executing or enqueueing it;
-        // it is dropped before blocking on replies.
+        // point for whatever was dispatched.  The transaction's ticket
+        // keeps a concurrent (DLB-triggered) repartition out of the
+        // route → run-or-send window and until every reply is in, so
+        // routing and ownership cannot move between routing an action and
+        // executing or enqueueing it.
         let mut pending: Vec<Pending> = Vec::new();
         // One timestamp opens the dispatch span (which covers routing and
         // the groups this session runs itself), and one closes it AND
@@ -914,85 +913,79 @@ impl Session<'_> {
         // is gated by fig_obs, so adjacent events share clock reads.
         let stage_t0 = obs_now();
         let mut inline_nanos = 0u64;
-        {
-            let _gate = pm.dispatch_guard();
-            // Group the stage's actions by routed worker: each partition
-            // is claimed (or messaged, and woken) ONCE per stage instead
-            // of once per action.  Stage fan-out is small, so a linear
-            // scan beats a map.
-            let mut groups: Vec<(usize, Vec<usize>, Vec<ActionFn>)> = Vec::new();
-            for (index, action) in actions.into_iter().enumerate() {
-                let worker = pm.route(action.table, action.routing_key);
-                match groups.iter_mut().find(|g| g.0 == worker) {
-                    Some(g) => {
-                        g.1.push(index);
-                        g.2.push(action.run);
-                    }
-                    None => groups.push((worker, vec![index], vec![action.run])),
+        // Group the stage's actions by routed worker: each partition is
+        // claimed (or messaged, and woken) ONCE per stage instead of once
+        // per action.  Stage fan-out is small, so a linear scan beats a map.
+        let mut groups: Vec<(usize, Vec<usize>, Vec<ActionFn>)> = Vec::new();
+        for (index, action) in actions.into_iter().enumerate() {
+            let worker = pm.route(action.table, action.routing_key);
+            match groups.iter_mut().find(|g| g.0 == worker) {
+                Some(g) => {
+                    g.1.push(index);
+                    g.2.push(action.run);
                 }
+                None => groups.push((worker, vec![index], vec![action.run])),
             }
-            for (worker, indices, actions) in groups {
-                // Caller runs: an idle partition (claim free, nothing
-                // queued for its worker) is executed right here, through
-                // the same `run_group` the worker uses.  The claim is the
-                // one critical section this group costs.
-                if let Some(mut partition) = pm.worker(worker).try_claim() {
-                    stats.cs().enter(CsCategory::MessagePassing, false);
-                    let started = obs_now();
-                    let ran = actions.len() as u64;
-                    let mut phases = PhaseBreakdown::default();
-                    let mut targets = indices.iter();
-                    let finished =
-                        partition.run_group(ring, txn_id, started, 0, actions, |reply| {
-                            phases.merge(&reply.phases);
-                            let index = *targets.next().expect("one reply per action");
-                            consume(index, reply, &mut stage_slots, txn);
-                        });
-                    drop(partition);
-                    let observed = finished.saturating_sub(started);
-                    inline_nanos += observed;
-                    stats.msg().inline_ran(ran, observed);
-                    settle(observed, phases);
-                    continue;
-                }
-                // Contended: pay the message.  Lazily wire one SPSC fast
-                // lane per worker the first time this session sends at
-                // all; the worker count is fixed for the engine's
-                // lifetime.
-                if self.lanes.is_empty() {
-                    self.lanes = (0..pm.worker_count())
-                        .map(|i| pm.worker(i).fast_lane())
-                        .collect();
-                }
-                let mut slot = match self.reply_pool.pop() {
-                    Some(slot) => {
-                        stats.msg().reply_reused();
-                        slot
-                    }
-                    None => {
-                        stats.msg().reply_allocated();
-                        BatchReplySlot::new()
-                    }
-                };
-                // One clock read serves as the round-trip origin AND the
-                // queue-wait baseline the worker subtracts from its
-                // dequeue time — taken just *before* the enqueue so the
-                // worker never sees a timestamp from its future.
-                let sent_at = now_nanos();
-                pm.worker(worker).send(
-                    txn_id,
-                    actions,
-                    &mut slot,
-                    self.lanes.get(worker),
-                    stats,
-                    sent_at,
-                );
-                pending.push(Pending {
-                    indices,
-                    slot,
-                    sent_at,
+        }
+        for (worker, indices, actions) in groups {
+            // Caller runs: an idle partition (claim free, nothing queued for
+            // its worker) is executed right here, through the same
+            // `run_group` the worker uses.  The claim is the one critical
+            // section this group costs.
+            if let Some(mut partition) = pm.worker(worker).try_claim() {
+                stats.cs().enter(CsCategory::MessagePassing, false);
+                let started = obs_now();
+                let ran = actions.len() as u64;
+                let mut phases = PhaseBreakdown::default();
+                let mut targets = indices.iter();
+                let finished = partition.run_group(ring, txn_id, started, 0, actions, |reply| {
+                    phases.merge(&reply.phases);
+                    let index = *targets.next().expect("one reply per action");
+                    consume(index, reply, &mut stage_slots, txn);
                 });
+                drop(partition);
+                let observed = finished.saturating_sub(started);
+                inline_nanos += observed;
+                stats.msg().inline_ran(ran, observed);
+                settle(observed, phases);
+                continue;
             }
+            // Contended: pay the message.  Lazily wire one SPSC fast lane per
+            // worker the first time this session sends at all; the worker
+            // count is fixed for the engine's lifetime.
+            if self.lanes.is_empty() {
+                self.lanes = (0..pm.worker_count())
+                    .map(|i| pm.worker(i).fast_lane())
+                    .collect();
+            }
+            let mut slot = match self.reply_pool.pop() {
+                Some(slot) => {
+                    stats.msg().reply_reused();
+                    slot
+                }
+                None => {
+                    stats.msg().reply_allocated();
+                    BatchReplySlot::new()
+                }
+            };
+            // One clock read serves as the round-trip origin AND the
+            // queue-wait baseline the worker subtracts from its dequeue time
+            // — taken just *before* the enqueue so the worker never sees a
+            // timestamp from its future.
+            let sent_at = now_nanos();
+            pm.worker(worker).send(
+                txn_id,
+                actions,
+                &mut slot,
+                &self.lanes[worker],
+                stats,
+                sent_at,
+            );
+            pending.push(Pending {
+                indices,
+                slot,
+                sent_at,
+            });
         }
         let dispatch_end = obs_now();
         let num_pending = pending.len();
@@ -1017,6 +1010,10 @@ impl Session<'_> {
         // The wake that consumes each reply stamps `wait_end`, so the
         // ReplyWait span closes without a clock read of its own.
         let mut wait_end = dispatch_end;
+        // A group whose worker died answers no replies.  The stage still
+        // waits for every other group it sent: none of them may run on
+        // after the transaction's ticket is gone.
+        let mut closed = false;
         for Pending {
             indices,
             mut slot,
@@ -1025,7 +1022,10 @@ impl Session<'_> {
         {
             let replies = slot.wait();
             wait_end = now_nanos();
-            let mut replies = replies.map_err(|_| EngineError::Shutdown)?;
+            let Ok(mut replies) = replies else {
+                closed = true;
+                continue;
+            };
             debug_assert_eq!(replies.len(), indices.len(), "one reply per action");
             // Sum the group's worker-side phases (queue wait rides on the
             // first reply only).
@@ -1051,6 +1051,9 @@ impl Session<'_> {
                 dispatch_end,
                 wait_end.saturating_sub(dispatch_end),
             );
+        }
+        if closed {
+            return Err(EngineError::Shutdown);
         }
         if let Some((_, e)) = abort {
             return Err(e);

@@ -2,10 +2,11 @@
 //!
 //! The partition manager owns the worker threads, the routing tables that map
 //! `(table, key)` to the owning worker, and the ownership assignment that
-//! makes the PLP designs latch-free.  It also drives repartitioning: quiesce
-//! the workers, slice/meld the MRBTrees to the new boundaries, relocate heap
-//! records where the placement policy requires it, re-assign page ownership,
-//! update the routing tables and resume (Section 3.1 and Appendix A.3).
+//! makes the PLP designs latch-free.  It also drives repartitioning: drain
+//! the in-flight transactions, take every partition's claim, slice/meld the
+//! MRBTrees to the new boundaries, relocate heap records where the placement
+//! policy requires it, update the routing tables, re-assign page ownership
+//! and let go (Section 3.1 and Appendix A.3).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -46,16 +47,6 @@ pub struct PartitionManager {
     design: Design,
     workers: Vec<WorkerHandle>,
     routing: RwLock<HashMap<TableId, Routing>>,
-    /// Closes the route→enqueue window against concurrent repartitioning.
-    ///
-    /// Coordinators hold the read side while routing *and enqueueing* a
-    /// stage's actions; [`Self::repartition`] takes the write side before
-    /// quiescing.  Worker queues are FIFO, so every action enqueued under the
-    /// old boundaries is executed before the worker parks at the quiesce
-    /// message — i.e. before any ownership changes.  Without this, an action
-    /// routed just before a background repartition could reach its worker
-    /// after ownership moved and fault on a latch-free page access.
-    dispatch_gate: RwLock<()>,
     /// DLB access histograms, fed from [`Self::route`] (the worker routing
     /// path).  `None` unless dynamic load balancing is enabled.
     histograms: Option<Arc<HistogramSet>>,
@@ -71,8 +62,9 @@ pub struct PartitionManager {
     /// transactions before a repartition (see [`Self::txn_ticket`]).
     drain: Mutex<DrainState>,
     drain_cv: Condvar,
-    /// Trace timeline for repartitions.  Writes are serialized by the
-    /// dispatch gate's write side, satisfying the ring's single-writer rule.
+    /// Trace timeline for repartitions.  Writes are serialized by the ticket
+    /// drain (one repartition holds it at a time), satisfying the ring's
+    /// single-writer rule.
     trace_ring: Arc<plp_instrument::TraceRing>,
 }
 
@@ -142,7 +134,6 @@ impl PartitionManager {
             design,
             workers,
             routing: RwLock::new(routing),
-            dispatch_gate: RwLock::new(()),
             histograms: None,
             fail_after_tables: AtomicI64::new(-1),
             fail_mid_table: Mutex::new(None),
@@ -155,10 +146,9 @@ impl PartitionManager {
     /// Register one in-flight transaction.  Coordinators hold the returned
     /// ticket for the transaction's whole lifetime (all stages); a
     /// repartition drains the pipeline by blocking new tickets and waiting
-    /// for the in-flight count to reach zero.  This closes the multi-stage
-    /// hole the dispatch gate alone cannot: a stage-2 action routed under
-    /// *new* boundaries would look for the thread-local locks its stage 1
-    /// took on the *old* owner.
+    /// for the in-flight count to reach zero.  A ticket outlives every stage
+    /// of its transaction, so no stage is routed under boundaries different
+    /// from its predecessors' (whose thread-local locks it relies on).
     ///
     /// Before [`Self::mark_loaded`] no page has a latch-free owner yet, so
     /// the ticket is refused with [`EngineError::NotReady`].
@@ -186,9 +176,9 @@ impl PartitionManager {
     }
 
     /// Close the ticket gate and wait until every in-flight transaction has
-    /// finished.  In-flight transactions can still dispatch their remaining
-    /// stages (the dispatch gate is not yet held), so this cannot deadlock;
-    /// it only waits out the tail of running transactions.
+    /// finished.  In-flight transactions can still run their remaining
+    /// stages (no claim is held yet), so this cannot deadlock; it only waits
+    /// out the tail of running transactions.
     fn quiesce_transactions(&self) -> DrainGuard<'_> {
         let mut state = self.drain.lock();
         while state.draining {
@@ -199,13 +189,6 @@ impl PartitionManager {
             self.drain_cv.wait(&mut state);
         }
         DrainGuard { pm: self }
-    }
-
-    /// Guard coordinators must hold while routing and enqueueing one stage's
-    /// actions (see the `dispatch_gate` field docs).  Uncontended except
-    /// while a repartition is in flight.
-    pub fn dispatch_guard(&self) -> parking_lot::RwLockReadGuard<'_, ()> {
-        self.dispatch_gate.read()
     }
 
     /// Attach the DLB access histograms; [`Self::route`] records into them
@@ -346,12 +329,6 @@ impl PartitionManager {
         }
     }
 
-    /// Quiesce every worker; returns the resume senders (dropping or signalling
-    /// them resumes the workers).
-    fn quiesce_all(&self) -> Vec<crossbeam::channel::Sender<()>> {
-        self.workers.iter().map(|w| w.quiesce()).collect()
-    }
-
     /// Whether `spec` belongs to `driver`'s declared alignment group (and is
     /// not the driver itself).  The group is the driver's root table plus
     /// every table whose [`TableSpec::partitioned_with`] names that root.
@@ -417,26 +394,25 @@ impl PartitionManager {
         // and every in-flight (possibly multi-stage) transaction finishes
         // before ownership moves.  Without this, a stage-2 action routed
         // under the new boundaries would look for the thread-local locks its
-        // stage 1 took on the old owner.  The drain happens *before* the
-        // dispatch gate is taken so in-flight transactions can still
-        // dispatch their remaining stages.
+        // stage 1 took on the old owner.  The drain happens *before* any
+        // claim is taken so in-flight transactions can still run their
+        // remaining stages.
         let drain_start = Instant::now();
         let trace_t0 = plp_instrument::trace::now_nanos();
         let _drain = self.quiesce_transactions();
-        // Block new action dispatches for the whole repartition: actions
-        // already enqueued run before the workers park (FIFO), actions not
-        // yet routed wait and see the new boundaries and ownership.
-        let _dispatch_gate = self.dispatch_gate.write();
-        let resumers = self.quiesce_all();
-        // Drain latency: from first blocking step until every worker parked.
+        // With no ticket out, no group is queued or running.  Every claim
+        // keeps out what is left, a cleaning pass, until ownership has
+        // moved.
+        let claims: Vec<_> = self.workers.iter().map(WorkerHandle::claim).collect();
+        // Drain latency: from first blocking step until every claim is held.
         let move_start = Instant::now();
         self.db
             .stats()
             .latency()
             .repartition_drain
             .record_duration(drain_start.elapsed());
-        // Workers are parked until `resumers` fire, so errors must not return
-        // before the resume loop.
+        // Ownership must be re-assigned before the claims go, so errors must
+        // not return before that.
         let mut journal: Vec<(TableId, Vec<u64>)> = Vec::new();
         let result = (|| {
             self.take_injected_failure(0)?;
@@ -489,9 +465,7 @@ impl PartitionManager {
             }
         }
         self.assign_ownership();
-        for r in resumers {
-            let _ = r.send(());
-        }
+        drop(claims);
         // Move latency: boundary slicing + record movement + ownership
         // re-assignment, i.e. the stop-the-world window minus the drain.
         self.db
@@ -530,8 +504,8 @@ impl PartitionManager {
     }
 
     /// Replay the repartition journal in reverse, driving every table that
-    /// was already repartitioned back to its previous boundaries.  Workers
-    /// must still be quiesced; the caller re-assigns ownership afterwards.
+    /// was already repartitioned back to its previous boundaries.  Every
+    /// claim must still be held; the caller re-assigns ownership afterwards.
     fn rollback_journal(&self, journal: &[(TableId, Vec<u64>)]) -> Result<(), EngineError> {
         for (table_id, old_bounds) in journal.iter().rev() {
             self.drive_to_bounds(*table_id, old_bounds, None)?;
@@ -540,7 +514,7 @@ impl PartitionManager {
     }
 
     /// Slice/meld one table to `new_bounds` and update its routing entry.
-    /// Callers must have quiesced the workers and re-assign ownership after.
+    /// Callers must hold every claim and re-assign ownership after.
     /// `inject` is the table's index in the alignment group, used by the
     /// mid-table failure injection hook (forward pass only — rollback passes
     /// `None`).
@@ -721,18 +695,17 @@ impl PartitionManager {
         Ok(moved)
     }
 
-    /// Route page-cleaning work to the owning workers (the PLP cleaning path);
-    /// un-owned pages are cleaned directly.
+    /// One PLP cleaning pass: each partition's dirty pages are cleaned under
+    /// its claim, waiting for whoever holds it; un-owned pages are cleaned
+    /// latched.  Returns the number of pages cleaned.
     pub fn clean_pages(&self) -> usize {
         let cleaner = self.db.cleaner();
-        let requests = cleaner.collect_requests();
         let mut total = 0;
-        for (token, pages) in requests {
+        for (token, pages) in cleaner.collect_requests() {
             if token == OwnerToken::NONE {
                 total += cleaner.clean_unowned(&pages);
             } else if let Some(w) = self.workers.iter().find(|w| w.token == token) {
-                total += pages.len();
-                w.send_clean(pages);
+                total += cleaner.clean_owned(w.claim().token, &pages);
             }
         }
         total

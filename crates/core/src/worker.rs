@@ -15,7 +15,7 @@
 //! `PartitionState::run_group` the worker uses, and pays no message at
 //! all.  Otherwise it sends the group as one message (below), and the
 //! partition's worker thread takes the claim with a blocking `lock` around
-//! every request it executes (action groups, page cleaning).  The choice
+//! every group it executes.  The choice
 //! is made from what the session observes, never from configuration, so the
 //! message exchange — the *fixed-contention* communication of Figure 1's
 //! "Message passing" component — is paid only when a partition is contended.
@@ -29,10 +29,13 @@
 //! sessions (`model_claim_session_vs_worker`).  `docs/concurrency.md` has the
 //! happens-before argument.
 //!
-//! Repartitioning needs nothing new: inline execution happens under the
-//! session's `TxnTicket` and the dispatch gate's read
-//! side, so the drain plus the gate's write side exclude it exactly as they
-//! exclude an enqueue.
+//! Repartitioning and page cleaning exclude a partition the same way: they
+//! take its claim (`WorkerHandle::claim`).  A repartition first drains every
+//! `TxnTicket` — after which no group is queued or running, since a stage
+//! waits for all its replies and a ticket outlives its stages — and then
+//! holds every partition's claim while ownership moves.  A cleaning pass
+//! holds the owning partition's claim while it cleans that partition's
+//! pages (Appendix A.4).
 //!
 //! # The message path
 //!
@@ -50,33 +53,26 @@
 //! action (per-action results, log records and abort outcomes survive
 //! grouping), and wakes the coordinator once with `finish`.
 //!
-//! # Fast lanes and control ordering
+//! # Fast lanes and shutdown
 //!
 //! Sessions send `Run` messages through a dedicated single-producer lane
 //! per worker ([`WorkerHandle::fast_lane`], backed by the channel shim's
-//! SPSC ring) and fall back to the MPMC queue when the lane is full.
-//! Control messages (clean, quiesce, shutdown) always ride the MPMC queue.
-//! The FIFO-per-sender guarantee that repartitioning relies on — every
-//! action enqueued under the old boundaries drains before the worker parks
-//! at the quiesce message — is preserved by a drain handshake: on receiving
-//! a control message from the main queue, the worker first drains every
-//! lane.  An action pushed onto a lane *before* the control message was
-//! enqueued is guaranteed visible to that drain (the lane publication
-//! happens-before the main-queue pop; pinned by the shim's
-//! `model_lane_vs_control_ordering`), and actions enqueued *after* are kept
-//! out by the dispatch gate for the window repartitioning cares about.
-//!
-//! Workers also handle system requests: page-cleaning batches for pages they
-//! own (Appendix A.4) and quiesce/resume handshakes used by repartitioning.
+//! SPSC ring) and fall back to the MPMC queue when the lane is full.  The
+//! one control message, [`WorkerRequest::Shutdown`], rides the MPMC queue;
+//! on receiving it, or finding the queue disconnected, the worker first
+//! drains every lane, so a group pushed onto a lane before the shutdown was
+//! enqueued is still answered instead of dropped with its promise (the lane
+//! publication happens-before the main-queue pop; pinned by the shim's
+//! `model_lane_vs_control_ordering`).
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, unbounded, LaneSender, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, LaneSender, Receiver, Sender, TryRecvError};
 use plp_instrument::trace::now_nanos;
 use plp_instrument::{obs_enabled, CsCategory, PhaseBreakdown, TraceEvent, TraceRing};
 use plp_lock::LocalLockTable;
-use plp_storage::{OwnerToken, PageCleaner, PageId};
+use plp_storage::OwnerToken;
 use plp_wal::LogRecord;
 
 use crate::action::{ActionFn, ActionOutput};
@@ -119,13 +115,6 @@ pub enum WorkerRequest {
         /// claim to attribute queue-wait time.
         enqueued_at: u64,
     },
-    /// Clean the given (owned) pages — the PLP page-cleaning path.
-    Clean { pages: Vec<PageId> },
-    /// Quiesce: acknowledge and then block until the resume channel fires.
-    Quiesce {
-        ack: Sender<()>,
-        resume: Receiver<()>,
-    },
     /// Terminate the worker thread.
     Shutdown,
 }
@@ -136,7 +125,7 @@ pub enum WorkerRequest {
 pub(crate) struct PartitionState {
     db: Arc<Database>,
     design: Design,
-    token: OwnerToken,
+    pub(crate) token: OwnerToken,
     local_locks: LocalLockTable,
 }
 
@@ -254,6 +243,14 @@ impl WorkerHandle {
         try_claim(&self.state, &self.sender)
     }
 
+    /// Take the partition's claim, waiting for whoever holds it.  While the
+    /// guard lives no session or worker runs anything on this partition: a
+    /// cleaning pass holds it around the partition's pages, a repartition
+    /// holds every partition's while ownership moves.
+    pub(crate) fn claim(&self) -> MutexGuard<'_, PartitionState> {
+        self.state.lock()
+    }
+
     /// Create a dedicated single-producer fast lane to this worker.  One per
     /// long-lived sender (the engine keeps one per session per worker):
     /// lane storage lives as long as the worker's channel.
@@ -262,8 +259,8 @@ impl WorkerHandle {
     }
 
     /// Send one stage's action group for this worker as one [`WorkerRequest::Run`]
-    /// (see the module's "The message path"), preferring `lane` when given
-    /// and falling back to the MPMC queue when the ring is full.  The replies
+    /// (see the module's "The message path") through `lane`, falling back
+    /// to the MPMC queue when the ring is full.  The replies
     /// arrive through `slot` (opened for one round here); the coordinator
     /// waits on the slot at the stage's rendezvous point and can then reuse
     /// it — the steady state allocates nothing.  The send does all of the
@@ -274,7 +271,7 @@ impl WorkerHandle {
         txn_id: u64,
         actions: Vec<ActionFn>,
         slot: &mut BatchReplySlot<ActionReply>,
-        lane: Option<&LaneSender<WorkerRequest>>,
+        lane: &LaneSender<WorkerRequest>,
         stats: &plp_instrument::StatsRegistry,
         enqueued_at: u64,
     ) {
@@ -287,34 +284,8 @@ impl WorkerHandle {
             enqueued_at,
         };
         stats.cs().enter(CsCategory::MessagePassing, false);
-        let fast_lane = match lane {
-            Some(lane) => lane.send(req).expect("worker alive"),
-            None => {
-                self.sender.send(req).expect("worker alive");
-                false
-            }
-        };
+        let fast_lane = lane.send(req).expect("worker alive");
         stats.msg().sent(count, fast_lane);
-    }
-
-    /// Route a page-cleaning batch to this worker.
-    pub fn send_clean(&self, pages: Vec<PageId>) {
-        let _ = self.sender.send(WorkerRequest::Clean { pages });
-    }
-
-    /// Quiesce the worker: returns a sender that resumes it when dropped or
-    /// signalled.
-    pub fn quiesce(&self) -> Sender<()> {
-        let (ack_tx, ack_rx) = bounded(1);
-        let (resume_tx, resume_rx) = bounded(1);
-        self.sender
-            .send(WorkerRequest::Quiesce {
-                ack: ack_tx,
-                resume: resume_rx,
-            })
-            .expect("worker alive");
-        ack_rx.recv().expect("quiesce ack");
-        resume_tx
     }
 
     /// Ask the worker to shut down and join its thread (idempotent).
@@ -358,40 +329,32 @@ fn worker_loop(
     state: &Mutex<PartitionState>,
     rx: Receiver<WorkerRequest>,
 ) {
-    let cleaner = PageCleaner::new(db.pool().clone());
     // One chrome://tracing row per worker.  The ring lives in the shared
     // stats registry, so a flight-recorder dump still sees this worker's
     // last events after the thread has died (e.g. from an action panic).
     let ring = db.stats().trace().register(format!("worker-{index}"));
-    // Executes one data-plane request (an action group or cleaning).  Control
-    // messages never reach this — they are matched in the loop below.
-    let execute = |req: WorkerRequest| match req {
-        WorkerRequest::Run {
+    let execute = |req: WorkerRequest| {
+        let WorkerRequest::Run {
             txn_id,
             actions,
             mut reply,
             enqueued_at,
-        } => {
-            // The group runs under the claim, which is released before the
-            // reply is published (module docs).
-            {
-                let mut partition = state.lock();
-                let started = obs_now();
-                let waited = started.saturating_sub(enqueued_at);
-                partition.run_group(&ring, txn_id, started, waited, actions, |r| reply.push(r));
-            }
-            // The reply is the worker's half of the message-passing pair:
-            // one critical section and one wake per message.
-            db.stats().cs().enter(CsCategory::MessagePassing, false);
-            reply.finish();
+        } = req
+        else {
+            unreachable!("`Shutdown` is matched in the worker loop")
+        };
+        // The group runs under the claim, which is released before the
+        // reply is published (module docs).
+        {
+            let mut partition = state.lock();
+            let started = obs_now();
+            let waited = started.saturating_sub(enqueued_at);
+            partition.run_group(&ring, txn_id, started, waited, actions, |r| reply.push(r));
         }
-        WorkerRequest::Clean { pages } => {
-            let partition = state.lock();
-            cleaner.clean_owned(partition.token, &pages);
-        }
-        WorkerRequest::Quiesce { .. } | WorkerRequest::Shutdown => {
-            unreachable!("control messages are handled in the worker loop")
-        }
+        // The reply is the worker's half of the message-passing pair: one
+        // critical section and one wake per message.
+        db.stats().cs().enter(CsCategory::MessagePassing, false);
+        reply.finish();
     };
     loop {
         // Fast path: drain the session lanes before touching the MPMC queue.
@@ -399,21 +362,9 @@ fn worker_loop(
             execute(req);
         }
         match rx.try_recv() {
-            Ok(WorkerRequest::Quiesce { ack, resume }) => {
-                // Drain handshake (module docs): every action pushed onto a
-                // lane before this quiesce was enqueued is visible now —
-                // execute it before acking, so nothing enqueued under the
-                // old partition boundaries is left behind while we park.
-                while let Some(req) = rx.try_recv_lane() {
-                    execute(req);
-                }
-                let _ = ack.send(());
-                // Block until the repartitioning coordinator releases us.
-                let _ = resume.recv();
-            }
-            Ok(WorkerRequest::Shutdown) => {
-                // Same handshake: answer anything already in a lane so its
-                // coordinator is not left waiting on a dropped promise.
+            Ok(WorkerRequest::Shutdown) | Err(TryRecvError::Disconnected) => {
+                // Answer anything already in a lane so its coordinator is
+                // not left waiting on a dropped promise (module docs).
                 while let Some(req) = rx.try_recv_lane() {
                     execute(req);
                 }
@@ -421,12 +372,6 @@ fn worker_loop(
             }
             Ok(req) => execute(req),
             Err(TryRecvError::Empty) => rx.wait_any(),
-            Err(TryRecvError::Disconnected) => {
-                while let Some(req) = rx.try_recv_lane() {
-                    execute(req);
-                }
-                break;
-            }
         }
     }
 }

@@ -345,3 +345,107 @@ fn a_failing_stage_answers_its_lowest_indexed_error_on_every_design() {
         engine.shutdown();
     }
 }
+
+/// A conventional range read takes each row's S lock before it reads the
+/// row, so it never answers a value that was never committed: W writes A
+/// and keeps its X lock for 20 ms (inside the lock timeout), then writes B
+/// and commits; R's range read of that one key, started while A is in
+/// place, answers B.
+#[test]
+fn a_conventional_range_read_waits_for_the_rows_lock_before_it_reads() {
+    for design in [
+        Design::Conventional { sli: false },
+        Design::Conventional { sli: true },
+    ] {
+        let mut engine = build_engine(design);
+        let (written_tx, written_rx) = mpsc::channel();
+        let rows = std::thread::scope(|scope| {
+            let engine = &engine;
+            let writer = scope.spawn(move || {
+                let plan = TransactionPlan::single(Action::new(TABLE, 2, move |ctx| {
+                    ctx.update(TABLE, 2, &mut |rec| rec[0] = b'A')?;
+                    written_tx.send(()).unwrap();
+                    std::thread::sleep(Duration::from_millis(20));
+                    ctx.update(TABLE, 2, &mut |rec| rec[0] = b'B')?;
+                    Ok(ActionOutput::empty())
+                }));
+                engine.session().execute(plan).expect("the writer commits");
+            });
+            written_rx.recv().expect("the writer has written A");
+            let plan = TransactionPlan::single(Action::new(TABLE, 2, |ctx| {
+                let rows = ctx.range_read(TABLE, 2, 2)?;
+                Ok(ActionOutput::with_rows(
+                    rows.into_iter().map(|(_, row)| row).collect(),
+                ))
+            }));
+            let out = engine.session().execute(plan).expect("the reader commits");
+            writer.join().expect("writer thread");
+            out.into_iter().next().expect("one output").rows
+        });
+        assert_eq!(rows.len(), 1, "{design}");
+        assert_eq!(rows[0][0], b'B', "{design}: read an uncommitted value");
+        engine.shutdown();
+    }
+}
+
+/// Page cleaning (Appendix A.4) on every design: a round after some
+/// committed updates cleans pages, and a second round right after it finds
+/// nothing left to clean.
+#[test]
+fn page_cleaning_cleans_dirty_pages_once_on_every_design() {
+    for design in Design::ALL {
+        let mut engine = build_engine(design);
+        let (committed, _) = run_batch(&engine);
+        assert!(committed > 0, "{design}");
+        assert!(engine.clean_pages() > 0, "{design}: nothing cleaned");
+        assert_eq!(engine.clean_pages(), 0, "{design}: cleaned twice");
+        engine.shutdown();
+    }
+}
+
+/// On the PLP designs a partition's pages are cleaned under its claim: a
+/// round that meets a claimed partition with dirty pages waits for the
+/// holder to let go, and then cleans them.
+#[test]
+fn page_cleaning_waits_for_a_held_claim_on_the_plp_designs() {
+    for design in Design::ALL.into_iter().filter(|d| d.latch_free_index()) {
+        let mut engine = build_engine(design);
+        engine.clean_pages();
+        let done = AtomicBool::new(false);
+        let cleaned = std::thread::scope(|scope| {
+            let (engine, done) = (&engine, &done);
+            // Made in here, so a failed assertion drops `release_tx` and
+            // the holder is not left waiting for it.
+            let (entered_tx, entered_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            // The holder dirties a page of partition 0 and keeps the
+            // partition's claim until released.
+            let holder = scope.spawn(move || {
+                let plan = TransactionPlan::single(Action::new(TABLE, 1, move |ctx| {
+                    ctx.insert(TABLE, 1, b"dirty", None)?;
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Ok(ActionOutput::empty())
+                }));
+                engine.session().execute(plan).expect("the holder commits");
+            });
+            entered_rx.recv().expect("the holder has the claim");
+            let cleaner = scope.spawn(move || {
+                let cleaned = engine.clean_pages();
+                done.store(true, Ordering::SeqCst);
+                cleaned
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(
+                !done.load(Ordering::SeqCst),
+                "{design}: cleaned past a held claim"
+            );
+            release_tx.send(()).unwrap();
+            holder.join().expect("holder thread");
+            cleaner.join().expect("cleaner thread")
+        });
+        assert!(cleaned > 0, "{design}: nothing cleaned");
+        assert_eq!(engine.clean_pages(), 0, "{design}: cleaned twice");
+        engine.shutdown();
+    }
+}

@@ -288,3 +288,40 @@ fn a_messaged_stage_keeps_the_stage_semantics() {
         engine.shutdown();
     }
 }
+
+/// No message outlives its transaction's ticket: when one group's worker
+/// dies, the stage still waits for every other group it sent before it
+/// answers `Shutdown`, so no action of the transaction is left running
+/// where a repartition could move ownership under it.
+#[test]
+fn a_stage_whose_worker_died_waits_for_its_other_groups() {
+    let config = EngineConfig::new(Design::PlpRegular).with_partitions(2);
+    let engine = Engine::start(config, &[TableSpec::new(0, "shape", KEY_SPACE)]);
+    for k in (0..16).chain(P1..P1 + 16) {
+        engine
+            .db()
+            .load_record(TABLE, k, &k.to_le_bytes(), None)
+            .unwrap();
+    }
+    engine.finish_loading();
+    // Worker 0 dies in the stage, so the engine is leaked rather than shut
+    // down around a dead thread.
+    let engine: &'static Engine = Box::leak(Box::new(engine));
+
+    let finished = Arc::new(AtomicBool::new(false));
+    let flag = finished.clone();
+    let stage = TransactionPlan::parallel(vec![
+        Action::new(TABLE, 2, |_ctx| panic!("injected worker fault")),
+        Action::new(TABLE, P1 + 2, move |_ctx| {
+            std::thread::sleep(Duration::from_millis(50));
+            flag.store(true, Ordering::SeqCst);
+            Ok(ActionOutput::empty())
+        }),
+    ]);
+    let (result, _) = execute_with_claims_held(engine, stage);
+    assert_eq!(result, Err(EngineError::Shutdown));
+    assert!(
+        finished.load(Ordering::SeqCst),
+        "the stage answered while its partition-1 group was still running"
+    );
+}

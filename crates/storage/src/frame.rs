@@ -119,8 +119,8 @@ impl Frame {
     // ------------------------------------------------------------------
 
     /// Assign the frame to a partition owner.  Called by the partition manager
-    /// while the affected partitions are quiesced; afterwards only the holder
-    /// of that partition's claim touches the page.
+    /// while it holds the affected partitions' claims; afterwards only the
+    /// holder of that partition's claim touches the page.
     pub fn set_owner(&self, token: OwnerToken) {
         self.owner.store(token.0, Ordering::Release);
     }

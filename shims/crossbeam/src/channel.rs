@@ -42,7 +42,7 @@
 //! ## Audit note (lane ordering)
 //!
 //! Two properties are load-bearing for callers that keep control messages on
-//! the main queue (the engine's quiesce/shutdown protocol):
+//! the main queue (the engine's shutdown message):
 //!
 //! 1. **No lost wakeup for lane sends.**  The same Dekker pairing as above:
 //!    the lane push's `Release` stamp store precedes the notifier's `SeqCst`
@@ -798,7 +798,7 @@ mod tests {
 
     #[test]
     fn lane_message_before_control_drains_first() {
-        // The engine's quiesce shape: an action on the lane, then a control
+        // The engine's shutdown shape: an action on the lane, then a control
         // message on the main queue; a receiver that pops the control message
         // must find the action on a single lane drain pass.
         let (tx, rx) = unbounded::<u32>();

@@ -17,8 +17,8 @@ use loom::thread;
 use crate::channel;
 use crate::queue::{Bounded, Spsc, Unbounded, BLOCK_CAP};
 
-/// The repartition controller's quiesce handshake shape: request over one
-/// `bounded(1)` channel, ack back over another.  The PR 5 livelock (a
+/// A request/ack handshake: request over one `bounded(1)` channel, ack back
+/// over another.  The PR 5 livelock (a
 /// `bounded(1)` consumer and producer each waiting for the other's lap
 /// marker) lived exactly here.
 #[test]
@@ -216,8 +216,8 @@ fn model_lane_send_wakes_parked_receiver() {
 /// Lane-vs-control ordering handshake: a message pushed onto a fast lane
 /// *before* a main-queue (control) message from the same producer must be
 /// visible to a receiver that drains lanes after popping the control
-/// message.  This is the invariant the engine's quiesce drain relies on when
-/// actions ride lanes while Quiesce/Shutdown stay on the MPMC queue.
+/// message.  This is the invariant the engine's shutdown drain relies on
+/// when actions ride lanes while `Shutdown` stays on the MPMC queue.
 #[test]
 fn model_lane_vs_control_ordering() {
     loom::model(|| {

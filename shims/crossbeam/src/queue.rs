@@ -127,8 +127,8 @@ struct BoundedSlot<T> {
     /// is in, `2*(pos + capacity)` once the consumer freed it for the next
     /// lap.  Doubling keeps the "full" and "free for the next lap" markers
     /// distinct even at capacity 1 (with plain `pos + 1` / `pos + capacity`
-    /// markers they collide there, and a `bounded(1)` channel — which the
-    /// engine uses for quiesce handshakes — would corrupt).
+    /// markers they collide there, and a `bounded(1)` channel — the shape of
+    /// a request/ack handshake — would corrupt).
     sequence: AtomicUsize,
     value: UnsafeCell<MaybeUninit<T>>,
 }

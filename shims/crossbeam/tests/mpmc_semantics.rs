@@ -113,8 +113,8 @@ macro_rules! channel_semantics {
 
             #[test]
             fn control_messages_stay_fifo_behind_work() {
-                // The engine's quiesce/shutdown messages ride the same queue
-                // as actions and must never overtake them.
+                // The engine's shutdown message rides the same queue as
+                // actions and must never overtake them.
                 let (tx, rx) = chan::unbounded::<&'static str>();
                 for _ in 0..100 {
                     tx.send("work").unwrap();

@@ -5,7 +5,8 @@
 //! controller must (a) notice, (b) repartition so the hot range is spread
 //! over more than one worker, and (c) never panic a worker while doing so —
 //! controller-triggered repartitions race with live client threads here,
-//! which is exactly what the dispatch gate has to make safe.
+//! which is exactly what the ticket drain and the partition claims have to
+//! make safe.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
