@@ -298,22 +298,23 @@ impl<I: Isolation> DataContext for ActionCtx<'_, I> {
             for k in [lo, hi] {
                 self.isolation.lock(table, k, LockMode::S)?;
             }
-            return t.range_scan(lo, hi, self.index, self.heap);
+            return t.range_scan(lo, hi, self.index, self.heap, |_| true);
         }
-        // Central locking reads a row only under its S lock: the index
-        // scan names the keys, and each is then read the way `read` does.
-        // A key deleted before its lock was granted is skipped.
+        // Central locking reads a row only under its S lock: one index scan
+        // names the keys, each is locked, and a second scan reads those still
+        // there (a key deleted before its lock was granted is gone).
         let keys = t
             .primary()
             .range_scan(lo, hi, self.index)
             .map_err(|e| EngineError::from_btree(table, e))?;
-        let mut rows = Vec::with_capacity(keys.len());
-        for (k, _) in keys {
+        let (Some(&(first, _)), Some(&(last, _))) = (keys.first(), keys.last()) else {
+            return Ok(Vec::new());
+        };
+        for &(k, _) in &keys {
             self.isolation.lock(table, k, LockMode::S)?;
-            if let Some(row) = t.read(k, self.index, self.heap)? {
-                rows.push((k, row));
-            }
         }
-        Ok(rows)
+        t.range_scan(first, last, self.index, self.heap, |k| {
+            keys.binary_search_by_key(&k, |&(key, _)| key).is_ok()
+        })
     }
 }

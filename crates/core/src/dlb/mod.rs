@@ -27,10 +27,9 @@
 //!
 //! * **Repartition integration** (§5.3): accepted plans are applied through
 //!   [`crate::partition::PartitionManager::repartition`], which drains the
-//!   in-flight transactions, takes every partition's claim, slices/melds the
-//!   MRBTrees, propagates boundaries across the declared alignment group and
-//!   journals old boundaries so a failed sibling repartition rolls back
-//!   instead of wedging the engine.
+//!   transactions, takes every claim, slices/melds the MRBTrees, propagates
+//!   boundaries across the alignment group and journals old boundaries so a
+//!   failed sibling repartition rolls back instead of wedging the engine.
 //!
 //! The whole subsystem is off by default ([`DlbConfig::enabled`] is
 //! `false`): no histograms are allocated and the routing path is unchanged.

@@ -340,13 +340,15 @@ impl Table {
         }
     }
 
-    /// Range scan on the primary index returning (key, record) pairs.
+    /// Range scan on the primary index returning (key, record) pairs for
+    /// the keys `keep` accepts; only their records are read.
     pub fn range_scan(
         &self,
         lo: u64,
         hi: u64,
         access: Access,
         heap_access: Access,
+        mut keep: impl FnMut(u64) -> bool,
     ) -> Result<Vec<(u64, Vec<u8>)>, EngineError> {
         let hits = self
             .primary
@@ -354,7 +356,9 @@ impl Table {
             .map_err(|e| EngineError::from_btree(self.spec.id, e))?;
         let mut out = Vec::with_capacity(hits.len());
         for (k, packed) in hits {
-            out.push((k, self.heap.get(Rid::unpack(packed), heap_access)?));
+            if keep(k) {
+                out.push((k, self.heap.get(Rid::unpack(packed), heap_access)?));
+            }
         }
         Ok(out)
     }

@@ -201,7 +201,6 @@ fn try_claim<'a, S, T>(state: &'a Mutex<S>, queue: &Sender<T>) -> Option<MutexGu
 /// Handle to one partition: its state behind the claim, and the worker
 /// thread that serves whatever is enqueued for it.
 pub struct WorkerHandle {
-    pub index: usize,
     pub token: OwnerToken,
     sender: Sender<WorkerRequest>,
     /// The claim (see the module docs).
@@ -228,7 +227,6 @@ impl WorkerHandle {
             .spawn(move || worker_loop(&db, index, &worker_state, rx))
             .expect("spawn partition worker");
         Self {
-            index,
             token,
             sender: tx,
             state,
