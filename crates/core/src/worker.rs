@@ -15,10 +15,10 @@
 //! `PartitionState::run_group` the worker uses, and pays no message at
 //! all.  Otherwise it sends the group as one message (below), and the
 //! partition's worker thread takes the claim with a blocking `lock` around
-//! every group it executes.  The choice
-//! is made from what the session observes, never from configuration, so the
-//! message exchange — the *fixed-contention* communication of Figure 1's
-//! "Message passing" component — is paid only when a partition is contended.
+//! every group it executes.  The choice is made from what the session
+//! observes, never from configuration, so the message exchange — the
+//! *fixed-contention* communication of Figure 1's "Message passing"
+//! component — is paid only when a partition is contended.
 //!
 //! The worker releases the claim *before* it publishes a reply: the session
 //! it wakes finds the partition idle again and goes back to running inline
@@ -256,14 +256,14 @@ impl WorkerHandle {
         self.sender.fast_lane(LANE_CAP)
     }
 
-    /// Send one stage's action group for this worker as one [`WorkerRequest::Run`]
-    /// (see the module's "The message path") through `lane`, falling back
-    /// to the MPMC queue when the ring is full.  The replies
-    /// arrive through `slot` (opened for one round here); the coordinator
-    /// waits on the slot at the stage's rendezvous point and can then reuse
-    /// it — the steady state allocates nothing.  The send does all of the
-    /// message's accounting: the coordinator's half of the message-passing
-    /// critical-section pair and [`plp_instrument::stats::MsgStats::sent`].
+    /// Send one stage's action group as one [`WorkerRequest::Run`] (see the
+    /// module's "The message path") through `lane`, falling back to the MPMC
+    /// queue when the ring is full.  The replies arrive through `slot`
+    /// (opened for one round here); the coordinator waits on the slot at the
+    /// stage's rendezvous point and can then reuse it — the steady state
+    /// allocates nothing.  The send does all of the message's accounting: the
+    /// coordinator's half of the message-passing critical-section pair and
+    /// [`plp_instrument::stats::MsgStats::sent`].
     pub fn send(
         &self,
         txn_id: u64,

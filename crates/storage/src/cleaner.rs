@@ -13,8 +13,8 @@
 //!   configurable latency because the database is memory resident).
 //! * [`PageCleaner::collect_requests`] — the PLP path: the cleaner only
 //!   collects the dirty page ids, grouped by owner token, and the engine
-//!   forwards them to the owning workers, which call
-//!   [`PageCleaner::clean_owned`] on their own pages.
+//!   calls [`PageCleaner::clean_owned`] on each owner's pages while it holds
+//!   that partition's claim.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -83,8 +83,9 @@ impl PageCleaner {
         out
     }
 
-    /// PLP cleaning, phase 2: the owning worker cleans its own pages without
-    /// taking any latch (it is the only thread touching them).
+    /// PLP cleaning, phase 2: the holder of the owning partition's claim
+    /// cleans its pages without taking any latch (it is the only thread
+    /// touching them).
     pub fn clean_owned(&self, token: OwnerToken, pages: &[PageId]) -> usize {
         let mut cleaned = 0;
         for &id in pages {
