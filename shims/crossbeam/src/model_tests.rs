@@ -18,9 +18,8 @@ use crate::channel;
 use crate::queue::{Bounded, Spsc, Unbounded, BLOCK_CAP};
 
 /// A request/ack handshake: request over one `bounded(1)` channel, ack back
-/// over another.  The PR 5 livelock (a
-/// `bounded(1)` consumer and producer each waiting for the other's lap
-/// marker) lived exactly here.
+/// over another.  The lap-marker livelock (a `bounded(1)` consumer and
+/// producer each waiting for the other's lap marker) lived exactly here.
 #[test]
 fn model_bounded1_quiesce_handshake() {
     loom::model(|| {
