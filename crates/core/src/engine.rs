@@ -25,8 +25,7 @@ use crate::error::EngineError;
 use crate::partition::PartitionManager;
 use crate::reply::BatchReplySlot;
 use crate::request::{ErrorCode, Op, Request, Response};
-use crate::worker::{obs_now, ActionReply, WorkerRequest};
-use crossbeam::channel::LaneSender;
+use crate::worker::{obs_now, ActionReply, WorkerLink};
 
 /// A running instance of one execution design over one database.
 pub struct Engine {
@@ -51,6 +50,8 @@ pub struct Engine {
     flight_dump: Option<PathBuf>,
     dlb: Option<LoadBalancerHandle>,
     partition_mgr: Option<Arc<PartitionManager>>,
+    /// Links no session holds (see [`Session`]).
+    links: Mutex<Vec<Vec<WorkerLink>>>,
 }
 
 /// What [`Engine::recover`] found and replayed.
@@ -180,6 +181,7 @@ impl Engine {
             flight_dump: config.flight_dump,
             dlb,
             partition_mgr,
+            links: Mutex::new(Vec::new()),
         }
     }
 
@@ -402,18 +404,19 @@ impl Engine {
         }
         self.mark_loaded();
         self.db.reset_stats();
-        if let Some(dlb) = &self.dlb {
-            dlb.resume();
-        }
     }
 
-    /// Admit transactions from now on.  Each design keeps the flag in the
-    /// structure every one of its transactions already visits: the
-    /// partition manager's ticket gate, or the central lock manager.
+    /// Admit transactions from now on and unpause the DLB controller, for
+    /// [`Self::finish_loading`] and [`Self::recover`] alike.  Each design
+    /// keeps the flag where its transactions already look: the partition
+    /// manager's ticket gate, or the central lock manager.
     fn mark_loaded(&self) {
         match &self.partition_mgr {
             Some(pm) => pm.mark_loaded(),
             None => self.db.lock_manager().mark_loaded(),
+        }
+        if let Some(dlb) = &self.dlb {
+            dlb.resume();
         }
     }
 
@@ -441,8 +444,7 @@ impl Engine {
             engine: self,
             sli,
             ring,
-            reply_pool: Vec::new(),
-            lanes: Vec::new(),
+            link: Vec::new(),
         }
     }
 
@@ -576,11 +578,6 @@ impl std::fmt::Debug for Engine {
     }
 }
 
-/// How many pooled reply slots a session keeps between stages.  A stage
-/// sends at most one message per worker, so this covers the fan-out of any
-/// stage on up to this many partitions while bounding the pool's footprint.
-const REPLY_POOL_MAX: usize = 16;
-
 /// Per-client-thread execution handle.
 pub struct Session<'e> {
     engine: &'e Engine,
@@ -588,23 +585,23 @@ pub struct Session<'e> {
     /// This session's trace timeline (one chrome://tracing row); transaction,
     /// dispatch and reply-wait spans land here.
     ring: Arc<TraceRing>,
-    /// Recycled reply rendezvous (slot plus its reply `Vec`) for the
-    /// message path: after warm-up every message reuses one instead of
-    /// allocating.
-    reply_pool: Vec<BatchReplySlot<ActionReply>>,
-    /// One SPSC fast lane per worker, created the first time this session
-    /// has to *send* (a session that always finds its partitions idle never
-    /// needs them).  The session is the lane's unique producer; the worker
-    /// drains lanes ahead of the shared MPMC queue.
-    lanes: Vec<LaneSender<WorkerRequest>>,
+    /// This session's link, one [`WorkerLink`] per worker: borrowed from the
+    /// engine's pool the first time the session has to *send*, given back
+    /// when it drops, and empty until then.
+    link: Vec<WorkerLink>,
 }
 
 /// An SLI agent's inherited locks outlive its transactions, not its session:
-/// a closing session hands them back to the central lock manager.
+/// a closing session hands them back to the central lock manager, and its
+/// link back to the engine's pool.
 impl Drop for Session<'_> {
     fn drop(&mut self) {
         if let Some(sli) = &mut self.sli {
             sli.release_inherited(self.engine.db.lock_manager());
+        }
+        if !self.link.is_empty() {
+            let link = std::mem::take(&mut self.link);
+            self.engine.links.lock().push(link);
         }
     }
 }
@@ -613,6 +610,7 @@ impl Drop for Session<'_> {
 /// not run itself), remembered with the stage indices its replies scatter
 /// back into.
 struct Pending {
+    worker: usize,
     indices: Vec<usize>,
     slot: BatchReplySlot<ActionReply>,
     /// `now_nanos()` at dispatch — the trace clock, so the reply wake derives
@@ -950,38 +948,24 @@ impl Session<'_> {
                 settle(observed, phases);
                 continue;
             }
-            // Contended: pay the message.  Lazily wire one SPSC fast lane per
-            // worker the first time this session sends at all; the worker
-            // count is fixed for the engine's lifetime.
-            if self.lanes.is_empty() {
-                self.lanes = (0..pm.worker_count())
-                    .map(|i| pm.worker(i).fast_lane())
-                    .collect();
+            // Contended: pay the message, through this session's link.
+            if self.link.is_empty() {
+                let pooled = self.engine.links.lock().pop();
+                let fresh = || {
+                    (0..pm.worker_count())
+                        .map(|i| pm.worker(i).link())
+                        .collect()
+                };
+                self.link = pooled.unwrap_or_else(fresh);
             }
-            let mut slot = match self.reply_pool.pop() {
-                Some(slot) => {
-                    stats.msg().reply_reused();
-                    slot
-                }
-                None => {
-                    stats.msg().reply_allocated();
-                    BatchReplySlot::new()
-                }
-            };
             // One clock read serves as the round-trip origin AND the
             // queue-wait baseline the worker subtracts from its dequeue time
             // — taken just *before* the enqueue so the worker never sees a
             // timestamp from its future.
             let sent_at = now_nanos();
-            pm.worker(worker).send(
-                txn_id,
-                actions,
-                &mut slot,
-                &self.lanes[worker],
-                stats,
-                sent_at,
-            );
+            let slot = self.link[worker].send(txn_id, actions, stats, sent_at);
             pending.push(Pending {
+                worker,
                 indices,
                 slot,
                 sent_at,
@@ -1015,6 +999,7 @@ impl Session<'_> {
         // after the transaction's ticket is gone.
         let mut closed = false;
         for Pending {
+            worker,
             indices,
             mut slot,
             sent_at,
@@ -1037,9 +1022,7 @@ impl Session<'_> {
             // Hand the (now empty) reply Vec back to the slot so the next
             // message reuses its capacity.
             slot.recycle(replies);
-            if self.reply_pool.len() < REPLY_POOL_MAX {
-                self.reply_pool.push(slot);
-            }
+            self.link[worker].slot = Some(slot);
             let rt = wait_end.saturating_sub(sent_at);
             stats.msg().roundtrip(rt);
             settle(rt, phases);

@@ -54,7 +54,7 @@
 //! # Batch framing
 //!
 //! The engine's one message shape (a
-//! [`crate::worker::WorkerRequest::Run`] per (worker, stage), a singleton
+//! `WorkerRequest::Run` per (worker, stage), a singleton
 //! group being a `Run` of one) is answered through a [`BatchReplySlot`]: a
 //! `ReplySlot<Vec<T>>` plus a recycled `Vec` that shuttles between the
 //! coordinator and the worker.  The worker pushes one reply per action into
@@ -296,7 +296,7 @@ pub struct BatchReplySlot<T> {
 }
 
 /// Fulfilling side of one batch round, shipped to the worker inside a
-/// [`crate::worker::WorkerRequest::Run`].  The worker [`push`es][Self::push]
+/// `WorkerRequest::Run`.  The worker [`push`es][Self::push]
 /// one reply per action, then [`finish`es][Self::finish] — a single wake for
 /// the whole group.  Dropping it before `finish` closes the round.
 pub struct BatchReplyPromise<T> {

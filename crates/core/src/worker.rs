@@ -9,9 +9,9 @@
 //!
 //! # Caller runs; the worker is the executor of last resort
 //!
-//! A session that finds its partition idle — the claim free and nothing
-//! queued or in a fast lane (`WorkerHandle::try_claim`) — runs the stage's
-//! action group itself, on its own thread, through the same
+//! A session that finds its partition idle — the claim free and nothing in
+//! a lane (`WorkerHandle::try_claim`) — runs the stage's action group
+//! itself, on its own thread, through the same
 //! `PartitionState::run_group` the worker uses, and pays no message at
 //! all.  Otherwise it sends the group as one message (below), and the
 //! partition's worker thread takes the claim with a blocking `lock` around
@@ -23,7 +23,7 @@
 //! The worker releases the claim *before* it publishes a reply: the session
 //! it wakes finds the partition idle again and goes back to running inline
 //! instead of queueing behind a claim that is about to be dropped
-//! (`model_claim_free_once_reply_published`).  The queue check happens
+//! (`model_claim_free_once_reply_published`).  The lane check happens
 //! *under* the claim, so a session never runs past a request it could have
 //! seen queued; a worker with pending requests is not starved by inlining
 //! sessions (`model_claim_session_vs_worker`).  `docs/concurrency.md` has the
@@ -39,31 +39,37 @@
 //!
 //! # The message path
 //!
-//! A contended group pays one message of one shape: a [`WorkerRequest::Run`]
+//! A contended group pays one message of one shape: a `WorkerRequest::Run`
 //! carrying the group's action closures in dispatch order plus one
-//! [`BatchReplyPromise`], sent by [`WorkerHandle::send`].  The coordinator
+//! [`BatchReplyPromise`], sent by `WorkerLink::send`.  The coordinator
 //! groups a stage's actions by routed worker first, so a stage pays one
 //! message per *worker*, not per action, and a singleton group is a `Run` of
-//! one.  The request queue is the channel shim's lock-free MPMC queue; the
-//! reply leg is a pooled [`BatchReplySlot`] rendezvous whose reply `Vec` is
-//! recycled across rounds, so the steady state allocates nothing per message
-//! (see [`crate::reply`]).  The worker executes the group strictly in order
+//! one.  The request rides the sender's lane (below); the reply leg is a
+//! recycled [`BatchReplySlot`] rendezvous whose reply `Vec` is reused across
+//! rounds, so the steady state allocates nothing per message (see
+//! [`crate::reply`]).  The worker executes the group strictly in order
 //! through `PartitionState::run_group` — a `Run` of *n* behaves exactly
 //! like *n* messages from the same sender — pushing one [`ActionReply`] per
 //! action (per-action results, log records and abort outcomes survive
 //! grouping), and wakes the coordinator once with `finish`.
 //!
-//! # Fast lanes and shutdown
+//! # Lanes, links and shutdown
 //!
-//! Sessions send `Run` messages through a dedicated single-producer lane
-//! per worker ([`WorkerHandle::fast_lane`], backed by the channel shim's
-//! SPSC ring) and fall back to the MPMC queue when the lane is full.  The
-//! one control message, [`WorkerRequest::Shutdown`], rides the MPMC queue;
-//! on receiving it, or finding the queue disconnected, the worker first
-//! drains every lane, so a group pushed onto a lane before the shutdown was
-//! enqueued is still answered instead of dropped with its promise (the lane
-//! publication happens-before the main-queue pop; pinned by the shim's
-//! `model_lane_vs_control_ordering`).
+//! A `Run` travels only on a single-producer lane (the channel shim's SPSC
+//! ring).  A sending session borrows a *link* — one lane and one reply slot
+//! per worker (`WorkerLink`) — from the engine's pool the first time it
+//! sends and gives it back when it drops, so lanes are bounded by how many
+//! sessions send at once.  A stage sends at most one message per worker and
+//! waits for every reply, so a lane holds at most one `Run` of its link,
+//! plus any left by sessions that unwound mid-stage; a full lane makes the
+//! sender wait for room.
+//!
+//! The MPMC queue carries only `WorkerRequest::Shutdown`: stopping a
+//! worker through `&self` needs that message or a channel close API, and
+//! the message is smaller.  On receiving it, or finding the queue
+//! disconnected, the worker first drains every lane, so a group pushed onto
+//! a lane before the shutdown was enqueued is still answered
+//! (`model_lane_vs_control_ordering`).
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -83,9 +89,9 @@ use crate::error::EngineError;
 use crate::primitives::{Mutex, MutexGuard};
 use crate::reply::{BatchReplyPromise, BatchReplySlot};
 
-/// Slots in each session's per-worker SPSC fast lane.  Deep enough that a
-/// pipelined session never overflows it in practice; overflow just means the
-/// message takes the MPMC fallback path (counted as a lane miss).
+/// Slots in each lane.  A link has at most one `Run` per worker in flight
+/// (module docs), so a lane fills only behind messages left by sessions
+/// that unwound mid-stage; a sender that finds it full waits for room.
 pub(crate) const LANE_CAP: usize = 64;
 
 /// Reply sent back to the coordinator when an action finishes.
@@ -102,7 +108,7 @@ pub struct ActionReply {
 }
 
 /// Requests a worker can serve.
-pub enum WorkerRequest {
+pub(crate) enum WorkerRequest {
     /// Execute one stage's action group for `txn_id` strictly in order,
     /// replying once for the whole group (see the module's "The message
     /// path").
@@ -190,12 +196,62 @@ impl PartitionState {
 
 /// The claim decision, generic so the model checker runs the shipped code:
 /// take the claim if it is free, and keep it only if nothing is waiting for
-/// the worker.  The queue is inspected *under* the claim — a request visible
-/// then is one the worker has not started (it executes only while holding
-/// the claim), so backing off hands the partition to it.
+/// the worker.  The lanes are inspected *under* the claim — a request
+/// visible then is one the worker has not started (it executes only while
+/// holding the claim), so backing off hands the partition to it.
 fn try_claim<'a, S, T>(state: &'a Mutex<S>, queue: &Sender<T>) -> Option<MutexGuard<'a, S>> {
     let claim = state.try_lock()?;
-    (queue.is_empty() && !queue.lane_ready()).then_some(claim)
+    (!queue.lane_ready()).then_some(claim)
+}
+
+/// A sending session's way to one worker (module docs): the lane it is the
+/// one producer of, and the reply slot that answers its message — `None`
+/// while the message is in flight, and once a session unwound with it.
+pub(crate) struct WorkerLink {
+    lane: LaneSender<WorkerRequest>,
+    pub(crate) slot: Option<BatchReplySlot<ActionReply>>,
+}
+
+impl WorkerLink {
+    /// Send one stage's action group as one `WorkerRequest::Run` (see the
+    /// module's "The message path") through the lane, waiting for room if
+    /// the ring is full.  Returns the slot the replies arrive through, moved
+    /// out of the link: the coordinator waits on it at the stage's
+    /// rendezvous point and puts it back, so the steady state allocates
+    /// nothing.  The send does all of the message's accounting: the reply
+    /// slot's reuse or allocation, the coordinator's half of the
+    /// message-passing critical-section pair and
+    /// [`plp_instrument::stats::MsgStats::sent`].
+    pub(crate) fn send(
+        &mut self,
+        txn_id: u64,
+        actions: Vec<ActionFn>,
+        stats: &plp_instrument::StatsRegistry,
+        enqueued_at: u64,
+    ) -> BatchReplySlot<ActionReply> {
+        debug_assert!(!actions.is_empty(), "empty action group");
+        let mut slot = match self.slot.take() {
+            Some(slot) => {
+                stats.msg().reply_reused();
+                slot
+            }
+            None => {
+                stats.msg().reply_allocated();
+                BatchReplySlot::new()
+            }
+        };
+        let count = actions.len() as u64;
+        let req = WorkerRequest::Run {
+            txn_id,
+            reply: slot.promise(actions.len()),
+            actions,
+            enqueued_at,
+        };
+        stats.cs().enter(CsCategory::MessagePassing, false);
+        self.lane.send(req).expect("worker alive");
+        stats.msg().sent(count);
+        slot
+    }
 }
 
 /// Handle to one partition: its state behind the claim, and the worker
@@ -235,7 +291,7 @@ impl WorkerHandle {
     }
 
     /// Claim the partition for the calling thread if it is idle: the claim
-    /// is free and nothing is queued or in a lane for the worker.  While the
+    /// is free and nothing is in a lane for the worker.  While the
     /// guard lives the caller is the partition's thread.
     pub(crate) fn try_claim(&self) -> Option<MutexGuard<'_, PartitionState>> {
         try_claim(&self.state, &self.sender)
@@ -249,41 +305,13 @@ impl WorkerHandle {
         self.state.lock()
     }
 
-    /// Create a dedicated single-producer fast lane to this worker.  One per
-    /// long-lived sender (the engine keeps one per session per worker):
-    /// lane storage lives as long as the worker's channel.
-    pub fn fast_lane(&self) -> LaneSender<WorkerRequest> {
-        self.sender.fast_lane(LANE_CAP)
-    }
-
-    /// Send one stage's action group as one [`WorkerRequest::Run`] (see the
-    /// module's "The message path") through `lane`, falling back to the MPMC
-    /// queue when the ring is full.  The replies arrive through `slot`
-    /// (opened for one round here); the coordinator waits on the slot at the
-    /// stage's rendezvous point and can then reuse it — the steady state
-    /// allocates nothing.  The send does all of the message's accounting: the
-    /// coordinator's half of the message-passing critical-section pair and
-    /// [`plp_instrument::stats::MsgStats::sent`].
-    pub fn send(
-        &self,
-        txn_id: u64,
-        actions: Vec<ActionFn>,
-        slot: &mut BatchReplySlot<ActionReply>,
-        lane: &LaneSender<WorkerRequest>,
-        stats: &plp_instrument::StatsRegistry,
-        enqueued_at: u64,
-    ) {
-        debug_assert!(!actions.is_empty(), "empty action group");
-        let count = actions.len() as u64;
-        let req = WorkerRequest::Run {
-            txn_id,
-            reply: slot.promise(actions.len()),
-            actions,
-            enqueued_at,
-        };
-        stats.cs().enter(CsCategory::MessagePassing, false);
-        let fast_lane = lane.send(req).expect("worker alive");
-        stats.msg().sent(count, fast_lane);
+    /// A new link's way to this worker.  Lane storage lives as long as the
+    /// worker's channel, so only the engine's link pool makes these.
+    pub(crate) fn link(&self) -> WorkerLink {
+        WorkerLink {
+            lane: self.sender.fast_lane(LANE_CAP),
+            slot: None,
+        }
     }
 
     /// Ask the worker to shut down and join its thread (idempotent).
@@ -339,7 +367,7 @@ fn worker_loop(
             enqueued_at,
         } = req
         else {
-            unreachable!("`Shutdown` is matched in the worker loop")
+            unreachable!("`Shutdown` travels on the main queue, never on a lane")
         };
         // The group runs under the claim, which is released before the
         // reply is published (module docs).
@@ -355,21 +383,21 @@ fn worker_loop(
         reply.finish();
     };
     loop {
-        // Fast path: drain the session lanes before touching the MPMC queue.
         while let Some(req) = rx.try_recv_lane() {
             execute(req);
         }
         match rx.try_recv() {
-            Ok(WorkerRequest::Shutdown) | Err(TryRecvError::Disconnected) => {
-                // Answer anything already in a lane so its coordinator is
-                // not left waiting on a dropped promise (module docs).
+            Err(TryRecvError::Empty) => rx.wait_any(),
+            // `Shutdown`, the one message on the main queue, or every
+            // sender gone: answer anything already in a lane so its
+            // coordinator is not left waiting on a dropped promise (module
+            // docs).
+            Ok(_) | Err(TryRecvError::Disconnected) => {
                 while let Some(req) = rx.try_recv_lane() {
                     execute(req);
                 }
                 break;
             }
-            Ok(req) => execute(req),
-            Err(TryRecvError::Empty) => rx.wait_any(),
         }
     }
 }
@@ -421,8 +449,9 @@ mod tests {
 
 /// Model-checked claim protocol (the `loom-model` lane); see the module docs
 /// and `docs/concurrency.md`.  The session side is the shipped [`try_claim`];
-/// the worker side replays `worker_loop`'s shape (pop, blocking `lock`,
-/// execute, release, publish) over the same channel and reply-slot code.
+/// the worker side replays `worker_loop`'s shape (drain the lanes, each
+/// request under a blocking `lock`, release, publish; then `wait_any`) over
+/// the same channel, lane and reply-slot code.
 #[cfg(all(test, any(plp_loom, feature = "loom-model")))]
 mod model_tests {
     use super::*;
@@ -453,37 +482,46 @@ mod model_tests {
         Stop,
     }
 
-    /// `worker_loop` in miniature.  `publish_under_claim` seeds the
-    /// reply-before-release bug.
+    /// `worker_loop` in miniature: requests come on lanes, `Stop` on the
+    /// main queue (sent only once every reply is in, so there is nothing
+    /// left to drain).  `publish_under_claim` seeds the reply-before-release
+    /// bug.
     fn worker(state: &Mutex<Part>, rx: &Receiver<Req>, publish_under_claim: bool) {
-        while let Ok(Req::Bump(reply)) = rx.recv() {
-            let mut partition = state.lock();
-            let value = partition.bump(b'w');
-            if publish_under_claim {
-                reply.fulfill(value);
-                drop(partition);
-            } else {
-                drop(partition);
-                reply.fulfill(value);
+        loop {
+            while let Some(Req::Bump(reply)) = rx.try_recv_lane() {
+                let mut partition = state.lock();
+                let value = partition.bump(b'w');
+                if publish_under_claim {
+                    reply.fulfill(value);
+                    drop(partition);
+                } else {
+                    drop(partition);
+                    reply.fulfill(value);
+                }
+            }
+            match rx.try_recv() {
+                Err(TryRecvError::Empty) => rx.wait_any(),
+                Ok(_) | Err(TryRecvError::Disconnected) => break,
             }
         }
     }
 
-    fn send_bump(tx: &Sender<Req>, slot: &mut ReplySlot<u64>) {
-        tx.send(Req::Bump(slot.promise())).expect("worker alive");
+    fn send_bump(lane: &LaneSender<Req>, slot: &mut ReplySlot<u64>) {
+        lane.send(Req::Bump(slot.promise())).expect("worker alive");
     }
 
     /// One session try-claims and mutates the partition while another
-    /// session's request is already queued and the worker blocks on the
+    /// session's request is already in its lane and the worker blocks on the
     /// claim.  `claim` is the decision under test.
     fn session_vs_worker(
         claim: for<'a> fn(&'a Mutex<Part>, &Sender<Req>) -> Option<MutexGuard<'a, Part>>,
     ) {
         let state = Arc::new(Mutex::new(Part::default()));
         let (tx, rx) = unbounded::<Req>();
-        // Session B's request sits in the queue before anyone else runs.
+        let (a_lane, b_lane) = (tx.fast_lane(1), tx.fast_lane(1));
+        // Session B's request sits in its lane before anyone else runs.
         let mut b_slot = ReplySlot::new();
-        send_bump(&tx, &mut b_slot);
+        send_bump(&b_lane, &mut b_slot);
         let worker_at_queue = Arc::new(AtomicBool::new(false));
         let w = {
             let (state, at_queue) = (state.clone(), worker_at_queue.clone());
@@ -496,7 +534,7 @@ mod model_tests {
         let mut a_slot = ReplySlot::new();
         let a_value = match claim(&state, &tx) {
             Some(mut partition) => {
-                // The queue was empty under the claim, so the worker has
+                // The lanes were empty under the claim, so the worker has
                 // picked B's request up: A did not run past a request it
                 // could have seen waiting.
                 assert!(
@@ -506,7 +544,7 @@ mod model_tests {
                 partition.bump(b'a')
             }
             None => {
-                send_bump(&tx, &mut a_slot);
+                send_bump(&a_lane, &mut a_slot);
                 a_slot.wait().expect("worker replies")
             }
         };
@@ -526,7 +564,7 @@ mod model_tests {
         loom::model(|| session_vs_worker(try_claim));
     }
 
-    /// Seeded bug: a claim decision that skips the queue check lets a session
+    /// Seeded bug: a claim decision that skips the lane check lets a session
     /// overtake a request that was waiting before it even started.  The
     /// checker must find that schedule.
     #[test]
@@ -549,12 +587,13 @@ mod model_tests {
     fn claim_after_reply(publish_under_claim: bool) {
         let state = Arc::new(Mutex::new(Part::default()));
         let (tx, rx) = unbounded::<Req>();
+        let lane = tx.fast_lane(1);
         let w = {
             let state = state.clone();
             loom::thread::spawn(move || worker(&state, &rx, publish_under_claim))
         };
         let mut slot = ReplySlot::new();
-        send_bump(&tx, &mut slot);
+        send_bump(&lane, &mut slot);
         assert_eq!(slot.wait(), Ok(1));
         assert!(
             try_claim(&state, &tx).is_some(),

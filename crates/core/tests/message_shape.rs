@@ -10,8 +10,10 @@
 //! session under test dispatches a stage to them.  The same holders pin the
 //! stage semantics of `design_smoke.rs` on the message path.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 use plp_core::{
@@ -43,6 +45,53 @@ fn messages_sent(engine: &Engine) -> u64 {
     msg.lane_hits + msg.lane_fallbacks
 }
 
+/// A session sitting inside an action on one partition, holding its claim
+/// until released, so every group sent to that partition meanwhile has to
+/// travel as a message.
+struct Holder<'scope> {
+    release: mpsc::Sender<()>,
+    thread: ScopedJoinHandle<'scope, Vec<ActionOutput>>,
+}
+
+impl<'scope> Holder<'scope> {
+    /// Start the holder of `key`'s partition; returns once it is inside its
+    /// action.
+    fn start<'env>(scope: &'scope Scope<'scope, 'env>, engine: &'env Engine, key: u64) -> Self {
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let thread = scope.spawn(move || {
+            engine
+                .session()
+                .execute(TransactionPlan::single(Action::new(
+                    TABLE,
+                    key,
+                    move |_ctx| {
+                        entered_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                        Ok(ActionOutput::empty())
+                    },
+                )))
+                .expect("holder commits once released")
+        });
+        entered_rx.recv().expect("holder is inside its action");
+        Self { release, thread }
+    }
+
+    fn release(self) {
+        self.release.send(()).unwrap();
+        self.thread.join().expect("holder thread");
+    }
+}
+
+/// Wait until `count` more messages than `before` have been sent.
+fn await_messages(engine: &Engine, before: u64, count: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while messages_sent(engine) < before + count {
+        assert!(Instant::now() < deadline, "{count} messages never went out");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// A read of `key` that answers with its position in the stage.
 fn read_at(key: u64, index: u64) -> Action {
     Action::new(TABLE, key, move |ctx| {
@@ -65,31 +114,7 @@ fn a_contended_group_is_one_message_whatever_its_size() {
 
     std::thread::scope(|scope| {
         let engine = &engine;
-        // One holder per partition sits inside its action, holding the claim
-        // until released, so every group sent to either partition meanwhile
-        // has to travel as a message.
-        let mut releases = Vec::new();
-        let mut holders = Vec::new();
-        for key in [5, P1 + 5] {
-            let (entered_tx, entered_rx) = mpsc::channel();
-            let (release_tx, release_rx) = mpsc::channel::<()>();
-            holders.push(scope.spawn(move || {
-                engine
-                    .session()
-                    .execute(TransactionPlan::single(Action::new(
-                        TABLE,
-                        key,
-                        move |_ctx| {
-                            entered_tx.send(()).unwrap();
-                            release_rx.recv().unwrap();
-                            Ok(ActionOutput::empty())
-                        },
-                    )))
-                    .expect("holder commits once released")
-            }));
-            entered_rx.recv().expect("holder is inside its action");
-            releases.push(release_tx);
-        }
+        let holders = [5, P1 + 5].map(|key| Holder::start(scope, engine, key));
         let names = [
             "plp_msg_actions_total",
             "plp_msg_batches_total",
@@ -108,20 +133,8 @@ fn a_contended_group_is_one_message_whatever_its_size() {
                 read_at(P1 + 4, 3),
             ]))
         });
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while messages_sent(engine) < sent_before + 2 {
-            assert!(
-                Instant::now() < deadline,
-                "the stage's two messages never went out"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        for release in releases {
-            release.send(()).unwrap();
-        }
-        for holder in holders {
-            holder.join().expect("holder thread");
-        }
+        await_messages(engine, sent_before, 2);
+        holders.into_iter().for_each(Holder::release);
         let outputs = victim.join().expect("victim thread").expect("commits");
 
         // Replies scatter back into stage order, not group order.
@@ -159,54 +172,25 @@ fn read_value(key: u64) -> Action {
     })
 }
 
-/// Execute `plan` while one holder per partition keeps its claim, releasing
-/// the holders once the plan's first stage has sent its two messages.
-/// Returns the plan's result and the transaction-manager critical sections
-/// the holders and the plan entered.
+/// Execute `plan` while one holder per key in `held` keeps that key's
+/// partition's claim, releasing the holders once the plan's first stage has
+/// sent one message per holder.  Returns the plan's result and the
+/// transaction-manager critical sections the holders and the plan entered.
 fn execute_with_claims_held(
     engine: &Engine,
+    held: &[u64],
     plan: TransactionPlan,
 ) -> (Result<Vec<ActionOutput>, EngineError>, u64) {
     let xct_before = xct_mgr_entries(engine);
     let result = std::thread::scope(|scope| {
-        let mut releases = Vec::new();
-        let mut holders = Vec::new();
-        for key in [5, P1 + 5] {
-            let (entered_tx, entered_rx) = mpsc::channel();
-            let (release_tx, release_rx) = mpsc::channel::<()>();
-            holders.push(scope.spawn(move || {
-                engine
-                    .session()
-                    .execute(TransactionPlan::single(Action::new(
-                        TABLE,
-                        key,
-                        move |_ctx| {
-                            entered_tx.send(()).unwrap();
-                            release_rx.recv().unwrap();
-                            Ok(ActionOutput::empty())
-                        },
-                    )))
-                    .expect("holder commits once released")
-            }));
-            entered_rx.recv().expect("holder is inside its action");
-            releases.push(release_tx);
-        }
+        let holders: Vec<Holder> = held
+            .iter()
+            .map(|&key| Holder::start(scope, engine, key))
+            .collect();
         let sent_before = messages_sent(engine);
         let victim = scope.spawn(move || engine.session().execute(plan));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while messages_sent(engine) < sent_before + 2 {
-            assert!(
-                Instant::now() < deadline,
-                "the first stage's two messages never went out"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        for release in releases {
-            release.send(()).unwrap();
-        }
-        for holder in holders {
-            holder.join().expect("holder thread");
-        }
+        await_messages(engine, sent_before, held.len() as u64);
+        holders.into_iter().for_each(Holder::release);
         victim.join().expect("victim thread")
     });
     (result, xct_mgr_entries(engine) - xct_before)
@@ -240,7 +224,7 @@ fn a_messaged_stage_keeps_the_stage_semantics() {
                         .collect(),
                 )
             });
-        let (result, xct) = execute_with_claims_held(&engine, two_stages);
+        let (result, xct) = execute_with_claims_held(&engine, &[5, P1 + 5], two_stages);
         let values: Vec<Vec<u64>> = result
             .expect("commits")
             .into_iter()
@@ -272,7 +256,7 @@ fn a_messaged_stage_keeps_the_stage_semantics() {
             flag.store(true, Ordering::SeqCst);
             TransactionPlan::empty()
         });
-        let (result, _) = execute_with_claims_held(&engine, failing);
+        let (result, _) = execute_with_claims_held(&engine, &[5, P1 + 5], failing);
         assert_eq!(
             result,
             Err(EngineError::DuplicateKey {
@@ -318,10 +302,106 @@ fn a_stage_whose_worker_died_waits_for_its_other_groups() {
             Ok(ActionOutput::empty())
         }),
     ]);
-    let (result, _) = execute_with_claims_held(engine, stage);
+    let (result, _) = execute_with_claims_held(engine, &[5, P1 + 5], stage);
     assert_eq!(result, Err(EngineError::Shutdown));
     assert!(
         finished.load(Ordering::SeqCst),
         "the stage answered while its partition-1 group was still running"
     );
+}
+
+/// `(allocations, reuses)` of reply rendezvous so far, as `/metrics` reads
+/// them.
+fn reply_slots(engine: &Engine) -> (f64, f64) {
+    (
+        metric(engine, "plp_msg_reply_allocs_total"),
+        metric(engine, "plp_msg_reply_reuses_total"),
+    )
+}
+
+/// A two-partition PLP-Regular engine with keys `0..16` and `P1..P1 + 16`
+/// loaded, each holding its own key.
+fn loaded_engine() -> Engine {
+    let config = EngineConfig::new(Design::PlpRegular).with_partitions(2);
+    let engine = Engine::start(config, &[TableSpec::new(0, "shape", KEY_SPACE)]);
+    for k in (0..16).chain(P1..P1 + 16) {
+        engine
+            .db()
+            .load_record(TABLE, k, &k.to_le_bytes(), None)
+            .unwrap();
+    }
+    engine.finish_loading();
+    engine
+}
+
+/// Links are bounded by how many sessions send at once, not by how many
+/// ever did: sessions that send one after another share one link, so one
+/// reply slot serves them all.
+#[test]
+fn sequential_sessions_share_one_link() {
+    let mut engine = loaded_engine();
+    for i in 0..50 {
+        let (result, _) =
+            execute_with_claims_held(&engine, &[5], TransactionPlan::single(read_value(i % 16)));
+        assert_eq!(result.expect("commits")[0].values, vec![i % 16]);
+    }
+    assert_eq!(reply_slots(&engine), (1.0, 49.0), "(allocations, reuses)");
+    engine.shutdown();
+}
+
+/// A session that unwinds mid-stage, with a message still in flight, gives
+/// its link back without the in-flight reply slot: the next session reuses
+/// the link, allocates a fresh slot for that worker, and its message —
+/// queued on the same lane behind the orphaned one — gets its own reply.
+#[test]
+fn an_unwound_session_gives_its_link_back_without_the_inflight_slot() {
+    let mut engine = loaded_engine();
+    // One session sends to both workers: one link, two slots.
+    let (result, _) = execute_with_claims_held(
+        &engine,
+        &[5, P1 + 5],
+        TransactionPlan::parallel(vec![read_value(1), read_value(P1 + 1)]),
+    );
+    result.expect("commits");
+    assert_eq!(reply_slots(&engine), (2.0, 0.0));
+    std::thread::scope(|scope| {
+        let engine = &engine;
+        let p1 = Holder::start(scope, engine, P1 + 5);
+        // Partition 1's group goes out as a message, then partition 0's runs
+        // inline and panics.
+        let sent_before = messages_sent(engine);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            engine.session().execute(TransactionPlan::parallel(vec![
+                read_value(P1 + 1),
+                Action::new(TABLE, 2, |_ctx| panic!("injected inline fault")),
+            ]))
+        }));
+        assert!(unwound.is_err(), "the inline action panicked");
+        assert_eq!(messages_sent(engine), sent_before + 1);
+        assert_eq!(reply_slots(engine), (2.0, 1.0));
+        // Partition 1 is still held, with the orphaned message in its lane.
+        let p0 = Holder::start(scope, engine, 5);
+        let sent_before = messages_sent(engine);
+        let next = scope.spawn(move || {
+            engine.session().execute(TransactionPlan::parallel(vec![
+                read_value(P1 + 3),
+                read_value(3),
+            ]))
+        });
+        await_messages(engine, sent_before, 2);
+        p0.release();
+        p1.release();
+        let values: Vec<Vec<u64>> = next
+            .join()
+            .expect("next session")
+            .expect("commits")
+            .into_iter()
+            .map(|o| o.values)
+            .collect();
+        assert_eq!(values, vec![vec![P1 + 3], vec![3]]);
+    });
+    // The pooled link's partition-0 slot was reused; its partition-1 slot
+    // went down with the unwound session and was allocated afresh.
+    assert_eq!(reply_slots(&engine), (3.0, 2.0), "(allocations, reuses)");
+    engine.shutdown();
 }

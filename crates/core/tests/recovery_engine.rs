@@ -5,10 +5,11 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use plp_core::{
-    Action, ActionOutput, Design, Engine, EngineConfig, TableId, TableSpec, TransactionPlan,
+    Action, ActionOutput, Design, DlbConfig, Engine, EngineConfig, TableId, TableSpec,
+    TransactionPlan,
 };
 use plp_wal::test_support::TempDir;
 use plp_wal::DurabilityMode;
@@ -358,5 +359,29 @@ fn a_recovered_engine_serves_without_finish_loading() {
             Some(&b"row"[..]),
             "{design:?}"
         );
+    }
+}
+
+/// `Engine::recover` admits transactions through the same point as
+/// `finish_loading`, so a recovered engine's load balancer runs too: it
+/// keeps aging its histograms while the engine idles.
+#[test]
+fn a_recovered_engine_resumes_its_load_balancer() {
+    let dir = TempDir::new("plp-recovery-engine-dlb");
+    let dir = dir.path();
+    let with_dlb = || config(Design::PlpRegular, dir).with_dlb(DlbConfig::aggressive());
+    let mut engine = Engine::start(with_dlb(), &schema());
+    engine.db().load_record(TABLE, 1, b"row", None).unwrap();
+    engine.finish_loading();
+    engine.shutdown();
+    drop(engine);
+    let (recovered, _) = Engine::recover(dir, with_dlb(), &schema()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while recovered.db().stats().snapshot().dlb.decay_rounds == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the recovered engine's load balancer never aged its histograms"
+        );
+        std::thread::sleep(Duration::from_millis(10));
     }
 }

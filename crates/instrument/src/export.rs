@@ -460,10 +460,13 @@ mod tests {
         times(33, &|| r.msg().reply_allocated());
         r.msg().queue_activity(34, 35, 36, 37);
         for (n, actions) in [(41, 2), (42, 3), (43, 5), (44, 9), (45, 17)] {
-            times(n, &|| r.msg().sent(actions, true));
+            times(n, &|| r.msg().sent(actions));
         }
-        times(46, &|| r.msg().sent(1, true));
-        times(47, &|| r.msg().sent(1, false));
+        times(46, &|| r.msg().sent(1));
+        // No dispatch falls back any more; the counter is still exported.
+        r.msg()
+            .lane_fallbacks
+            .fetch_add(47, std::sync::atomic::Ordering::Relaxed);
         r.msg().inline_ran(48, 4_900);
         times(90, &|| r.server().connection_accepted());
         times(29, &|| r.server().connection_closed());

@@ -322,7 +322,7 @@ latency_histograms! {
     lock_wait => "lock_wait" /
         "Lock-manager waits that did not get the lock immediately (ns).",
     repartition_drain => "repartition_drain" /
-        "Repartition: transaction drain + worker quiesce (ns).",
+        "Repartition: ticket drain + taking every partition's claim (ns).",
     repartition_move => "repartition_move" /
         "Repartition: slice/meld + ownership re-assignment after drain (ns).",
     phase_queue_wait => "phase_queue_wait" /

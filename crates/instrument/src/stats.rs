@@ -318,7 +318,7 @@ macro_rules! stats_table {
         $(#[$ga])*
         #[derive(Debug, Default)]
         pub struct $Stats {
-            $($(#[$fa])* $field: stats_table!(@atomic $kind),)*
+            $($(#[$fa])* pub(crate) $field: stats_table!(@atomic $kind),)*
         }
 
         #[doc = concat!("An immutable copy of [`", stringify!($Stats), "`].")]
@@ -833,20 +833,17 @@ impl MsgStats {
         self.reply_allocs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one message carrying `actions` actions and which path it took.
-    /// Only a message of more than one action counts as a batch.
+    /// Record one message carrying `actions` actions.  Every message takes
+    /// a lane, so `lane_fallbacks` stays 0.  Only a message of more than one
+    /// action counts as a batch.
     #[inline]
-    pub fn sent(&self, actions: u64, fast_lane: bool) {
+    pub fn sent(&self, actions: u64) {
         if actions > 1 {
             self.batches.fetch_add(1, Ordering::Relaxed);
             self.batch_actions.fetch_add(actions, Ordering::Relaxed);
             self.batch_size.record(actions);
         }
-        if fast_lane {
-            self.lane_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.lane_fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
+        self.lane_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one action group a session ran inline.
@@ -1186,9 +1183,9 @@ mod tests {
     fn msg_stats_cost_per_action_spans_both_paths() {
         let m = MsgStats::default();
         // One singleton message, one 3-action message, 4 inline actions.
-        m.sent(1, false);
+        m.sent(1);
         m.roundtrip(10_000);
-        m.sent(3, true);
+        m.sent(3);
         m.roundtrip(20_000);
         m.inline_ran(1, 500);
         m.inline_ran(3, 1_500);
@@ -1199,7 +1196,7 @@ mod tests {
             (1, 3),
             "only the multi-action message is a batch"
         );
-        assert_eq!((s.lane_hits, s.lane_fallbacks), (1, 1));
+        assert_eq!((s.lane_hits, s.lane_fallbacks), (2, 0));
         assert_eq!(s.messaged_actions(), 4);
         assert_eq!(s.inline_actions, 4);
         assert!((s.inline_share() - 0.5).abs() < f64::EPSILON);
@@ -1275,8 +1272,10 @@ mod tests {
         m.reply_allocated();
         m.queue_activity(round, round, round, round);
         for actions in [1, 2, 3, 5, 9, 17] {
-            m.sent(actions, actions % 2 == 1);
+            m.sent(actions);
         }
+        // Exported but no longer recorded: no dispatch falls back.
+        m.lane_fallbacks.fetch_add(round, Ordering::Relaxed);
         m.inline_ran(round, round);
         let s = r.server();
         s.connection_accepted();

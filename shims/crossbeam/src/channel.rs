@@ -33,9 +33,10 @@
 //!
 //! [`Sender::fast_lane`] attaches a dedicated single-producer ring
 //! (`queue::Spsc`) to the channel and returns a [`LaneSender`]: a
-//! producer handle whose `send` is a wait-free slot write with no CAS and no
-//! contention with other producers, falling back to the shared MPMC queue
-//! when the ring is full.  Lanes share the channel's `not_empty` gate, so
+//! producer handle whose `send` is a slot write with no CAS and no
+//! contention with other producers.  A full ring makes `send` spin, then
+//! yield, until the consumer frees a slot; it never falls back to the main
+//! queue.  Lanes share the channel's `not_empty` gate, so
 //! [`Receiver::wait_any`] parks until *either* the main queue or some lane
 //! has a message.
 //!
@@ -405,9 +406,8 @@ impl<T> Drop for Receiver<T> {
 /// this type's shape, not by runtime checks.  `Send` is fine — moving the
 /// handle moves the producer role with it.
 pub struct LaneSender<T> {
-    /// Keeps the channel (and thus the lane node) alive, provides the MPMC
-    /// fallback path, and counts this handle as a sender for disconnect
-    /// semantics.
+    /// Keeps the channel (and thus the lane node) alive and counts this
+    /// handle as a sender for disconnect semantics.
     sender: Sender<T>,
     lane: *mut LaneNode<T>,
     /// `Cell` is `Send + !Sync`, which is exactly the contract we want for
@@ -428,24 +428,28 @@ impl<T> fmt::Debug for LaneSender<T> {
 unsafe impl<T: Send> Send for LaneSender<T> {}
 
 impl<T> LaneSender<T> {
-    /// Send on the fast lane, falling back to the shared MPMC queue when the
-    /// ring is full.  Returns `Ok(true)` when the message took the lane,
-    /// `Ok(false)` when it fell back.
-    pub fn send(&self, value: T) -> Result<bool, SendError<T>> {
+    /// Send on the lane, waiting (spin, then yield) while the ring is full.
+    /// Fails only when every receiver has hung up.
+    pub fn send(&self, mut value: T) -> Result<(), SendError<T>> {
         let sh = &*self.sender.shared;
-        if sh.disconnected_receivers() {
-            return Err(SendError(value));
-        }
         // SAFETY: the node outlives this handle (see the `Send` impl note).
         let queue = unsafe { &(*self.lane).queue };
-        // SAFETY: `LaneSender` is `!Clone + !Sync`, so this handle is the
-        // ring's unique producer — the contract `Spsc::try_push` requires.
-        match unsafe { queue.try_push(value) } {
-            Ok(()) => {
-                sh.not_empty.notify(false);
-                Ok(true)
+        let mut backoff = Backoff::new();
+        loop {
+            if sh.disconnected_receivers() {
+                return Err(SendError(value));
             }
-            Err(v) => self.sender.send(v).map(|()| false),
+            // SAFETY: `LaneSender` is `!Clone + !Sync`, so this handle is the
+            // ring's unique producer — the contract `Spsc::try_push` requires.
+            match unsafe { queue.try_push(value) } {
+                Ok(()) => {
+                    sh.not_empty.notify(false);
+                    return Ok(());
+                }
+                Err(v) => value = v,
+            }
+            metrics::enqueue_spin();
+            backoff.snooze();
         }
     }
 }
@@ -522,15 +526,8 @@ impl<T> Sender<T> {
         }
     }
 
-    /// Whether the main queue is empty (fast lanes are separate: see
-    /// [`Sender::lane_ready`]).  A snapshot, like the receiver's.
-    pub fn is_empty(&self) -> bool {
-        self.shared.is_empty()
-    }
-
-    /// Whether any fast lane currently holds a message — the producer-side
-    /// twin of [`Receiver::lane_ready`], for senders that decide between
-    /// enqueueing and doing the work themselves.
+    /// Whether any fast lane currently holds a message, for senders that
+    /// decide between enqueueing and doing the work themselves.
     pub fn lane_ready(&self) -> bool {
         self.shared.lane_ready()
     }
@@ -650,11 +647,6 @@ impl<T> Receiver<T> {
     /// receiver per channel.
     pub fn try_recv_lane(&self) -> Option<T> {
         self.shared.try_pop_lane()
-    }
-
-    /// Whether any fast lane currently holds a message.
-    pub fn lane_ready(&self) -> bool {
-        self.shared.lane_ready()
     }
 
     /// Block until the main queue or a fast lane has a message, or every
@@ -782,18 +774,33 @@ mod tests {
     }
 
     #[test]
-    fn fast_lane_delivers_and_falls_back_when_full() {
+    fn a_full_lane_delivers_in_order_once_a_slot_frees_and_errors_without_receivers() {
         let (tx, rx) = unbounded::<u32>();
         let lane = tx.fast_lane(2);
-        assert!(lane.send(1).unwrap());
-        assert!(lane.send(2).unwrap());
-        // Ring full: the third message takes the MPMC fallback.
-        assert!(!lane.send(3).unwrap());
-        assert!(rx.lane_ready());
-        assert_eq!(rx.try_recv_lane(), Some(1));
-        assert_eq!(rx.try_recv_lane(), Some(2));
-        assert_eq!(rx.try_recv_lane(), None);
-        assert_eq!(rx.try_recv(), Ok(3));
+        lane.send(1).unwrap();
+        lane.send(2).unwrap();
+        // Ring full: the third send waits until the consumer frees a slot,
+        // and never takes the main queue.
+        let producer = thread::spawn(move || {
+            lane.send(3).unwrap();
+            lane
+        });
+        let mut got = Vec::new();
+        while got.len() < 3 {
+            match rx.try_recv_lane() {
+                Some(v) => got.push(v),
+                None => thread::yield_now(),
+            }
+        }
+        assert_eq!(got, vec![1, 2, 3]);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        let lane = producer.join().unwrap();
+        lane.send(4).unwrap();
+        lane.send(5).unwrap();
+        // Full, and the receiver is gone: the send fails instead of waiting.
+        drop(rx);
+        assert!(lane.send(6).is_err());
+        drop(tx);
     }
 
     #[test]

@@ -198,7 +198,7 @@ fn model_lane_send_wakes_parked_receiver() {
         let (tx, rx) = channel::unbounded::<u32>();
         let lane = tx.fast_lane(1);
         let sender = thread::spawn(move || {
-            assert!(lane.send(42).expect("receiver alive"), "lane was empty");
+            lane.send(42).expect("receiver alive");
         });
         loop {
             rx.wait_any();
