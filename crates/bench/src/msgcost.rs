@@ -348,7 +348,7 @@ fn run_lockfree_batched(threads: usize, msgs: u64, depth: usize) -> f64 {
 
 /// Per-action dispatch over per-coordinator SPSC fast lanes: same request
 /// and reply protocol as [`run_lockfree`], but every coordinator owns a
-/// single-producer lane to every worker (the engine's per-session lane
+/// single-producer lane to every worker (the engine's per-link lane
 /// topology) and workers drain lanes ahead of the shared queue.
 fn run_lockfree_spsc(threads: usize, msgs: u64, depth: usize) -> f64 {
     use crossbeam::channel as chan;

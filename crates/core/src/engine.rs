@@ -578,16 +578,16 @@ impl std::fmt::Debug for Engine {
     }
 }
 
-/// Per-client-thread execution handle.
+/// Per-client-thread execution handle.  A session that has to send borrows
+/// a link from the engine's pool and gives it back when it drops, so the
+/// engine holds as many links as sessions that sent at once.
 pub struct Session<'e> {
     engine: &'e Engine,
     sli: Option<AgentLockCache>,
     /// This session's trace timeline (one chrome://tracing row); transaction,
     /// dispatch and reply-wait spans land here.
     ring: Arc<TraceRing>,
-    /// This session's link, one [`WorkerLink`] per worker: borrowed from the
-    /// engine's pool the first time the session has to *send*, given back
-    /// when it drops, and empty until then.
+    /// One [`WorkerLink`] per worker; empty until the session first sends.
     link: Vec<WorkerLink>,
 }
 

@@ -3,10 +3,11 @@
 //! Before PR 5 every action allocated a fresh `bounded(1)` channel (an `Arc`,
 //! a mutex and a `VecDeque`) just to carry one reply back to the
 //! coordinator.  A [`ReplySlot`] replaces that: a reusable single-value
-//! rendezvous the coordinator keeps in a per-session pool (wrapped in a
-//! [`BatchReplySlot`], see "Batch framing"), so the steady state of the hot
-//! path allocates nothing — sending a message clones an `Arc` already in the
-//! pool and every other step is an atomic on memory that already exists.
+//! rendezvous the coordinator keeps, one per worker, in the session's link
+//! (borrowed from the engine's link pool; wrapped in a [`BatchReplySlot`],
+//! see "Batch framing"), so the steady state of the hot path allocates
+//! nothing — sending a message clones an `Arc` already in the link and
+//! every other step is an atomic on memory that already exists.
 //!
 //! # Protocol
 //!
@@ -26,7 +27,7 @@
 //! # Why rounds?
 //!
 //! A fulfiller's unpark step races with slot reuse: the coordinator can
-//! consume the reply, return the slot to the pool and dispatch a *new*
+//! consume the reply, return the slot to the link and dispatch a *new*
 //! action through it while the worker is still between its state swap and
 //! its mailbox check.  Tagging both the state word and the mailbox entry
 //! with the round makes that stale fulfiller harmless — it only takes a

@@ -213,15 +213,13 @@ pub(crate) struct WorkerLink {
 }
 
 impl WorkerLink {
-    /// Send one stage's action group as one `WorkerRequest::Run` (see the
-    /// module's "The message path") through the lane, waiting for room if
-    /// the ring is full.  Returns the slot the replies arrive through, moved
-    /// out of the link: the coordinator waits on it at the stage's
-    /// rendezvous point and puts it back, so the steady state allocates
-    /// nothing.  The send does all of the message's accounting: the reply
-    /// slot's reuse or allocation, the coordinator's half of the
-    /// message-passing critical-section pair and
-    /// [`plp_instrument::stats::MsgStats::sent`].
+    /// Send one stage's action group as one `WorkerRequest::Run` (module's
+    /// "The message path") on the lane, waiting for room if it is full, and
+    /// return the slot its replies arrive through: out of the link until the
+    /// coordinator, past the stage's rendezvous point, puts it back.  The
+    /// send does all of the message's accounting: the slot's reuse or
+    /// allocation, the coordinator's half of the message-passing
+    /// critical-section pair and [`plp_instrument::stats::MsgStats::sent`].
     pub(crate) fn send(
         &mut self,
         txn_id: u64,

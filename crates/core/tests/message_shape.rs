@@ -8,7 +8,9 @@
 //! The message path is forced the way `flight_recorder.rs` does it: other
 //! sessions hold both partitions' claims inside blocking actions while the
 //! session under test dispatches a stage to them.  The same holders pin the
-//! stage semantics of `design_smoke.rs` on the message path.
+//! stage semantics of `design_smoke.rs` on the message path, and how
+//! sessions share the engine's pooled links (a lane and a reply slot per
+//! worker).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,10 +41,9 @@ fn metric(engine: &Engine, name: &str) -> f64 {
         .value
 }
 
-/// Messages sent so far, whichever path each took.
+/// Messages sent so far (every message takes a lane).
 fn messages_sent(engine: &Engine) -> u64 {
-    let msg = engine.db().stats().snapshot().msg;
-    msg.lane_hits + msg.lane_fallbacks
+    engine.db().stats().snapshot().msg.lane_hits
 }
 
 /// A session sitting inside an action on one partition, holding its claim
@@ -92,6 +93,21 @@ fn await_messages(engine: &Engine, before: u64, count: u64) {
     }
 }
 
+/// A two-partition PLP-Regular engine with keys `0..16` and `P1..P1 + 16`
+/// loaded, each holding its own key.
+fn loaded_engine() -> Engine {
+    let config = EngineConfig::new(Design::PlpRegular).with_partitions(2);
+    let engine = Engine::start(config, &[TableSpec::new(0, "shape", KEY_SPACE)]);
+    for k in (0..16).chain(P1..P1 + 16) {
+        engine
+            .db()
+            .load_record(TABLE, k, &k.to_le_bytes(), None)
+            .unwrap();
+    }
+    engine.finish_loading();
+    engine
+}
+
 /// A read of `key` that answers with its position in the stage.
 fn read_at(key: u64, index: u64) -> Action {
     Action::new(TABLE, key, move |ctx| {
@@ -102,15 +118,7 @@ fn read_at(key: u64, index: u64) -> Action {
 
 #[test]
 fn a_contended_group_is_one_message_whatever_its_size() {
-    let config = EngineConfig::new(Design::PlpRegular).with_partitions(2);
-    let mut engine = Engine::start(config, &[TableSpec::new(0, "shape", KEY_SPACE)]);
-    for k in (0..16).chain(P1..P1 + 16) {
-        engine
-            .db()
-            .load_record(TABLE, k, &k.to_le_bytes(), None)
-            .unwrap();
-    }
-    engine.finish_loading();
+    let mut engine = loaded_engine();
 
     std::thread::scope(|scope| {
         let engine = &engine;
@@ -279,15 +287,7 @@ fn a_messaged_stage_keeps_the_stage_semantics() {
 /// where a repartition could move ownership under it.
 #[test]
 fn a_stage_whose_worker_died_waits_for_its_other_groups() {
-    let config = EngineConfig::new(Design::PlpRegular).with_partitions(2);
-    let engine = Engine::start(config, &[TableSpec::new(0, "shape", KEY_SPACE)]);
-    for k in (0..16).chain(P1..P1 + 16) {
-        engine
-            .db()
-            .load_record(TABLE, k, &k.to_le_bytes(), None)
-            .unwrap();
-    }
-    engine.finish_loading();
+    let engine = loaded_engine();
     // Worker 0 dies in the stage, so the engine is leaked rather than shut
     // down around a dead thread.
     let engine: &'static Engine = Box::leak(Box::new(engine));
@@ -317,21 +317,6 @@ fn reply_slots(engine: &Engine) -> (f64, f64) {
         metric(engine, "plp_msg_reply_allocs_total"),
         metric(engine, "plp_msg_reply_reuses_total"),
     )
-}
-
-/// A two-partition PLP-Regular engine with keys `0..16` and `P1..P1 + 16`
-/// loaded, each holding its own key.
-fn loaded_engine() -> Engine {
-    let config = EngineConfig::new(Design::PlpRegular).with_partitions(2);
-    let engine = Engine::start(config, &[TableSpec::new(0, "shape", KEY_SPACE)]);
-    for k in (0..16).chain(P1..P1 + 16) {
-        engine
-            .db()
-            .load_record(TABLE, k, &k.to_le_bytes(), None)
-            .unwrap();
-    }
-    engine.finish_loading();
-    engine
 }
 
 /// Links are bounded by how many sessions send at once, not by how many

@@ -463,7 +463,7 @@ mod tests {
             times(n, &|| r.msg().sent(actions));
         }
         times(46, &|| r.msg().sent(1));
-        // No dispatch falls back any more; the counter is still exported.
+        // Exported, but nothing records it: every dispatch takes a lane.
         r.msg()
             .lane_fallbacks
             .fetch_add(47, std::sync::atomic::Ordering::Relaxed);

@@ -1274,7 +1274,7 @@ mod tests {
         for actions in [1, 2, 3, 5, 9, 17] {
             m.sent(actions);
         }
-        // Exported but no longer recorded: no dispatch falls back.
+        // Exported, but nothing records it: every dispatch takes a lane.
         m.lane_fallbacks.fetch_add(round, Ordering::Relaxed);
         m.inline_ran(round, round);
         let s = r.server();

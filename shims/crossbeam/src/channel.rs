@@ -774,7 +774,7 @@ mod tests {
     }
 
     #[test]
-    fn a_full_lane_delivers_in_order_once_a_slot_frees_and_errors_without_receivers() {
+    fn a_full_lane_waits_for_room_and_errors_without_receivers() {
         let (tx, rx) = unbounded::<u32>();
         let lane = tx.fast_lane(2);
         lane.send(1).unwrap();
