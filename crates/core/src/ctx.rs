@@ -67,8 +67,7 @@ impl Isolation for CentralLocks<'_> {
                     mode,
                     Some(&mut *self.phases),
                 )?;
-                self.txn
-                    .record_locks(acquired.into_iter().map(|(id, _)| id));
+                self.txn.record_locks(acquired.iter().copied());
             }
         }
         Ok(())

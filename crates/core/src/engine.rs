@@ -619,6 +619,33 @@ struct Pending {
     sent_at: u64,
 }
 
+/// The messages a stage has sent and not yet collected, with the session's
+/// link their reply slots go back to.  Should the stage unwind (an action it
+/// ran inline panicked), dropping this waits for every one of them, ignoring
+/// what they answer: no group of the transaction may run on after its
+/// ticket is gone, when a repartition could move ownership under it.
+struct InFlight<'a> {
+    link: &'a mut Vec<WorkerLink>,
+    pending: Vec<Pending>,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        for Pending {
+            worker, mut slot, ..
+        } in self.pending.drain(..)
+        {
+            if let Ok(replies) = slot.wait() {
+                slot.recycle(replies);
+                self.link[worker].slot = Some(slot);
+            }
+        }
+    }
+}
+
 /// Close one stage: plan the next one (the continuation borrows this stage's
 /// outputs), then move the outputs into the transaction's result — no clones.
 /// `None` when the transaction has no further work.
@@ -904,7 +931,10 @@ impl Session<'_> {
         // route → run-or-send window and until every reply is in, so
         // routing and ownership cannot move between routing an action and
         // executing or enqueueing it.
-        let mut pending: Vec<Pending> = Vec::new();
+        let mut in_flight = InFlight {
+            link: &mut self.link,
+            pending: Vec::new(),
+        };
         // One timestamp opens the dispatch span (which covers routing and
         // the groups this session runs itself), and one closes it AND
         // feeds the stage_dispatch histogram: on this path recording cost
@@ -949,22 +979,22 @@ impl Session<'_> {
                 continue;
             }
             // Contended: pay the message, through this session's link.
-            if self.link.is_empty() {
+            if in_flight.link.is_empty() {
                 let pooled = self.engine.links.lock().pop();
                 let fresh = || {
                     (0..pm.worker_count())
                         .map(|i| pm.worker(i).link())
                         .collect()
                 };
-                self.link = pooled.unwrap_or_else(fresh);
+                *in_flight.link = pooled.unwrap_or_else(fresh);
             }
             // One clock read serves as the round-trip origin AND the
             // queue-wait baseline the worker subtracts from its dequeue time
             // — taken just *before* the enqueue so the worker never sees a
             // timestamp from its future.
             let sent_at = now_nanos();
-            let slot = self.link[worker].send(txn_id, actions, stats, sent_at);
-            pending.push(Pending {
+            let slot = in_flight.link[worker].send(txn_id, actions, stats, sent_at);
+            in_flight.pending.push(Pending {
                 worker,
                 indices,
                 slot,
@@ -972,7 +1002,7 @@ impl Session<'_> {
             });
         }
         let dispatch_end = obs_now();
-        let num_pending = pending.len();
+        let num_pending = in_flight.pending.len();
         if obs_enabled() {
             ring.event(
                 TraceEvent::Dispatch,
@@ -998,13 +1028,13 @@ impl Session<'_> {
         // waits for every other group it sent: none of them may run on
         // after the transaction's ticket is gone.
         let mut closed = false;
-        for Pending {
-            worker,
-            indices,
-            mut slot,
-            sent_at,
-        } in pending
-        {
+        while !in_flight.pending.is_empty() {
+            let Pending {
+                worker,
+                indices,
+                mut slot,
+                sent_at,
+            } = in_flight.pending.remove(0);
             let replies = slot.wait();
             wait_end = now_nanos();
             let Ok(mut replies) = replies else {
@@ -1022,7 +1052,7 @@ impl Session<'_> {
             // Hand the (now empty) reply Vec back to the slot so the next
             // message reuses its capacity.
             slot.recycle(replies);
-            self.link[worker].slot = Some(slot);
+            in_flight.link[worker].slot = Some(slot);
             let rt = wait_end.saturating_sub(sent_at);
             stats.msg().roundtrip(rt);
             settle(rt, phases);

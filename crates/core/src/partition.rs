@@ -93,8 +93,12 @@ impl Drop for TxnTicket<'_> {
     fn drop(&mut self) {
         let mut state = self.pm.drain.lock();
         state.inflight -= 1;
-        // Wake a draining repartition waiting for in-flight count zero.
-        self.pm.drain_cv.notify_all();
+        // The one waiter for the in-flight count is a draining repartition,
+        // which set `draining` under this mutex before it waited
+        // (`quiesce_transactions`): with no drain there is no one to wake.
+        if state.draining && state.inflight == 0 {
+            self.pm.drain_cv.notify_all();
+        }
     }
 }
 
@@ -178,7 +182,9 @@ impl PartitionManager {
     /// Close the ticket gate and wait until every in-flight transaction has
     /// finished.  In-flight transactions can still run their remaining
     /// stages (no claim is held yet), so this cannot deadlock; it only waits
-    /// out the tail of running transactions.
+    /// out the tail of running transactions.  `draining` is set under the
+    /// drain mutex before the wait for the in-flight count, which is what
+    /// lets a dropped ticket skip the notify when no drain is on.
     fn quiesce_transactions(&self) -> DrainGuard<'_> {
         let mut state = self.drain.lock();
         while state.draining {
@@ -725,5 +731,55 @@ impl std::fmt::Debug for PartitionManager {
             .field("design", &self.design)
             .field("workers", &self.workers.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::EngineConfig;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// A repartition that finds one ticket in flight waits for it, and the
+    /// ticket's drop wakes it (a drop with no drain on wakes no one).  The
+    /// join is bounded, so a lost wake fails the test instead of hanging it.
+    #[test]
+    fn a_repartition_blocked_on_a_ticket_returns_once_it_drops() {
+        let design = Design::PlpRegular;
+        let db = Database::create(
+            EngineConfig::new(design).with_partitions(2),
+            &[TableSpec::new(0, "t", 64)],
+        );
+        let pm = Arc::new(PartitionManager::new(db, design, 2));
+        pm.assign_ownership();
+        pm.mark_loaded();
+        // A ticket that comes and goes with no drain on.
+        drop(pm.txn_ticket().expect("loaded"));
+        let ticket = pm.txn_ticket().expect("loaded");
+        let (done_tx, done_rx) = mpsc::channel();
+        let repartitioner = {
+            let pm = pm.clone();
+            std::thread::spawn(move || {
+                done_tx.send(pm.repartition(TableId(0), &[0, 16])).unwrap();
+            })
+        };
+        while !pm.drain.lock().draining {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        assert!(
+            done_rx.try_recv().is_err(),
+            "the drain waits for the ticket"
+        );
+        drop(ticket);
+        let moved = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the ticket's drop woke the drain");
+        moved.expect("repartition succeeds");
+        repartitioner.join().unwrap();
+        assert_eq!(pm.bounds(TableId(0)), vec![0, 16]);
+        assert_eq!(pm.inflight_txns(), 0);
+        pm.shutdown();
     }
 }

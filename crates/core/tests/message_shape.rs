@@ -334,12 +334,13 @@ fn sequential_sessions_share_one_link() {
     engine.shutdown();
 }
 
-/// A session that unwinds mid-stage, with a message still in flight, gives
-/// its link back without the in-flight reply slot: the next session reuses
-/// the link, allocates a fresh slot for that worker, and its message —
-/// queued on the same lane behind the orphaned one — gets its own reply.
+/// A session that unwinds mid-stage, with a message still in flight, waits
+/// for that message before the unwind leaves the stage: the orphaned group
+/// has run by the time `catch_unwind` returns (the transaction's ticket is
+/// still held while it runs), and the link gets its slot back, so the next
+/// session reuses both of the link's slots.
 #[test]
-fn an_unwound_session_gives_its_link_back_without_the_inflight_slot() {
+fn an_unwound_session_waits_for_its_inflight_message_and_keeps_the_slot() {
     let mut engine = loaded_engine();
     // One session sends to both workers: one link, two slots.
     let (result, _) = execute_with_claims_held(
@@ -353,40 +354,49 @@ fn an_unwound_session_gives_its_link_back_without_the_inflight_slot() {
         let engine = &engine;
         let p1 = Holder::start(scope, engine, P1 + 5);
         // Partition 1's group goes out as a message, then partition 0's runs
-        // inline and panics.
+        // inline and panics.  The unwind waits for the message, which waits
+        // behind the holder, so the holder is released from here.
         let sent_before = messages_sent(engine);
-        let unwound = catch_unwind(AssertUnwindSafe(|| {
-            engine.session().execute(TransactionPlan::parallel(vec![
-                read_value(P1 + 1),
-                Action::new(TABLE, 2, |_ctx| panic!("injected inline fault")),
-            ]))
-        }));
-        assert!(unwound.is_err(), "the inline action panicked");
-        assert_eq!(messages_sent(engine), sent_before + 1);
-        assert_eq!(reply_slots(engine), (2.0, 1.0));
-        // Partition 1 is still held, with the orphaned message in its lane.
-        let p0 = Holder::start(scope, engine, 5);
-        let sent_before = messages_sent(engine);
-        let next = scope.spawn(move || {
-            engine.session().execute(TransactionPlan::parallel(vec![
-                read_value(P1 + 3),
-                read_value(3),
-            ]))
+        let orphan_ran = Arc::new(AtomicBool::new(false));
+        let ran = orphan_ran.clone();
+        let unwinding = scope.spawn(move || {
+            catch_unwind(AssertUnwindSafe(|| {
+                engine.session().execute(TransactionPlan::parallel(vec![
+                    Action::new(TABLE, P1 + 1, move |ctx| {
+                        ctx.read(TABLE, P1 + 1)?;
+                        ran.store(true, Ordering::SeqCst);
+                        Ok(ActionOutput::empty())
+                    }),
+                    Action::new(TABLE, 2, |_ctx| panic!("injected inline fault")),
+                ]))
+            }))
+            .is_err()
         });
-        await_messages(engine, sent_before, 2);
-        p0.release();
+        await_messages(engine, sent_before, 1);
+        assert!(!orphan_ran.load(Ordering::SeqCst), "partition 1 is held");
         p1.release();
-        let values: Vec<Vec<u64>> = next
-            .join()
-            .expect("next session")
+        assert!(
+            unwinding.join().expect("no second panic"),
+            "the inline action panicked"
+        );
+        assert!(
+            orphan_ran.load(Ordering::SeqCst),
+            "the orphan ran before the unwind returned"
+        );
+        assert_eq!(reply_slots(engine), (2.0, 1.0));
+        // The next session takes the same link and reuses both slots.
+        let (result, _) = execute_with_claims_held(
+            engine,
+            &[5, P1 + 5],
+            TransactionPlan::parallel(vec![read_value(P1 + 3), read_value(3)]),
+        );
+        let values: Vec<Vec<u64>> = result
             .expect("commits")
             .into_iter()
             .map(|o| o.values)
             .collect();
         assert_eq!(values, vec![vec![P1 + 3], vec![3]]);
     });
-    // The pooled link's partition-0 slot was reused; its partition-1 slot
-    // went down with the unwound session and was allocated afresh.
-    assert_eq!(reply_slots(&engine), (3.0, 2.0), "(allocations, reuses)");
+    assert_eq!(reply_slots(&engine), (2.0, 3.0), "(allocations, reuses)");
     engine.shutdown();
 }

@@ -530,7 +530,7 @@ stats_table! {
         roundtrip_nanos: counter => "plp_msg_roundtrip_nanoseconds_total"
             / "Total coordinator-observed round-trip time.",
         reply_reuses: counter =>
-            "plp_msg_reply_reuses_total" / "Reply rendezvous taken from the session pool.",
+            "plp_msg_reply_reuses_total" / "Reply rendezvous taken from the session's pooled link.",
         reply_allocs: counter =>
             "plp_msg_reply_allocs_total" / "Reply rendezvous freshly allocated.",
         enqueue_spins: counter =>
@@ -547,7 +547,7 @@ stats_table! {
         batch_size: buckets["le_2", "3_4", "5_8", "9_16", "ge_17"] =>
             "plp_msg_batch_size_total" / "Batched dispatches by actions-per-batch bucket.",
         lane_hits: counter =>
-            "plp_msg_lane_hits_total" / "Dispatches that took an SPSC fast lane.",
+            "plp_msg_lane_hits_total" / "Dispatches (every dispatch takes the sender's lane).",
         lane_fallbacks: counter =>
             "plp_msg_lane_fallbacks_total" / "Dispatches that fell back to the shared MPMC queue.",
         inline_actions: counter => "plp_msg_inline_actions_total"

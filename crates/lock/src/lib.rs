@@ -25,7 +25,7 @@ pub mod manager;
 pub mod mode;
 pub mod sli;
 
-pub use key::LockId;
+pub use key::{LockId, LockList};
 pub use local::LocalLockTable;
 pub use manager::{LockError, LockManager};
 pub use mode::LockMode;

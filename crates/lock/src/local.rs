@@ -13,8 +13,11 @@
 //! transaction may hold locks in several partitions while other transactions'
 //! actions are queued behind it in the same worker.  Conflicts are resolved by
 //! the caller (typically by deferring the action until the holder commits).
-
-use std::collections::HashMap;
+//!
+//! The table is one flat vector of holds, scanned linearly: the partition's
+//! holder releases an action's locks when the action ends, so the table
+//! holds a handful of entries at a time, and once warm it neither allocates
+//! nor hashes.
 
 use crate::key::LockId;
 use crate::mode::LockMode;
@@ -35,7 +38,8 @@ pub enum LocalLockOutcome {
 /// thread acting for the partition (one at a time) is the only user.
 #[derive(Debug, Default)]
 pub struct LocalLockTable {
-    heads: HashMap<LockId, Vec<(u64, LockMode)>>,
+    /// `(id, txn, mode)`, one per transaction holding an id, in grant order.
+    held: Vec<(LockId, u64, LockMode)>,
 }
 
 impl LocalLockTable {
@@ -45,45 +49,48 @@ impl LocalLockTable {
 
     /// Request `id` in `mode` for `txn`.
     pub fn acquire(&mut self, txn: u64, id: LockId, mode: LockMode) -> LocalLockOutcome {
-        let head = self.heads.entry(id).or_default();
-        if let Some((_, held)) = head.iter().find(|(t, _)| *t == txn) {
-            if held.covers(mode) {
+        let mut own = None;
+        let mut conflict = None;
+        for (index, &(held_id, holder, held)) in self.held.iter().enumerate() {
+            if held_id != id {
+                continue;
+            }
+            if holder == txn {
+                own = Some(index);
+            } else if conflict.is_none() && !held.compatible(mode) {
+                conflict = Some(holder);
+            }
+        }
+        if let Some(index) = own {
+            if self.held[index].2.covers(mode) {
                 return LocalLockOutcome::AlreadyHeld;
             }
         }
-        if let Some((holder, _)) = head
-            .iter()
-            .find(|(t, held)| *t != txn && !held.compatible(mode))
-        {
-            return LocalLockOutcome::Conflict { holder: *holder };
+        if let Some(holder) = conflict {
+            return LocalLockOutcome::Conflict { holder };
         }
-        if let Some(entry) = head.iter_mut().find(|(t, _)| *t == txn) {
-            entry.1 = entry.1.combine(mode);
-        } else {
-            head.push((txn, mode));
+        match own {
+            Some(index) => self.held[index].2 = self.held[index].2.combine(mode),
+            None => self.held.push((id, txn, mode)),
         }
         LocalLockOutcome::Granted
     }
 
     /// Release everything `txn` holds.
     pub fn release_all(&mut self, txn: u64) {
-        self.heads.retain(|_, holders| {
-            holders.retain(|(t, _)| *t != txn);
-            !holders.is_empty()
-        });
+        self.held.retain(|&(_, holder, _)| holder != txn);
     }
 
     /// Locks currently held by any transaction (diagnostic helper).
     pub fn held_count(&self) -> usize {
-        self.heads.values().map(|v| v.len()).sum()
+        self.held.len()
     }
 
     pub fn held_mode(&self, txn: u64, id: LockId) -> Option<LockMode> {
-        self.heads
-            .get(&id)?
+        self.held
             .iter()
-            .find(|(t, _)| *t == txn)
-            .map(|(_, m)| *m)
+            .find(|&&(held_id, holder, _)| held_id == id && holder == txn)
+            .map(|&(_, _, mode)| mode)
     }
 }
 

@@ -6,7 +6,15 @@
 //! under [`CsCategory::LockMgr`]).  Conflicting requests wait on the shard's
 //! condition variable with a timeout (timeout-based deadlock resolution, as
 //! is common for short OLTP transactions).
+//!
+//! An uncontended request makes no system call and touches no heap inside
+//! its critical section: a waiter registers in its shard's `waiters` count
+//! (under the shard mutex) before it blocks, and a release notifies the
+//! condition variable only when that count is above zero; a head's holder
+//! vector comes from the shard's spare list and goes back to it; and the
+//! heads are keyed with a multiply-rotate hash, not SipHash.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -15,7 +23,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Condvar;
 use plp_instrument::{CsCategory, InstrumentedMutex, PhaseBreakdown, StatsRegistry};
 
-use crate::key::LockId;
+use crate::key::{BuildMixHasher, LockId, LockList};
 use crate::mode::LockMode;
 
 /// Errors returned by lock acquisition.
@@ -49,10 +57,12 @@ pub enum LockRequestOutcome {
     AlreadyHeld,
 }
 
+/// (txn id, granted mode, reference count) of each holder.
+type Holders = Vec<(u64, LockMode, u32)>;
+
 #[derive(Debug, Default)]
 struct LockHead {
-    /// (txn id, granted mode, reference count).
-    granted: Vec<(u64, LockMode, u32)>,
+    granted: Holders,
 }
 
 impl LockHead {
@@ -92,7 +102,32 @@ impl LockHead {
 }
 
 struct Shard {
-    heads: HashMap<LockId, LockHead>,
+    heads: HashMap<LockId, LockHead, BuildMixHasher>,
+    /// Emptied holder vectors of removed heads, at most [`SPARE_HOLDERS`]:
+    /// a new head takes one, so a warm shard allocates nothing per lock.
+    spare: Vec<Holders>,
+    /// Requests blocked on this shard's condition variable.  Changed only
+    /// under the shard mutex, +1 before the wait and −1 after it returns
+    /// (also on timeout), so a release that reads zero has no one to wake.
+    waiters: u32,
+}
+
+impl Shard {
+    /// Drop `txn`'s hold on `id`; a head left without holders goes, and its
+    /// vector joins the spare list.  Returns whether `txn` held `id`.
+    fn release(&mut self, txn: u64, id: LockId) -> bool {
+        let Entry::Occupied(mut entry) = self.heads.entry(id) else {
+            return false;
+        };
+        let released = entry.get_mut().release(txn);
+        if entry.get().is_free() {
+            let head = entry.remove();
+            if self.spare.len() < SPARE_HOLDERS {
+                self.spare.push(head.granted);
+            }
+        }
+        released
+    }
 }
 
 /// The centralized lock manager.
@@ -107,6 +142,13 @@ pub struct LockManager {
 }
 
 const N_SHARDS: usize = 64;
+/// [`LockManager::release_all`] marks the shards it has entered in one
+/// `u64`.
+const _: () = assert!(N_SHARDS <= 64);
+/// Spare holder vectors a shard keeps.
+const SPARE_HOLDERS: usize = 8;
+/// Ids whose shard indices [`LockManager::release_all`] keeps on the stack.
+const RELEASE_INLINE: usize = 16;
 
 impl LockManager {
     pub fn new(stats: Arc<StatsRegistry>) -> Self {
@@ -120,7 +162,9 @@ impl LockManager {
                     (
                         InstrumentedMutex::new(
                             Shard {
-                                heads: HashMap::new(),
+                                heads: HashMap::default(),
+                                spare: Vec::new(),
+                                waiters: 0,
                             },
                             CsCategory::LockMgr,
                             stats.clone(),
@@ -157,22 +201,26 @@ impl LockManager {
     }
 
     /// Acquire `id` in `mode` for transaction `txn`, taking intention locks on
-    /// all ancestors first.  Returns the list of (id, outcome) pairs actually
-    /// acquired in order, so the caller can record them for release.
+    /// its ancestors first, from the database down.  Returns the ids acquired,
+    /// in that order, so the caller can record them for release.
     pub fn acquire_hierarchical(
         &self,
         txn: u64,
         id: LockId,
         mode: LockMode,
         mut phases: Option<&mut PhaseBreakdown>,
-    ) -> Result<Vec<(LockId, LockRequestOutcome)>, LockError> {
-        let mut acquired = Vec::new();
-        for ancestor in id.ancestors() {
-            let outcome = self.acquire(txn, ancestor, mode.intention(), phases.as_deref_mut())?;
-            acquired.push((ancestor, outcome));
+    ) -> Result<LockList, LockError> {
+        let mut acquired = LockList::default();
+        let parent = id.parent();
+        for ancestor in [parent.and_then(LockId::parent), parent]
+            .into_iter()
+            .flatten()
+        {
+            self.acquire(txn, ancestor, mode.intention(), phases.as_deref_mut())?;
+            acquired.push(ancestor);
         }
-        let outcome = self.acquire(txn, id, mode, phases)?;
-        acquired.push((id, outcome));
+        self.acquire(txn, id, mode, phases)?;
+        acquired.push(id);
         Ok(acquired)
     }
 
@@ -194,7 +242,10 @@ impl LockManager {
 
         let (mut shard, _) = mutex.lock();
         loop {
-            let head = shard.heads.entry(id).or_default();
+            let Shard { heads, spare, .. } = &mut *shard;
+            let head = heads.entry(id).or_insert_with(|| LockHead {
+                granted: spare.pop().unwrap_or_default(),
+            });
             if let Some(held) = head.mode_of(txn) {
                 if held.covers(mode) {
                     // Re-entrant acquisition: bump the refcount so releases stay
@@ -213,12 +264,12 @@ impl LockManager {
                     None => LockRequestOutcome::Granted,
                 });
             }
-            // Conflict: wait on the shard condvar.
+            // Conflict: register, then wait on the shard condvar.
             let start = *wait_start.get_or_insert_with(Instant::now);
-            if condvar
-                .wait_until(&mut shard, start + self.timeout)
-                .timed_out()
-            {
+            shard.waiters += 1;
+            let waited = condvar.wait_until(&mut shard, start + self.timeout);
+            shard.waiters -= 1;
+            if waited.timed_out() {
                 self.record_wait(start, phases);
                 return Err(LockError::Timeout { id, mode });
             }
@@ -234,28 +285,39 @@ impl LockManager {
     }
 
     /// Release every lock `txn` holds among `ids` (the transaction's lock
-    /// list), waking any waiters.
+    /// list), waking the shard's waiters if it has any.  Each shard is
+    /// entered once, in the order its first id appears in `ids`.
     pub fn release_all(&self, txn: u64, ids: &[LockId]) {
-        // Group by shard so each shard is entered exactly once.
-        let mut by_shard: HashMap<usize, Vec<LockId>> = HashMap::new();
-        for id in ids {
-            by_shard.entry(self.shard_of(id)).or_default().push(*id);
+        // Shard indices, hashed once and outside every shard; on the stack
+        // for a short list.
+        let mut inline = [0u8; RELEASE_INLINE];
+        let mut spilled = Vec::new();
+        let shard_of = if ids.len() <= RELEASE_INLINE {
+            &mut inline[..ids.len()]
+        } else {
+            spilled.resize(ids.len(), 0u8);
+            &mut spilled[..]
+        };
+        for (slot, id) in shard_of.iter_mut().zip(ids) {
+            *slot = self.shard_of(id) as u8;
         }
-        for (shard_idx, ids) in by_shard {
-            let (mutex, condvar) = &self.shards[shard_idx];
+        let mut entered = 0u64;
+        for (first, &shard_idx) in shard_of.iter().enumerate() {
+            if entered & 1 << shard_idx != 0 {
+                continue;
+            }
+            entered |= 1 << shard_idx;
+            let (mutex, condvar) = &self.shards[usize::from(shard_idx)];
             let (mut shard, _) = mutex.lock();
             let mut released_any = false;
-            for id in ids {
-                let mut remove = false;
-                if let Some(head) = shard.heads.get_mut(&id) {
-                    released_any |= head.release(txn);
-                    remove = head.is_free();
-                }
-                if remove {
-                    shard.heads.remove(&id);
-                }
+            for (&id, _) in ids[first..]
+                .iter()
+                .zip(&shard_of[first..])
+                .filter(|&(_, &s)| s == shard_idx)
+            {
+                released_any |= shard.release(txn, id);
             }
-            if released_any {
+            if released_any && shard.waiters > 0 {
                 condvar.notify_all();
             }
         }
@@ -266,6 +328,15 @@ impl LockManager {
         let (mutex, _) = &self.shards[self.shard_of(&id)];
         let shard = mutex.lock_uninstrumented();
         shard.heads.get(&id).and_then(|h| h.mode_of(txn))
+    }
+
+    /// Requests blocked on any shard's condition variable.
+    #[cfg(test)]
+    fn waiters(&self) -> u32 {
+        self.shards
+            .iter()
+            .map(|(m, _)| m.lock_uninstrumented().waiters)
+            .sum()
     }
 
     /// Number of live lock heads (diagnostic helper).
@@ -362,7 +433,10 @@ mod tests {
         let acquired = m
             .acquire_hierarchical(1, LockId::Key(4, 10), LockMode::X, None)
             .unwrap();
-        assert_eq!(acquired.len(), 3);
+        assert_eq!(
+            &*acquired,
+            &[LockId::Database, LockId::Table(4), LockId::Key(4, 10)]
+        );
         assert_eq!(m.held_mode(1, LockId::Database), Some(LockMode::IX));
         assert_eq!(m.held_mode(1, LockId::Table(4)), Some(LockMode::IX));
         assert_eq!(m.held_mode(1, LockId::Key(4, 10)), Some(LockMode::X));
@@ -428,6 +502,93 @@ mod tests {
         assert!(phases.lock_nanos >= 10_000_000, "{phases:?}");
         assert_eq!(phases.total(), phases.lock_nanos);
         assert_eq!(stats.latency().snapshot().lock_wait.count, 1);
+    }
+
+    /// Eight threads take one key in X in turn: each release wakes the
+    /// next registered waiter, so every request is granted well inside the
+    /// timeout, and no head or waiter is left behind.
+    #[test]
+    fn eight_threads_take_one_key_in_turn() {
+        let m = Arc::new(LockManager::with_timeout(
+            StatsRegistry::new_shared(),
+            Duration::from_secs(5),
+        ));
+        let key = LockId::Key(1, 7);
+        let handles: Vec<_> = (0..8u64)
+            .map(|t| {
+                let m = m.clone();
+                thread::spawn(move || {
+                    for _ in 0..50 {
+                        m.acquire_hierarchical(t, key, LockMode::X, None)
+                            .expect("granted before the timeout");
+                        thread::yield_now();
+                        m.release_all(t, &[key, LockId::Table(1), LockId::Database]);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(m.live_heads(), 0);
+        assert_eq!(m.waiters(), 0);
+    }
+
+    /// A waiter that times out deregisters, and one that waits later is
+    /// registered again: its holder's release wakes it at once, not at its
+    /// timeout.
+    #[test]
+    fn a_timed_out_waiter_leaves_the_next_one_wakeable() {
+        let timeout = Duration::from_millis(500);
+        let m = Arc::new(LockManager::with_timeout(
+            StatsRegistry::new_shared(),
+            timeout,
+        ));
+        let key = LockId::Key(2, 3);
+        m.acquire(1, key, LockMode::X, None).unwrap();
+        assert!(m.acquire(2, key, LockMode::X, None).is_err());
+        assert_eq!(m.waiters(), 0, "the timed-out waiter deregistered");
+        let m2 = m.clone();
+        let waiter = thread::spawn(move || {
+            let start = Instant::now();
+            let outcome = m2.acquire(3, key, LockMode::X, None);
+            (outcome, start.elapsed())
+        });
+        while m.waiters() == 0 {
+            thread::yield_now();
+        }
+        m.release_all(1, &[key]);
+        let (outcome, waited) = waiter.join().unwrap();
+        assert_eq!(outcome, Ok(LockRequestOutcome::GrantedAfterWait));
+        assert!(waited < timeout / 2, "woken after {waited:?}");
+        assert_eq!(m.waiters(), 0);
+    }
+
+    /// A lock list longer than the inline shard indices still enters every
+    /// shard it names and frees every head.
+    #[test]
+    fn release_all_past_the_inline_ids_frees_every_head() {
+        let m = mgr();
+        let mut held = LockList::default();
+        for k in 0..40 {
+            for id in m
+                .acquire_hierarchical(9, LockId::Key(3, k), LockMode::S, None)
+                .unwrap()
+                .iter()
+            {
+                if !held.contains(id) {
+                    held.push(*id);
+                }
+            }
+        }
+        assert_eq!(held.len(), 42);
+        assert!(held.len() > RELEASE_INLINE);
+        let shards: std::collections::HashSet<usize> =
+            held.iter().map(|id| m.shard_of(id)).collect();
+        assert!(shards.len() > 1, "the ids span shards");
+        assert_eq!(m.live_heads(), 42);
+        m.release_all(9, &held);
+        assert_eq!(m.live_heads(), 0);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 
 use plp_instrument::PhaseBreakdown;
 
-use crate::key::LockId;
+use crate::key::{BuildMixHasher, LockId};
 use crate::manager::{LockError, LockManager};
 use crate::mode::LockMode;
 
@@ -32,7 +32,7 @@ use crate::mode::LockMode;
 #[derive(Debug, Default)]
 pub struct AgentLockCache {
     /// Lock ids held speculatively by this agent, with the inherited mode.
-    inherited: HashMap<LockId, LockMode>,
+    inherited: HashMap<LockId, LockMode, BuildMixHasher>,
     /// The "lock owner" transaction id under which inherited locks are
     /// registered in the central manager.  SLI transfers ownership of the lock
     /// head to the agent itself rather than any single transaction.
@@ -46,7 +46,7 @@ impl AgentLockCache {
     /// transaction ids (the engine reserves a high id range for agents).
     pub fn new(agent_txn_id: u64) -> Self {
         Self {
-            inherited: HashMap::new(),
+            inherited: HashMap::default(),
             agent_txn_id,
             hits: 0,
             misses: 0,
@@ -64,9 +64,9 @@ impl AgentLockCache {
     /// Acquire `id` in `mode` on behalf of transaction `txn`, using the cache
     /// for inheritable (intention) locks and the central `manager` otherwise.
     ///
-    /// Returns the lock ids that were actually acquired centrally and must be
-    /// released by the transaction at commit (inherited locks are *not*
-    /// included — the agent keeps them).
+    /// Returns the lock that was acquired centrally for the transaction and
+    /// must be released by it at commit, if any (inherited locks are not —
+    /// the agent keeps them).
     pub fn acquire(
         &mut self,
         manager: &LockManager,
@@ -74,11 +74,14 @@ impl AgentLockCache {
         id: LockId,
         mode: LockMode,
         mut phases: Option<&mut PhaseBreakdown>,
-    ) -> Result<Vec<LockId>, LockError> {
-        let mut to_release = Vec::new();
-        // Walk the hierarchy: ancestors take intention locks, which are the
-        // inheritable ones.
-        for ancestor in id.ancestors() {
+    ) -> Result<Option<LockId>, LockError> {
+        // Walk the hierarchy from the database down: ancestors take
+        // intention locks, which are the inheritable ones.
+        let parent = id.parent();
+        for ancestor in [parent.and_then(LockId::parent), parent]
+            .into_iter()
+            .flatten()
+        {
             let want = mode.intention();
             if self.covered(ancestor, want) {
                 self.hits += 1;
@@ -102,11 +105,11 @@ impl AgentLockCache {
             } else {
                 self.hits += 1;
             }
+            Ok(None)
         } else {
             manager.acquire(txn, id, mode, phases)?;
-            to_release.push(id);
+            Ok(Some(id))
         }
-        Ok(to_release)
     }
 
     fn covered(&self, id: LockId, mode: LockMode) -> bool {
@@ -149,17 +152,17 @@ mod tests {
         let rel = cache
             .acquire(&mgr, 1, LockId::Key(1, 10), LockMode::X, None)
             .unwrap();
-        assert_eq!(rel, vec![LockId::Key(1, 10)]);
+        assert_eq!(rel, Some(LockId::Key(1, 10)));
         let after_first = stats.snapshot().cs.entries(CsCategory::LockMgr);
         assert_eq!(after_first, 3);
-        mgr.release_all(1, &rel);
+        mgr.release_all(1, rel.as_slice());
 
         // Txn 2 on the same table: intention locks are inherited, only the key
         // lock goes to the manager.
         let rel2 = cache
             .acquire(&mgr, 2, LockId::Key(1, 11), LockMode::X, None)
             .unwrap();
-        assert_eq!(rel2, vec![LockId::Key(1, 11)]);
+        assert_eq!(rel2, Some(LockId::Key(1, 11)));
         let after_second = stats.snapshot().cs.entries(CsCategory::LockMgr);
         // +1 release CS (release_all groups into one shard visit) +1 key acquire.
         assert!(
@@ -217,11 +220,11 @@ mod tests {
         let rel = cache
             .acquire(&mgr, 1, LockId::Table(9), LockMode::IS, None)
             .unwrap();
-        assert!(rel.is_empty());
+        assert_eq!(rel, None);
         let rel2 = cache
             .acquire(&mgr, 2, LockId::Table(9), LockMode::IS, None)
             .unwrap();
-        assert!(rel2.is_empty());
+        assert_eq!(rel2, None);
         assert!(cache.hits() >= 1);
     }
 }

@@ -164,7 +164,7 @@ mod tests {
         let acquired = locks
             .acquire_hierarchical(txn.id(), LockId::Key(1, 9), LockMode::X, None)
             .unwrap();
-        txn.record_locks(acquired.into_iter().map(|(id, _)| id));
+        txn.record_locks(acquired.iter().copied());
         txn.log_update(1, 5, b"old-value", b"new-value");
         assert_eq!(mgr.commit(&mut txn), Ok(()));
         assert_eq!(txn.state(), TxnState::Committed);
@@ -182,7 +182,7 @@ mod tests {
         let acquired = locks
             .acquire_hierarchical(txn.id(), LockId::Key(1, 9), LockMode::S, None)
             .unwrap();
-        txn.record_locks(acquired.into_iter().map(|(id, _)| id));
+        txn.record_locks(acquired.iter().copied());
         mgr.abort(&mut txn);
         assert_eq!(txn.held_locks().len(), 3);
         assert_eq!(txn.state(), TxnState::Aborted);

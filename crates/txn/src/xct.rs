@@ -1,6 +1,6 @@
 //! The transaction object.
 
-use plp_lock::LockId;
+use plp_lock::{LockId, LockList};
 use plp_wal::{LogRecord, LogRecordKind, TxnLogHandle, UpdatePayload};
 
 /// Transaction identifier.
@@ -23,8 +23,9 @@ pub struct Transaction {
     state: TxnState,
     /// Locks acquired from the *central* lock manager that must be released at
     /// the end of the transaction.  SLI-inherited locks are not listed here —
-    /// the agent keeps them.
-    held_locks: Vec<LockId>,
+    /// the agent keeps them.  Inline up to sixteen ids: recording them does
+    /// not allocate.
+    held_locks: LockList,
     log: TxnLogHandle,
     /// Number of actions this transaction was decomposed into (1 for the
     /// conventional design, >= 1 for the partitioned designs).
@@ -36,7 +37,7 @@ impl Transaction {
         Self {
             id,
             state: TxnState::Active,
-            held_locks: Vec::new(),
+            held_locks: LockList::default(),
             log,
             actions: 1,
         }
@@ -81,7 +82,7 @@ impl Transaction {
 
     /// Hand the recorded central locks to the caller, which releases them
     /// once the log commit or abort has returned.
-    pub fn take_locks(&mut self) -> Vec<LockId> {
+    pub fn take_locks(&mut self) -> LockList {
         std::mem::take(&mut self.held_locks)
     }
 
