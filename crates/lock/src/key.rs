@@ -86,7 +86,9 @@ impl Deref for LockList {
 
 /// A multiply-rotate hasher (the `FxHash` step) for the lock tables' maps:
 /// a [`LockId`] is at most three machine words, which SipHash would spend
-/// most of a lock request's time on.
+/// most of a lock request's time on.  Keys come from requests, so a client
+/// can craft colliding ones; but an entry lives only while its lock is held,
+/// so a collision chain is no longer than the locks held at once.
 #[derive(Debug, Default)]
 pub(crate) struct MixHasher(u64);
 

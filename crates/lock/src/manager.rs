@@ -60,7 +60,7 @@ pub enum LockRequestOutcome {
 /// (txn id, granted mode, reference count) of each holder.
 type Holders = Vec<(u64, LockMode, u32)>;
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct LockHead {
     granted: Holders,
 }
@@ -554,7 +554,12 @@ mod tests {
             let outcome = m2.acquire(3, key, LockMode::X, None);
             (outcome, start.elapsed())
         });
+        let registered_by = Instant::now() + timeout;
         while m.waiters() == 0 {
+            assert!(
+                Instant::now() < registered_by,
+                "the waiter never registered"
+            );
             thread::yield_now();
         }
         m.release_all(1, &[key]);
