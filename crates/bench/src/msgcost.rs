@@ -13,14 +13,16 @@
 //!   allocated `bounded(1)` baseline channel per reply — exactly the old hot
 //!   path;
 //! * **lock-free**: the Vyukov/segmented queues (`crossbeam::channel`) for
-//!   requests, plus pooled [`plp_core::reply::ReplySlot`] rendezvous —
-//!   exactly the new hot path.
+//!   requests, plus pooled [`plp_core::reply::ReplySlot`] rendezvous.
 //!
 //! Two shapes are measured per thread count: `pingpong` (one outstanding
 //! request per coordinator — latency-bound) and `pipelined` (a stage of
 //! [`PIPELINE_DEPTH`] requests dispatched before the rendezvous —
 //! throughput-bound, the shape multi-action transactions and loaded systems
-//! see).
+//! see).  Two more pipelined rows measure what the engine runs: `batched`
+//! (one message per worker per stage) and `spsc lane`, which sends over the
+//! engine's own worker inbox ([`plp_core::inbox`]), one lane per
+//! coordinator and worker.
 //!
 //! The JSON this module emits/parses feeds the CI perf-regression gate
 //! (`check_bench` vs the committed `BENCH_BASELINE.json`).  The gate
@@ -346,43 +348,22 @@ fn run_lockfree_batched(threads: usize, msgs: u64, depth: usize) -> f64 {
     elapsed.as_nanos() as f64 / (msgs * threads as u64) as f64
 }
 
-/// Per-action dispatch over per-coordinator SPSC fast lanes: same request
-/// and reply protocol as [`run_lockfree`], but every coordinator owns a
-/// single-producer lane to every worker (the engine's per-link lane
-/// topology) and workers drain lanes ahead of the shared queue.
+/// Per-action dispatch over per-coordinator SPSC lanes: same request and
+/// reply protocol as [`run_lockfree`], but every coordinator owns one lane
+/// into every worker's [`plp_core::inbox::Inbox`] — the engine's own inbox
+/// and per-link lane topology — and a worker stops on the inbox's stop flag.
 fn run_lockfree_spsc(threads: usize, msgs: u64, depth: usize) -> f64 {
-    use crossbeam::channel as chan;
-    let workers: Vec<(chan::Sender<LockfreeRequest>, std::thread::JoinHandle<()>)> = (0..threads)
+    use plp_core::inbox::{Inbox, LaneSender};
+    let stats = plp_instrument::StatsRegistry::new_shared();
+    let workers: Vec<_> = (0..threads)
         .map(|_| {
-            let (tx, rx) = chan::unbounded::<LockfreeRequest>();
+            let (inbox, rx) = Inbox::<LockfreeRequest>::new(stats.clone());
             let handle = std::thread::spawn(move || {
-                let serve = |req: LockfreeRequest| -> bool {
-                    match req {
-                        LockfreeRequest::Echo(v, reply) => {
-                            reply.fulfill(v.wrapping_mul(3));
-                            true
-                        }
-                        LockfreeRequest::Stop => false,
-                    }
-                };
-                'worker: loop {
-                    while let Some(req) = rx.try_recv_lane() {
-                        if !serve(req) {
-                            break 'worker;
-                        }
-                    }
-                    match rx.try_recv() {
-                        Ok(req) => {
-                            if !serve(req) {
-                                break;
-                            }
-                        }
-                        Err(chan::TryRecvError::Empty) => rx.wait_any(),
-                        Err(chan::TryRecvError::Disconnected) => break,
-                    }
+                while let Some(LockfreeRequest::Echo(v, reply)) = rx.recv() {
+                    reply.fulfill(v.wrapping_mul(3));
                 }
             });
-            (tx, handle)
+            (inbox, handle)
         })
         .collect();
     let start = Instant::now();
@@ -390,9 +371,9 @@ fn run_lockfree_spsc(threads: usize, msgs: u64, depth: usize) -> f64 {
         for c in 0..threads {
             // Created on this thread, moved into the coordinator: each lane
             // has exactly one producer for its whole lifetime.
-            let lanes: Vec<chan::LaneSender<LockfreeRequest>> = workers
+            let lanes: Vec<LaneSender<LockfreeRequest>> = workers
                 .iter()
-                .map(|(tx, _)| tx.fast_lane(PIPELINE_DEPTH.max(depth).next_power_of_two()))
+                .map(|(inbox, _)| inbox.lane(PIPELINE_DEPTH.max(depth).next_power_of_two()))
                 .collect();
             scope.spawn(move || {
                 let mut pool: Vec<ReplySlot<u64>> = (0..depth).map(|_| ReplySlot::new()).collect();
@@ -403,10 +384,7 @@ fn run_lockfree_spsc(threads: usize, msgs: u64, depth: usize) -> f64 {
                     let mut pending = Vec::with_capacity(batch);
                     for _ in 0..batch {
                         let mut slot = pool.pop().expect("pool sized to depth");
-                        let promise = slot.promise();
-                        lanes[rr % lanes.len()]
-                            .send(LockfreeRequest::Echo(sent, promise))
-                            .expect("worker alive");
+                        lanes[rr % lanes.len()].send(LockfreeRequest::Echo(sent, slot.promise()));
                         rr += 1;
                         sent += 1;
                         pending.push(slot);
@@ -420,11 +398,8 @@ fn run_lockfree_spsc(threads: usize, msgs: u64, depth: usize) -> f64 {
         }
     });
     let elapsed = start.elapsed();
-    for (tx, _) in &workers {
-        let _ = tx.send(LockfreeRequest::Stop);
-    }
-    for (tx, handle) in workers {
-        drop(tx);
+    for (inbox, handle) in workers {
+        inbox.stop();
         let _ = handle.join();
     }
     elapsed.as_nanos() as f64 / (msgs * threads as u64) as f64

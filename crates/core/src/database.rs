@@ -23,22 +23,6 @@ pub struct Database {
     log: Arc<LogManager>,
     txns: Arc<TxnManager>,
     tables: Vec<Table>,
-    /// Last-synced view of the channel shim's process-global slow-path
-    /// counters `[enqueue spins, dequeue spins, parks, wakeups]`; deltas are
-    /// folded into this engine's [`plp_instrument::MsgStats`] by
-    /// [`Self::sync_channel_metrics`].
-    chan_metrics_base: parking_lot::Mutex<[u64; 4]>,
-}
-
-/// Current values of the channel shim's global slow-path counters.
-fn channel_metrics_now() -> [u64; 4] {
-    // NOTE: this (and the `fig_msgcost` benchmark) are the only places the
-    // workspace touches the crossbeam *shim's* metrics extension.  When the
-    // real crossbeam crate is swapped in, replace this body with
-    // `[0, 0, 0, 0]` — the MsgStats queue columns then read zero and
-    // everything else keeps working.
-    let m = crossbeam::metrics::snapshot();
-    [m.enqueue_spins, m.dequeue_spins, m.parks, m.wakeups]
 }
 
 impl Database {
@@ -130,7 +114,6 @@ impl Database {
             log,
             txns,
             tables,
-            chan_metrics_base: parking_lot::Mutex::new(channel_metrics_now()),
         })
     }
 
@@ -204,30 +187,14 @@ impl Database {
         Ok(())
     }
 
-    /// Fold the channel layer's slow-path counters (queue spins, parks,
-    /// wakeups) accumulated since the last sync into this engine's
-    /// [`plp_instrument::stats::MsgStats`].  The underlying counters are
-    /// process-global, so with several engines running concurrently in one
-    /// process the attribution is approximate; the benchmark driver runs
-    /// engines one at a time.
-    pub fn sync_channel_metrics(&self) {
-        let now = channel_metrics_now();
-        let mut base = self.chan_metrics_base.lock();
-        self.stats.msg().queue_activity(
-            now[0].saturating_sub(base[0]),
-            now[1].saturating_sub(base[1]),
-            now[2].saturating_sub(base[2]),
-            now[3].saturating_sub(base[3]),
-        );
-        *base = now;
-    }
+    /// Does nothing: each worker's [`crate::inbox::Inbox`] records the
+    /// queue counters (spins, parks, wakeups) live, per engine.  Kept only
+    /// because the benchmark ledger calls it.
+    pub fn sync_channel_metrics(&self) {}
 
     /// Reset every statistic (done after loading, before measurement).
     pub fn reset_stats(&self) {
         self.stats.reset();
-        // Re-base the global channel counters so pre-reset activity is not
-        // attributed to the measured interval.
-        *self.chan_metrics_base.lock() = channel_metrics_now();
     }
 
     /// Pad a record to the configured size if record padding is enabled

@@ -8,10 +8,10 @@
 //! load.  Every decision (taken or skipped, and why) is counted in
 //! [`plp_instrument::stats::DlbStats`].
 
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use plp_btree::costmodel::CostModelParams;
 use plp_instrument::trace::now_nanos;
@@ -135,7 +135,7 @@ impl LoadBalancerHandle {
         design: Design,
         config: DlbConfig,
     ) -> Self {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let thread = std::thread::Builder::new()
             .name("plp-dlb".to_string())
             .spawn(move || controller_loop(db, pm, histograms, design, config, rx))

@@ -646,6 +646,30 @@ impl Drop for InFlight<'_> {
     }
 }
 
+/// Ends a transaction whose session unwinds before it committed or aborted
+/// (an action panicked): it is aborted, so it leaves the active set a
+/// checkpoint records, and its central locks go.  On every other path the
+/// transaction is finished and its locks released before this drops, so it
+/// does nothing.
+struct AbortOnUnwind<'a> {
+    db: &'a Database,
+    txn: Transaction,
+}
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        // Only an active transaction: a panic inside commit or abort must
+        // not meet a second one here.
+        if self.txn.is_active() {
+            self.db.txn_manager().abort(&mut self.txn);
+        }
+        let held = self.txn.take_locks();
+        if !held.is_empty() {
+            self.db.lock_manager().release_all(self.txn.id(), &held);
+        }
+    }
+}
+
 /// Close one stage: plan the next one (the continuation borrows this stage's
 /// outputs), then move the outputs into the transaction's result — no clones.
 /// `None` when the transaction has no further work.
@@ -751,19 +775,23 @@ impl Session<'_> {
     ) -> (Result<Vec<ActionOutput>, EngineError>, Lsn) {
         let trace_start = obs_now();
         let db = self.engine.db.clone();
-        let mut txn = db.txn_manager().begin();
+        let mut unwind = AbortOnUnwind {
+            db: &db,
+            txn: db.txn_manager().begin(),
+        };
+        let txn = &mut unwind.txn;
         let txn_id = txn.id();
         // The transaction's one time accumulator: the phases of every action
         // group it runs inline or dispatches (partitioned designs), its
         // central lock waits (conventional design), and the commit-time WAL
         // wait below.
         let mut phases = PhaseBreakdown::default();
-        let result = self.run_stages(&db, &mut txn, plan, &mut phases);
+        let result = self.run_stages(&db, txn, plan, &mut phases);
         let commit_t0 = obs_now();
         // An abort waits too: what the transaction read may not be durable.
         let lsn = match result {
-            Ok(_) => db.txn_manager().commit_deferred(&mut txn),
-            Err(_) => db.txn_manager().abort(&mut txn),
+            Ok(_) => db.txn_manager().commit_deferred(txn),
+            Err(_) => db.txn_manager().abort(txn),
         };
         let waited = if wait {
             db.log_manager().wait_durable(lsn)

@@ -29,6 +29,7 @@ pub mod database;
 pub mod dlb;
 pub mod engine;
 pub mod error;
+pub mod inbox;
 pub mod partition;
 pub(crate) mod primitives;
 pub mod reply;

@@ -1,20 +1,21 @@
-//! Concurrency-primitive facade for the reply rendezvous and the partition
-//! claim: `std` + `parking_lot` in normal builds, the `loom`-subset model
-//! checker under `--cfg plp_loom` or the `loom-model` feature.
+//! Concurrency-primitive facade for the reply rendezvous, the worker inbox
+//! and the partition claim: `std` + `parking_lot` in normal builds, the
+//! `loom`-subset model checker under `--cfg plp_loom` or the `loom-model`
+//! feature.
 //!
-//! [`crate::reply`] imports its atomics, park/unpark handles and the mailbox
-//! mutex from here instead of naming `std` directly, and [`crate::worker`]
-//! takes the partition claim (`Mutex::try_lock` / `lock`) through it, so the
-//! exact protocol that runs in production is the one the model checker
-//! explores.  In normal builds everything below is a plain re-export: zero
-//! cost, no behavior change.
+//! [`crate::reply`] and [`crate::inbox`] import their atomics, fences,
+//! park/unpark handles and mutexes from here instead of naming `std`
+//! directly, and [`crate::worker`] takes the partition claim
+//! (`Mutex::try_lock` / `lock`) through it, so the exact protocol that runs
+//! in production is the one the model checker explores.  In normal builds
+//! everything below is a plain re-export: zero cost, no behavior change.
 
 #[cfg(not(any(plp_loom, feature = "loom-model")))]
 mod imp {
     pub use parking_lot::{Mutex, MutexGuard};
-    pub use std::sync::atomic::{AtomicU64, Ordering};
+    pub use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
     pub use std::sync::Arc;
-    pub use std::thread::{current, park, Thread};
+    pub use std::thread::{current, park, yield_now, Thread};
 
     /// Spin budget for `ReplySlot::wait` before parking: under load the
     /// worker usually answers within this many pause-loop turns.
@@ -25,13 +26,21 @@ mod imp {
     pub fn spin_hint() {
         std::hint::spin_loop();
     }
+
+    /// Busy-wait `rounds` pause-loop turns (one backoff step).
+    #[inline]
+    pub fn spin_wait(rounds: u32) {
+        for _ in 0..rounds {
+            std::hint::spin_loop();
+        }
+    }
 }
 
 #[cfg(any(plp_loom, feature = "loom-model"))]
 mod imp {
-    pub use loom::sync::atomic::{AtomicU64, Ordering};
+    pub use loom::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
     pub use loom::sync::{Arc, MutexGuard};
-    pub use loom::thread::{current, park, Thread};
+    pub use loom::thread::{current, park, yield_now, Thread};
 
     /// One spin turn is enough under the model: the interesting executions
     /// are the ones where the spin loses the race, and the checker reaches
@@ -42,6 +51,14 @@ mod imp {
     /// whose progress the spin awaits.
     #[inline]
     pub fn spin_hint() {
+        loom::thread::yield_now();
+    }
+
+    /// A backoff step is one model-visible yield, whatever its length: a
+    /// hint loop would monopolize the deterministic schedule and read as a
+    /// livelock.
+    #[inline]
+    pub fn spin_wait(_rounds: u32) {
         loom::thread::yield_now();
     }
 
@@ -70,3 +87,15 @@ mod imp {
 }
 
 pub(crate) use imp::*;
+
+/// Whether this host exposes a single hardware thread (spinning for another
+/// thread's progress is then pointless).
+pub(crate) fn single_cpu() -> bool {
+    use std::sync::OnceLock;
+    static SINGLE: OnceLock<bool> = OnceLock::new();
+    *SINGLE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get() == 1)
+            .unwrap_or(false)
+    })
+}

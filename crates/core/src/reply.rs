@@ -55,8 +55,8 @@
 //! # Batch framing
 //!
 //! The engine's one message shape (a
-//! `WorkerRequest::Run` per (worker, stage), a singleton
-//! group being a `Run` of one) is answered through a [`BatchReplySlot`]: a
+//! `WorkerRequest` per (worker, stage), a singleton
+//! group being a message of one action) is answered through a [`BatchReplySlot`]: a
 //! `ReplySlot<Vec<T>>` plus a recycled `Vec` that shuttles between the
 //! coordinator and the worker.  The worker pushes one reply per action into
 //! the promise-side buffer as it executes the group *in order*, then
@@ -78,7 +78,7 @@
 use std::cell::UnsafeCell;
 
 use crate::primitives::{
-    current, park, spin_hint, Arc, AtomicU64, Mutex, Ordering, Thread, SPIN_BUDGET,
+    current, park, single_cpu, spin_hint, Arc, AtomicU64, Mutex, Ordering, Thread, SPIN_BUDGET,
 };
 
 const PHASE_MASK: u64 = 0b11;
@@ -99,18 +99,6 @@ impl std::fmt::Display for ReplyClosed {
 }
 
 impl std::error::Error for ReplyClosed {}
-
-/// Whether this host exposes a single hardware thread (spinning for another
-/// thread's progress is then pointless).
-fn single_cpu() -> bool {
-    use std::sync::OnceLock;
-    static SINGLE: OnceLock<bool> = OnceLock::new();
-    *SINGLE.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get() == 1)
-            .unwrap_or(false)
-    })
-}
 
 struct Inner<T> {
     /// `round << 2 | phase`.
@@ -297,7 +285,7 @@ pub struct BatchReplySlot<T> {
 }
 
 /// Fulfilling side of one batch round, shipped to the worker inside a
-/// `WorkerRequest::Run`.  The worker [`push`es][Self::push]
+/// `WorkerRequest`.  The worker [`push`es][Self::push]
 /// one reply per action, then [`finish`es][Self::finish] — a single wake for
 /// the whole group.  Dropping it before `finish` closes the round.
 pub struct BatchReplyPromise<T> {

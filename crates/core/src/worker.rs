@@ -39,42 +39,46 @@
 //!
 //! # The message path
 //!
-//! A contended group pays one message of one shape: a `WorkerRequest::Run`
+//! A contended group pays one message of one shape: a `WorkerRequest`
 //! carrying the group's action closures in dispatch order plus one
 //! [`BatchReplyPromise`], sent by `WorkerLink::send`.  The coordinator
 //! groups a stage's actions by routed worker first, so a stage pays one
-//! message per *worker*, not per action, and a singleton group is a `Run` of
-//! one.  The request rides the sender's lane (below); the reply leg is a
-//! recycled [`BatchReplySlot`] rendezvous whose reply `Vec` is reused across
-//! rounds, so the steady state allocates nothing per message (see
-//! [`crate::reply`]).  The worker executes the group strictly in order
-//! through `PartitionState::run_group` — a `Run` of *n* behaves exactly
-//! like *n* messages from the same sender — pushing one [`ActionReply`] per
-//! action (per-action results, log records and abort outcomes survive
-//! grouping), and wakes the coordinator once with `finish`.
+//! message per *worker*, not per action, and a singleton group is a message
+//! of one action.  The request rides the sender's lane (below); the reply
+//! leg is a recycled [`BatchReplySlot`] rendezvous whose reply `Vec` is
+//! reused across rounds, so the steady state allocates nothing per message
+//! (see [`crate::reply`]).  The worker executes the group strictly in order
+//! through `PartitionState::run_group` — a message of *n* actions behaves
+//! exactly like *n* messages from the same sender — pushing one
+//! [`ActionReply`] per action (per-action results, log records and abort
+//! outcomes survive grouping), and wakes the coordinator once with
+//! `finish`.
 //!
 //! # Lanes, links and shutdown
 //!
-//! A `Run` travels only on a single-producer lane (the channel shim's SPSC
-//! ring).  A sending session borrows a *link* — one lane and one reply slot
-//! per worker (`WorkerLink`) — from the engine's pool the first time it
-//! sends and gives it back when it drops, so lanes are bounded by how many
-//! sessions send at once.  A stage sends at most one message per worker and
-//! waits for every reply, so a lane holds at most one `Run` of its link,
-//! plus any left by sessions that unwound mid-stage; a full lane makes the
-//! sender wait for room.
+//! A message travels on a single-producer lane of the worker's
+//! [`Inbox`](crate::inbox).  A sending session borrows a *link* — one lane
+//! and one reply slot per worker (`WorkerLink`) — from the engine's pool
+//! the first time it sends and gives it back when it drops, so lanes are
+//! bounded by how many sessions send at once.  A stage sends at most one
+//! message per worker and waits for every reply, so a lane holds at most
+//! one message of its link, plus any left by sessions that unwound
+//! mid-stage; a full lane makes the sender wait for room.
 //!
-//! The MPMC queue carries only `WorkerRequest::Shutdown`: stopping a
-//! worker through `&self` needs that message or a channel close API, and
-//! the message is smaller.  On receiving it, or finding the queue
-//! disconnected, the worker first drains every lane, so a group pushed onto
-//! a lane before the shutdown was enqueued is still answered
-//! (`model_lane_vs_control_ordering`).
+//! Shutdown is the inbox's stop flag: `WorkerHandle::shutdown` sets it and
+//! wakes the worker, which drains every lane once more and exits, so a
+//! group queued before the stop is still answered
+//! (`model_lane_vs_stop_ordering`).  However the worker exits — by
+//! shutdown, or by unwinding from a panicking action — its inbox closes:
+//! every queued message, and every later one, is dropped, so its stage
+//! answers `Shutdown` instead of waiting for a worker that is gone.  The
+//! partition itself keeps working for sessions that find it idle: they run
+//! their groups inline as before, and only a contended group answers
+//! `Shutdown`.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, LaneSender, Receiver, Sender, TryRecvError};
 use plp_instrument::trace::now_nanos;
 use plp_instrument::{obs_enabled, CsCategory, PhaseBreakdown, TraceEvent, TraceRing};
 use plp_lock::LocalLockTable;
@@ -86,10 +90,11 @@ use crate::catalog::Design;
 use crate::ctx::ActionCtx;
 use crate::database::Database;
 use crate::error::EngineError;
+use crate::inbox::{Inbox, LaneSender, Receiver};
 use crate::primitives::{Mutex, MutexGuard};
 use crate::reply::{BatchReplyPromise, BatchReplySlot};
 
-/// Slots in each lane.  A link has at most one `Run` per worker in flight
+/// Slots in each lane.  A link has at most one message per worker in flight
 /// (module docs), so a lane fills only behind messages left by sessions
 /// that unwound mid-stage; a sender that finds it full waits for room.
 pub(crate) const LANE_CAP: usize = 64;
@@ -107,22 +112,17 @@ pub struct ActionReply {
     pub phases: PhaseBreakdown,
 }
 
-/// Requests a worker can serve.
-pub(crate) enum WorkerRequest {
-    /// Execute one stage's action group for `txn_id` strictly in order,
-    /// replying once for the whole group (see the module's "The message
-    /// path").
-    Run {
-        txn_id: u64,
-        actions: Vec<ActionFn>,
-        reply: BatchReplyPromise<ActionReply>,
-        /// Coordinator's [`now_nanos`] read just before the enqueue; the
-        /// worker subtracts it from the timestamp at which it holds the
-        /// claim to attribute queue-wait time.
-        enqueued_at: u64,
-    },
-    /// Terminate the worker thread.
-    Shutdown,
+/// The one message a worker serves: execute one stage's action group for
+/// `txn_id` strictly in order, replying once for the whole group (see the
+/// module's "The message path").
+pub(crate) struct WorkerRequest {
+    txn_id: u64,
+    actions: Vec<ActionFn>,
+    reply: BatchReplyPromise<ActionReply>,
+    /// Coordinator's [`now_nanos`] read just before the enqueue; the worker
+    /// subtracts it from the timestamp at which it holds the claim to
+    /// attribute queue-wait time.
+    enqueued_at: u64,
 }
 
 /// What is local to one partition: the lock table no other partition sees
@@ -199,9 +199,9 @@ impl PartitionState {
 /// the worker.  The lanes are inspected *under* the claim — a request
 /// visible then is one the worker has not started (it executes only while
 /// holding the claim), so backing off hands the partition to it.
-fn try_claim<'a, S, T>(state: &'a Mutex<S>, queue: &Sender<T>) -> Option<MutexGuard<'a, S>> {
+fn try_claim<'a, S, T>(state: &'a Mutex<S>, inbox: &Inbox<T>) -> Option<MutexGuard<'a, S>> {
     let claim = state.try_lock()?;
-    (!queue.lane_ready()).then_some(claim)
+    (!inbox.lane_ready()).then_some(claim)
 }
 
 /// A sending session's way to one worker (module docs): the lane it is the
@@ -213,8 +213,8 @@ pub(crate) struct WorkerLink {
 }
 
 impl WorkerLink {
-    /// Send one stage's action group as one `WorkerRequest::Run` (module's
-    /// "The message path") on the lane, waiting for room if it is full, and
+    /// Send one stage's action group as one `WorkerRequest` (module's "The
+    /// message path") on the lane, waiting for room if it is full, and
     /// return the slot its replies arrive through: out of the link until the
     /// coordinator, past the stage's rendezvous point, puts it back.  The
     /// send does all of the message's accounting: the slot's reuse or
@@ -239,14 +239,16 @@ impl WorkerLink {
             }
         };
         let count = actions.len() as u64;
-        let req = WorkerRequest::Run {
+        let req = WorkerRequest {
             txn_id,
             reply: slot.promise(actions.len()),
             actions,
             enqueued_at,
         };
         stats.cs().enter(CsCategory::MessagePassing, false);
-        self.lane.send(req).expect("worker alive");
+        // A dead worker's inbox drops the message: the slot answers
+        // `ReplyClosed`, and the stage `Shutdown`.
+        self.lane.send(req);
         stats.msg().sent(count);
         slot
     }
@@ -256,7 +258,7 @@ impl WorkerLink {
 /// thread that serves whatever is enqueued for it.
 pub struct WorkerHandle {
     pub token: OwnerToken,
-    sender: Sender<WorkerRequest>,
+    inbox: Arc<Inbox<WorkerRequest>>,
     /// The claim (see the module docs).
     state: Arc<Mutex<PartitionState>>,
     /// Behind a mutex so shutdown works through a shared reference (the
@@ -268,7 +270,7 @@ impl WorkerHandle {
     /// Spawn a worker serving partition `index`.
     pub fn spawn(index: usize, db: Arc<Database>, design: Design) -> Self {
         let token = OwnerToken(index as u64 + 1);
-        let (tx, rx) = unbounded::<WorkerRequest>();
+        let (inbox, rx) = Inbox::new(db.stats().clone());
         let state = Arc::new(Mutex::new(PartitionState {
             db: db.clone(),
             design,
@@ -282,7 +284,7 @@ impl WorkerHandle {
             .expect("spawn partition worker");
         Self {
             token,
-            sender: tx,
+            inbox,
             state,
             thread: parking_lot::Mutex::new(Some(thread)),
         }
@@ -292,7 +294,7 @@ impl WorkerHandle {
     /// is free and nothing is in a lane for the worker.  While the
     /// guard lives the caller is the partition's thread.
     pub(crate) fn try_claim(&self) -> Option<MutexGuard<'_, PartitionState>> {
-        try_claim(&self.state, &self.sender)
+        try_claim(&self.state, &self.inbox)
     }
 
     /// Take the partition's claim, waiting for whoever holds it.  While the
@@ -304,17 +306,17 @@ impl WorkerHandle {
     }
 
     /// A new link's way to this worker.  Lane storage lives as long as the
-    /// worker's channel, so only the engine's link pool makes these.
+    /// worker's inbox, so only the engine's link pool makes these.
     pub(crate) fn link(&self) -> WorkerLink {
         WorkerLink {
-            lane: self.sender.fast_lane(LANE_CAP),
+            lane: self.inbox.lane(LANE_CAP),
             slot: None,
         }
     }
 
     /// Ask the worker to shut down and join its thread (idempotent).
     pub fn shutdown(&self) {
-        let _ = self.sender.send(WorkerRequest::Shutdown);
+        self.inbox.stop();
         if let Some(t) = self.thread.lock().take() {
             join_unless_self(t);
         }
@@ -347,6 +349,8 @@ pub(crate) fn obs_now() -> u64 {
     }
 }
 
+/// Serve `rx` until the inbox is stopped.  `rx` drops when this returns or
+/// unwinds, which closes the inbox (module docs).
 fn worker_loop(
     db: &Database,
     index: usize,
@@ -357,16 +361,13 @@ fn worker_loop(
     // stats registry, so a flight-recorder dump still sees this worker's
     // last events after the thread has died (e.g. from an action panic).
     let ring = db.stats().trace().register(format!("worker-{index}"));
-    let execute = |req: WorkerRequest| {
-        let WorkerRequest::Run {
+    while let Some(req) = rx.recv() {
+        let WorkerRequest {
             txn_id,
             actions,
             mut reply,
             enqueued_at,
-        } = req
-        else {
-            unreachable!("`Shutdown` travels on the main queue, never on a lane")
-        };
+        } = req;
         // The group runs under the claim, which is released before the
         // reply is published (module docs).
         {
@@ -379,24 +380,6 @@ fn worker_loop(
         // critical section and one wake per message.
         db.stats().cs().enter(CsCategory::MessagePassing, false);
         reply.finish();
-    };
-    loop {
-        while let Some(req) = rx.try_recv_lane() {
-            execute(req);
-        }
-        match rx.try_recv() {
-            Err(TryRecvError::Empty) => rx.wait_any(),
-            // `Shutdown`, the one message on the main queue, or every
-            // sender gone: answer anything already in a lane so its
-            // coordinator is not left waiting on a dropped promise (module
-            // docs).
-            Ok(_) | Err(TryRecvError::Disconnected) => {
-                while let Some(req) = rx.try_recv_lane() {
-                    execute(req);
-                }
-                break;
-            }
-        }
     }
 }
 
@@ -447,15 +430,16 @@ mod tests {
 
 /// Model-checked claim protocol (the `loom-model` lane); see the module docs
 /// and `docs/concurrency.md`.  The session side is the shipped [`try_claim`];
-/// the worker side replays `worker_loop`'s shape (drain the lanes, each
-/// request under a blocking `lock`, release, publish; then `wait_any`) over
-/// the same channel, lane and reply-slot code.
+/// the worker side replays `worker_loop`'s shape (each request under a
+/// blocking `lock`, release, publish) over the same inbox, lane and
+/// reply-slot code.
 #[cfg(all(test, any(plp_loom, feature = "loom-model")))]
 mod model_tests {
     use super::*;
     use crate::reply::{ReplyPromise, ReplySlot};
     use loom::sync::atomic::{AtomicBool, Ordering};
     use loom::sync::Arc;
+    use plp_instrument::StatsRegistry;
 
     /// Partition state with nothing atomic about it: a lost update, or a
     /// bump without its log entry, shows up in the final assertions.
@@ -475,62 +459,48 @@ mod model_tests {
         }
     }
 
-    enum Req {
-        Bump(ReplyPromise<u64>),
-        Stop,
-    }
+    type Req = ReplyPromise<u64>;
 
-    /// `worker_loop` in miniature: requests come on lanes, `Stop` on the
-    /// main queue (sent only once every reply is in, so there is nothing
-    /// left to drain).  `publish_under_claim` seeds the reply-before-release
-    /// bug.
-    fn worker(state: &Mutex<Part>, rx: &Receiver<Req>, publish_under_claim: bool) {
-        loop {
-            while let Some(Req::Bump(reply)) = rx.try_recv_lane() {
-                let mut partition = state.lock();
-                let value = partition.bump(b'w');
-                if publish_under_claim {
-                    reply.fulfill(value);
-                    drop(partition);
-                } else {
-                    drop(partition);
-                    reply.fulfill(value);
-                }
-            }
-            match rx.try_recv() {
-                Err(TryRecvError::Empty) => rx.wait_any(),
-                Ok(_) | Err(TryRecvError::Disconnected) => break,
+    /// `worker_loop` in miniature, until the inbox is stopped (only once
+    /// every reply is in, so there is nothing left to drain).
+    /// `publish_under_claim` seeds the reply-before-release bug.
+    fn worker(state: &Mutex<Part>, rx: Receiver<Req>, publish_under_claim: bool) {
+        while let Some(reply) = rx.recv() {
+            let mut partition = state.lock();
+            let value = partition.bump(b'w');
+            if publish_under_claim {
+                reply.fulfill(value);
+                drop(partition);
+            } else {
+                drop(partition);
+                reply.fulfill(value);
             }
         }
-    }
-
-    fn send_bump(lane: &LaneSender<Req>, slot: &mut ReplySlot<u64>) {
-        lane.send(Req::Bump(slot.promise())).expect("worker alive");
     }
 
     /// One session try-claims and mutates the partition while another
     /// session's request is already in its lane and the worker blocks on the
     /// claim.  `claim` is the decision under test.
     fn session_vs_worker(
-        claim: for<'a> fn(&'a Mutex<Part>, &Sender<Req>) -> Option<MutexGuard<'a, Part>>,
+        claim: for<'a> fn(&'a Mutex<Part>, &Inbox<Req>) -> Option<MutexGuard<'a, Part>>,
     ) {
         let state = Arc::new(Mutex::new(Part::default()));
-        let (tx, rx) = unbounded::<Req>();
-        let (a_lane, b_lane) = (tx.fast_lane(1), tx.fast_lane(1));
+        let (inbox, rx) = Inbox::new(StatsRegistry::new_shared());
+        let (a_lane, b_lane) = (inbox.lane(1), inbox.lane(1));
         // Session B's request sits in its lane before anyone else runs.
         let mut b_slot = ReplySlot::new();
-        send_bump(&b_lane, &mut b_slot);
+        b_lane.send(b_slot.promise());
         let worker_at_queue = Arc::new(AtomicBool::new(false));
         let w = {
             let (state, at_queue) = (state.clone(), worker_at_queue.clone());
             loom::thread::spawn(move || {
                 at_queue.store(true, Ordering::SeqCst);
-                worker(&state, &rx, false);
+                worker(&state, rx, false);
             })
         };
         // Session A: caller-runs if the partition is idle, else a message.
         let mut a_slot = ReplySlot::new();
-        let a_value = match claim(&state, &tx) {
+        let a_value = match claim(&state, &inbox) {
             Some(mut partition) => {
                 // The lanes were empty under the claim, so the worker has
                 // picked B's request up: A did not run past a request it
@@ -542,12 +512,12 @@ mod model_tests {
                 partition.bump(b'a')
             }
             None => {
-                send_bump(&a_lane, &mut a_slot);
+                a_lane.send(a_slot.promise());
                 a_slot.wait().expect("worker replies")
             }
         };
         let b_value = b_slot.wait().expect("queued request is executed");
-        tx.send(Req::Stop).expect("worker alive");
+        inbox.stop();
         w.join().unwrap();
         // Mutual exclusion and exactly-once: two bumps, two distinct values,
         // two log entries — whoever ran them, in whichever order.
@@ -569,7 +539,7 @@ mod model_tests {
     fn seeded_claim_without_queue_check_is_caught() {
         fn claim_unchecked<'a>(
             state: &'a Mutex<Part>,
-            _queue: &Sender<Req>,
+            _inbox: &Inbox<Req>,
         ) -> Option<MutexGuard<'a, Part>> {
             state.try_lock()
         }
@@ -584,20 +554,20 @@ mod model_tests {
     /// partition idle the moment its reply arrives.
     fn claim_after_reply(publish_under_claim: bool) {
         let state = Arc::new(Mutex::new(Part::default()));
-        let (tx, rx) = unbounded::<Req>();
-        let lane = tx.fast_lane(1);
+        let (inbox, rx) = Inbox::new(StatsRegistry::new_shared());
+        let lane = inbox.lane(1);
         let w = {
             let state = state.clone();
-            loom::thread::spawn(move || worker(&state, &rx, publish_under_claim))
+            loom::thread::spawn(move || worker(&state, rx, publish_under_claim))
         };
         let mut slot = ReplySlot::new();
-        send_bump(&lane, &mut slot);
+        lane.send(slot.promise());
         assert_eq!(slot.wait(), Ok(1));
         assert!(
-            try_claim(&state, &tx).is_some(),
+            try_claim(&state, &inbox).is_some(),
             "claim still held after the reply was published"
         );
-        tx.send(Req::Stop).expect("worker alive");
+        inbox.stop();
         w.join().unwrap();
     }
 

@@ -400,3 +400,105 @@ fn an_unwound_session_waits_for_its_inflight_message_and_keeps_the_slot() {
     assert_eq!(reply_slots(&engine), (2.0, 3.0), "(allocations, reuses)");
     engine.shutdown();
 }
+
+/// Wait up to five seconds for `thread`'s answer.
+fn answer_within<T>(thread: std::thread::JoinHandle<T>, what: &str) -> T {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !thread.is_finished() {
+        assert!(Instant::now() < deadline, "{what} got no answer within 5 s");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    thread.join().expect("session thread")
+}
+
+/// A message queued behind a group that kills its worker is not stranded:
+/// the dead worker's inbox closes and drops it, so its session answers
+/// `Shutdown` (session A); so does a later session whose group has to be
+/// sent (session B), instead of panicking on its own thread.  A session that
+/// finds the partition idle still runs its group inline there.
+///
+/// The sessions run on detached threads, so a stranded answer fails the
+/// test instead of hanging it.
+#[test]
+fn messages_to_a_dead_worker_answer_shutdown() {
+    let engine = Arc::new(loaded_engine());
+    let send = |plan: TransactionPlan| {
+        let engine = engine.clone();
+        std::thread::spawn(move || engine.session().execute(plan))
+    };
+    std::thread::scope(|scope| {
+        let holder = Holder::start(scope, &engine, 5);
+        let before = messages_sent(&engine);
+        // X is ahead of A in partition 0's inbox: taken by the worker,
+        // which blocks on the held claim, or still in its own lane.
+        let x = send(TransactionPlan::single(read_value(1)));
+        await_messages(&engine, before, 1);
+        let a = send(TransactionPlan::single(read_value(2)));
+        await_messages(&engine, before, 2);
+        // V's lane is the newest, so the worker drains it before A's.
+        let v = send(TransactionPlan::single(Action::new(TABLE, 3, |_ctx| {
+            panic!("injected worker fault")
+        })));
+        await_messages(&engine, before, 3);
+        holder.release();
+        assert_eq!(answer_within(v, "V"), Err(EngineError::Shutdown));
+        assert_eq!(answer_within(a, "A"), Err(EngineError::Shutdown));
+        let x = answer_within(x, "X");
+        assert!(
+            matches!(x, Ok(_) | Err(EngineError::Shutdown)),
+            "X answered {x:?}"
+        );
+        // B finds the partition held, so its group goes to the dead worker.
+        let holder = Holder::start(scope, &engine, 5);
+        let b = send(TransactionPlan::single(read_value(6)));
+        assert_eq!(answer_within(b, "B"), Err(EngineError::Shutdown));
+        holder.release();
+    });
+    let outputs = engine
+        .session()
+        .execute(TransactionPlan::single(read_value(7)))
+        .expect("an idle partition runs inline without its worker");
+    assert_eq!(outputs[0].values, vec![7]);
+    Arc::into_inner(engine)
+        .expect("every session thread has answered")
+        .shutdown();
+}
+
+/// The queue counters are the engine's own: messages through engine A move
+/// none of engine B's, with or without `sync_channel_metrics`.
+#[test]
+fn queue_counters_are_per_engine() {
+    let (mut a, mut b) = (loaded_engine(), loaded_engine());
+    // Let both engines' idle workers park before B's counters are read.
+    std::thread::sleep(Duration::from_millis(20));
+    let queue = |engine: &Engine| {
+        let m = engine.db().stats().snapshot().msg;
+        (m.enqueue_spins, m.dequeue_spins, m.parks, m.wakeups)
+    };
+    let b_before = queue(&b);
+    for i in 0..4 {
+        let (result, _) =
+            execute_with_claims_held(&a, &[5], TransactionPlan::single(read_value(i)));
+        result.expect("commits");
+    }
+    b.db().sync_channel_metrics();
+    assert_eq!(messages_sent(&b), 0);
+    assert_eq!(queue(&b), b_before, "B counted A's queue activity");
+    a.shutdown();
+    b.shutdown();
+}
+
+/// A message to a parked worker wakes it, and `/metrics` shows that wakeup
+/// as it happens: no sync call is needed.
+#[test]
+fn a_wakeup_shows_in_metrics_without_a_sync_call() {
+    let mut engine = loaded_engine();
+    // The idle worker exhausts its spin budget and parks.
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(metric(&engine, "plp_msg_parks_total") >= 1.0);
+    let (result, _) =
+        execute_with_claims_held(&engine, &[5], TransactionPlan::single(read_value(3)));
+    result.expect("commits");
+    assert!(metric(&engine, "plp_msg_wakeups_total") >= 1.0);
+    engine.shutdown();
+}

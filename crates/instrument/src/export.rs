@@ -458,7 +458,10 @@ mod tests {
         times(31, &|| r.msg().roundtrip(100));
         times(32, &|| r.msg().reply_reused());
         times(33, &|| r.msg().reply_allocated());
-        r.msg().queue_activity(34, 35, 36, 37);
+        times(34, &|| r.msg().enqueue_spin());
+        times(35, &|| r.msg().dequeue_spin());
+        times(36, &|| r.msg().park());
+        times(37, &|| r.msg().wakeup());
         for (n, actions) in [(41, 2), (42, 3), (43, 5), (44, 9), (45, 17)] {
             times(n, &|| r.msg().sent(actions));
         }

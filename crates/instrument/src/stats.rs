@@ -522,8 +522,8 @@ stats_table! {
     /// Every counter here except the inline pair moves only when a session
     /// sends a message: one per action group it could not run itself,
     /// whatever the group's size.  The queue counters (spins, parks,
-    /// wakeups) are slow-path counters folded in from the channel shim by
-    /// `Database::sync_channel_metrics`.
+    /// wakeups) are slow-path counters the engine's worker inbox records
+    /// as they happen, per engine.
     msg: MsgStats / MsgStatsSnapshot {
         actions: counter =>
             "plp_msg_actions_total" / "Action round trips measured (messages actually sent).",
@@ -853,14 +853,28 @@ impl MsgStats {
         self.inline_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// Fold in a delta of the channel layer's slow-path counters.
-    pub fn queue_activity(&self, enqueue_spins: u64, dequeue_spins: u64, parks: u64, wakeups: u64) {
-        self.enqueue_spins
-            .fetch_add(enqueue_spins, Ordering::Relaxed);
-        self.dequeue_spins
-            .fetch_add(dequeue_spins, Ordering::Relaxed);
-        self.parks.fetch_add(parks, Ordering::Relaxed);
-        self.wakeups.fetch_add(wakeups, Ordering::Relaxed);
+    /// A sender found its lane full and waited one backoff step.
+    #[inline]
+    pub fn enqueue_spin(&self) {
+        self.enqueue_spins.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A consumer lost a lane's head CAS and retried.
+    #[inline]
+    pub fn dequeue_spin(&self) {
+        self.dequeue_spins.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A worker exhausted its spin budget and parked.
+    #[inline]
+    pub fn park(&self) {
+        self.parks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A sender unparked a sleeping worker.
+    #[inline]
+    pub fn wakeup(&self) {
+        self.wakeups.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1155,7 +1169,11 @@ mod tests {
         m.reply_reused();
         m.reply_reused();
         m.reply_allocated();
-        m.queue_activity(5, 7, 2, 1);
+        (0..5).for_each(|_| m.enqueue_spin());
+        (0..7).for_each(|_| m.dequeue_spin());
+        m.park();
+        m.park();
+        m.wakeup();
         let a = m.snapshot();
         assert_eq!(a.actions, 2);
         assert!((a.mean_roundtrip_nanos() - 2_000.0).abs() < f64::EPSILON);
@@ -1270,7 +1288,12 @@ mod tests {
         m.roundtrip(round);
         m.reply_reused();
         m.reply_allocated();
-        m.queue_activity(round, round, round, round);
+        for _ in 0..round {
+            m.enqueue_spin();
+            m.dequeue_spin();
+            m.park();
+            m.wakeup();
+        }
         for actions in [1, 2, 3, 5, 9, 17] {
             m.sent(actions);
         }

@@ -95,9 +95,6 @@ fn run_inner(
     let stop = AtomicBool::new(false);
     let committed = AtomicU64::new(0);
     let aborted = AtomicU64::new(0);
-    // Fold channel-layer slow-path counters into the registry on both sides
-    // of the run so the snapshot delta covers exactly this interval.
-    engine.db().sync_channel_metrics();
     let before = engine.db().stats().snapshot();
     let latency_before = engine.db().stats().latency().snapshot();
     let start = Instant::now();
@@ -144,7 +141,6 @@ fn run_inner(
     });
 
     let elapsed = start.elapsed();
-    engine.db().sync_channel_metrics();
     let after = engine.db().stats().snapshot();
     let latency_after = engine.db().stats().latency().snapshot();
     RunResult {

@@ -28,47 +28,16 @@
 //! either the notifier sees the sleeper and takes the gate lock to notify
 //! (serializing with the waiter's re-check), or the waiter's re-check sees
 //! the message and never sleeps.
-//!
-//! # Fast lanes
-//!
-//! [`Sender::fast_lane`] attaches a dedicated single-producer ring
-//! (`queue::Spsc`) to the channel and returns a [`LaneSender`]: a
-//! producer handle whose `send` is a slot write with no CAS and no
-//! contention with other producers.  A full ring makes `send` spin, then
-//! yield, until the consumer frees a slot; it never falls back to the main
-//! queue.  Lanes share the channel's `not_empty` gate, so
-//! [`Receiver::wait_any`] parks until *either* the main queue or some lane
-//! has a message.
-//!
-//! ## Audit note (lane ordering)
-//!
-//! Two properties are load-bearing for callers that keep control messages on
-//! the main queue (the engine's shutdown message):
-//!
-//! 1. **No lost wakeup for lane sends.**  The same Dekker pairing as above:
-//!    the lane push's `Release` stamp store precedes the notifier's `SeqCst`
-//!    fence in `Gate::notify`; the waiter's sleeper increment (`SeqCst`)
-//!    precedes the `SeqCst` fence in `Shared::lane_ready`, which precedes
-//!    its `Acquire` stamp load.  Fence-to-fence ordering makes one side see
-//!    the other.  Pinned by `model_lane_send_wakes_parked_receiver`.
-//! 2. **Lane messages enqueued before a main-queue message are visible to a
-//!    receiver that drains lanes after popping it.**  The producer's lane
-//!    push (Release stamp store) is program-ordered before its main-queue
-//!    push, whose pop by the receiver builds a Release/Acquire edge; the
-//!    receiver's subsequent `Acquire` stamp load therefore sees the lane
-//!    value.  Pinned by `model_lane_vs_control_ordering`.
 
 use std::fmt;
-use std::marker::PhantomData;
 use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
 // std in normal builds, the loom model checker under the model-check lane;
 // see `crate::primitives`.
-use crate::primitives::{fence, Arc, AtomicPtr, AtomicUsize, Condvar, Mutex, Ordering};
+use crate::primitives::{fence, Arc, AtomicUsize, Condvar, Mutex, Ordering};
 
-use crate::metrics;
-use crate::queue::{Backoff, Bounded, Spsc, Unbounded};
+use crate::queue::{Backoff, Bounded, Unbounded};
 
 pub mod mutex_baseline;
 
@@ -169,7 +138,6 @@ impl Gate {
             if ready() {
                 break;
             }
-            metrics::park();
             guard = unpoison(self.cv.wait(guard));
         }
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
@@ -188,7 +156,6 @@ impl Gate {
             if now >= deadline {
                 break false;
             }
-            metrics::park();
             let (g, _) = unpoison(self.cv.wait_timeout(guard, deadline - now));
             guard = g;
         };
@@ -204,7 +171,6 @@ impl Gate {
         if self.sleepers.load(Ordering::SeqCst) == 0 {
             return;
         }
-        metrics::wakeup();
         let _guard = unpoison(self.lock.lock());
         if all {
             self.cv.notify_all();
@@ -219,15 +185,6 @@ enum Flavor<T> {
     Unbounded(Unbounded<T>),
 }
 
-/// One single-producer fast lane.  Nodes form an append-only intrusive list
-/// hanging off [`Shared::lanes`]; they are freed only when the channel's last
-/// handle drops (`Shared::drop`), so a raw node pointer is valid for as long
-/// as its holder keeps the channel alive.
-struct LaneNode<T> {
-    queue: Spsc<T>,
-    next: AtomicPtr<LaneNode<T>>,
-}
-
 struct Shared<T> {
     flavor: Flavor<T>,
     senders: AtomicUsize,
@@ -236,8 +193,6 @@ struct Shared<T> {
     not_empty: Gate,
     /// Senders sleep here when a bounded channel is full.
     not_full: Gate,
-    /// Append-only list of single-producer fast lanes ([`Sender::fast_lane`]).
-    lanes: AtomicPtr<LaneNode<T>>,
 }
 
 impl<T> Shared<T> {
@@ -291,53 +246,6 @@ impl<T> Shared<T> {
     fn after_pop(&self) {
         if matches!(self.flavor, Flavor::Bounded(_)) {
             self.not_full.notify(false);
-        }
-    }
-
-    /// Whether any fast lane has a message.  The leading `SeqCst` fence pairs
-    /// with the one in [`Gate::notify`] after a lane push (Dekker-style, see
-    /// the module's lane-ordering audit note), so a receiver that registered
-    /// as a sleeper before calling this cannot miss a concurrent lane send.
-    fn lane_ready(&self) -> bool {
-        fence(Ordering::SeqCst);
-        let mut node = self.lanes.load(Ordering::Acquire);
-        while !node.is_null() {
-            // SAFETY: lane nodes are append-only and freed only in
-            // `Shared::drop`, which requires exclusive access; holding `&self`
-            // keeps every published node alive.
-            let lane = unsafe { &*node };
-            if lane.queue.has_message() {
-                return true;
-            }
-            node = lane.next.load(Ordering::Acquire);
-        }
-        false
-    }
-
-    /// Pop one message from the first non-empty fast lane.
-    fn try_pop_lane(&self) -> Option<T> {
-        let mut node = self.lanes.load(Ordering::Acquire);
-        while !node.is_null() {
-            // SAFETY: as in `lane_ready` — published nodes outlive `&self`.
-            let lane = unsafe { &*node };
-            if let Some(v) = lane.queue.try_pop() {
-                return Some(v);
-            }
-            node = lane.next.load(Ordering::Acquire);
-        }
-        None
-    }
-}
-
-impl<T> Drop for Shared<T> {
-    fn drop(&mut self) {
-        let mut node = *self.lanes.get_mut();
-        while !node.is_null() {
-            // SAFETY: `&mut self` proves no concurrent access; every node was
-            // leaked from a `Box` in `Sender::fast_lane` and appears in the
-            // list exactly once.
-            let mut lane = unsafe { Box::from_raw(node) };
-            node = *lane.next.get_mut();
         }
     }
 }
@@ -400,94 +308,7 @@ impl<T> Drop for Receiver<T> {
     }
 }
 
-/// Single-producer handle for a dedicated fast lane of one channel, created
-/// by [`Sender::fast_lane`].  Deliberately neither `Clone` nor `Sync`: the
-/// unique-producer contract of the underlying `Spsc` ring is enforced by
-/// this type's shape, not by runtime checks.  `Send` is fine — moving the
-/// handle moves the producer role with it.
-pub struct LaneSender<T> {
-    /// Keeps the channel (and thus the lane node) alive and counts this
-    /// handle as a sender for disconnect semantics.
-    sender: Sender<T>,
-    lane: *mut LaneNode<T>,
-    /// `Cell` is `Send + !Sync`, which is exactly the contract we want for
-    /// the handle itself.
-    _single_producer: PhantomData<std::cell::Cell<()>>,
-}
-
-impl<T> fmt::Debug for LaneSender<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.pad("LaneSender { .. }")
-    }
-}
-
-// SAFETY: the raw lane pointer targets a node owned by the channel's
-// `Shared`, which the embedded `Sender`'s `Arc` keeps alive; all access to
-// the node goes through the Spsc stamp protocol.  `PhantomData<Cell<()>>`
-// keeps the type `!Sync` so the unique-producer contract survives the move.
-unsafe impl<T: Send> Send for LaneSender<T> {}
-
-impl<T> LaneSender<T> {
-    /// Send on the lane, waiting (spin, then yield) while the ring is full.
-    /// Fails only when every receiver has hung up.
-    pub fn send(&self, mut value: T) -> Result<(), SendError<T>> {
-        let sh = &*self.sender.shared;
-        // SAFETY: the node outlives this handle (see the `Send` impl note).
-        let queue = unsafe { &(*self.lane).queue };
-        let mut backoff = Backoff::new();
-        loop {
-            if sh.disconnected_receivers() {
-                return Err(SendError(value));
-            }
-            // SAFETY: `LaneSender` is `!Clone + !Sync`, so this handle is the
-            // ring's unique producer — the contract `Spsc::try_push` requires.
-            match unsafe { queue.try_push(value) } {
-                Ok(()) => {
-                    sh.not_empty.notify(false);
-                    return Ok(());
-                }
-                Err(v) => value = v,
-            }
-            metrics::enqueue_spin();
-            backoff.snooze();
-        }
-    }
-}
-
 impl<T> Sender<T> {
-    /// Attach a dedicated single-producer fast lane of `capacity` slots to
-    /// this channel.  The lane's storage lives until the channel itself is
-    /// dropped, so create one lane per long-lived producer, not per message
-    /// burst.
-    pub fn fast_lane(&self, capacity: usize) -> LaneSender<T> {
-        let node = Box::into_raw(Box::new(LaneNode {
-            queue: Spsc::new(capacity),
-            next: AtomicPtr::new(std::ptr::null_mut()),
-        }));
-        let mut head = self.shared.lanes.load(Ordering::Relaxed);
-        loop {
-            // SAFETY: `node` is unpublished until the CAS below succeeds, so
-            // we are its only writer here.
-            unsafe { (*node).next.store(head, Ordering::Relaxed) };
-            // Release publishes the node's initialized contents to receivers
-            // that Acquire-load the list head.
-            match self.shared.lanes.compare_exchange(
-                head,
-                node,
-                Ordering::Release,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(current) => head = current,
-            }
-        }
-        LaneSender {
-            sender: self.clone(),
-            lane: node,
-            _single_producer: PhantomData,
-        }
-    }
-
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
         let sh = &*self.shared;
         let mut value = value;
@@ -516,7 +337,6 @@ impl<T> Sender<T> {
                     }
                     Err(v) => value = v,
                 }
-                metrics::enqueue_spin();
                 if !backoff.snooze() {
                     break;
                 }
@@ -524,12 +344,6 @@ impl<T> Sender<T> {
             sh.not_full
                 .wait_until(|| !sh.is_full() || sh.disconnected_receivers());
         }
-    }
-
-    /// Whether any fast lane currently holds a message, for senders that
-    /// decide between enqueueing and doing the work themselves.
-    pub fn lane_ready(&self) -> bool {
-        self.shared.lane_ready()
     }
 }
 
@@ -640,33 +454,6 @@ impl<T> Receiver<T> {
     pub fn len(&self) -> usize {
         self.shared.len()
     }
-
-    /// Pop one message from the channel's fast lanes ([`Sender::fast_lane`]),
-    /// bypassing the main queue.  Lane consumption is CAS-claimed, so a
-    /// cloned receiver is safe — but the intended shape is one draining
-    /// receiver per channel.
-    pub fn try_recv_lane(&self) -> Option<T> {
-        self.shared.try_pop_lane()
-    }
-
-    /// Block until the main queue or a fast lane has a message, or every
-    /// sender has disconnected.  Pure wait — the caller pops via
-    /// [`Receiver::try_recv`] / [`Receiver::try_recv_lane`] afterwards (a
-    /// concurrent consumer may still win the race to the message).
-    pub fn wait_any(&self) {
-        let sh = &*self.shared;
-        let mut backoff = Backoff::new();
-        loop {
-            if !sh.is_empty() || sh.lane_ready() || sh.disconnected_senders() {
-                return;
-            }
-            if !backoff.snooze() {
-                break;
-            }
-        }
-        sh.not_empty
-            .wait_until(|| !sh.is_empty() || sh.lane_ready() || sh.disconnected_senders());
-    }
 }
 
 fn with_flavor<T>(flavor: Flavor<T>) -> (Sender<T>, Receiver<T>) {
@@ -676,7 +463,6 @@ fn with_flavor<T>(flavor: Flavor<T>) -> (Sender<T>, Receiver<T>) {
         receivers: AtomicUsize::new(1),
         not_empty: Gate::new(),
         not_full: Gate::new(),
-        lanes: AtomicPtr::new(std::ptr::null_mut()),
     });
     (
         Sender {
@@ -771,90 +557,6 @@ mod tests {
         assert_eq!(rx.try_recv(), Ok(9));
         assert_eq!(rx.try_recv(), Ok(10));
         assert!(rx.is_empty());
-    }
-
-    #[test]
-    fn a_full_lane_waits_for_room_and_errors_without_receivers() {
-        let (tx, rx) = unbounded::<u32>();
-        let lane = tx.fast_lane(2);
-        lane.send(1).unwrap();
-        lane.send(2).unwrap();
-        // Ring full: the third send waits until the consumer frees a slot,
-        // and never takes the main queue.
-        let producer = thread::spawn(move || {
-            lane.send(3).unwrap();
-            lane
-        });
-        let mut got = Vec::new();
-        while got.len() < 3 {
-            match rx.try_recv_lane() {
-                Some(v) => got.push(v),
-                None => thread::yield_now(),
-            }
-        }
-        assert_eq!(got, vec![1, 2, 3]);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        let lane = producer.join().unwrap();
-        lane.send(4).unwrap();
-        lane.send(5).unwrap();
-        // Full, and the receiver is gone: the send fails instead of waiting.
-        drop(rx);
-        assert!(lane.send(6).is_err());
-        drop(tx);
-    }
-
-    #[test]
-    fn lane_message_before_control_drains_first() {
-        // The engine's shutdown shape: an action on the lane, then a control
-        // message on the main queue; a receiver that pops the control message
-        // must find the action on a single lane drain pass.
-        let (tx, rx) = unbounded::<u32>();
-        let lane = tx.fast_lane(4);
-        lane.send(10).unwrap();
-        tx.send(99).unwrap();
-        assert_eq!(rx.try_recv(), Ok(99));
-        assert_eq!(rx.try_recv_lane(), Some(10));
-    }
-
-    #[test]
-    fn wait_any_sees_lane_sends_and_disconnects() {
-        let (tx, rx) = unbounded::<u32>();
-        let lane = tx.fast_lane(1);
-        let h = thread::spawn(move || {
-            lane.send(5).unwrap();
-            // `lane` (and the embedded sender clone) drop here…
-        });
-        loop {
-            rx.wait_any();
-            if let Some(v) = rx.try_recv_lane() {
-                assert_eq!(v, 5);
-                break;
-            }
-        }
-        h.join().unwrap();
-        drop(tx);
-        // All senders gone: wait_any must not park forever.
-        rx.wait_any();
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn lane_send_errors_when_receivers_gone() {
-        let (tx, rx) = unbounded::<u32>();
-        let lane = tx.fast_lane(1);
-        drop(rx);
-        assert!(lane.send(1).is_err());
-    }
-
-    #[test]
-    fn lane_pending_values_dropped_with_channel() {
-        // Values parked in a lane when the channel dies must still be freed
-        // (leak-checked under miri/asan).
-        let (tx, rx) = unbounded::<Vec<u32>>();
-        let lane = tx.fast_lane(4);
-        lane.send(vec![1, 2, 3]).unwrap();
-        lane.send(vec![4, 5, 6]).unwrap();
-        drop((tx, rx, lane));
     }
 
     #[test]

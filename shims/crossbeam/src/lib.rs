@@ -9,9 +9,9 @@
 //!
 //! # Implementation
 //!
-//! The worker request/reply exchange in `plp-core` is the engine's hot path
-//! (the "Message passing" component of the paper's Figure 1), so since PR 5
-//! the channels are **lock-free on the hot path**:
+//! The channels are **lock-free on the hot path**.  They were the engine's
+//! worker queues until the worker inbox moved into `plp-core`; today only
+//! the message-cost benchmark uses them, as its shared-queue rows:
 //!
 //! * `bounded(n)` is a Vyukov-style array queue (`queue` has the
 //!   algorithm and the memory-ordering argument);
@@ -22,25 +22,16 @@
 //!   actually sleeps ([`channel`] documents the lost-wakeup argument and
 //!   the wake-one vs wake-all policy).
 //!
-//! # Extensions over the real crate
+//! # Extension over the real crate
 //!
-//! Two additive modules exist only in the shim:
-//!
-//! * [`channel::mutex_baseline`] — the previous mutex+condvar
-//!   implementation, kept as the measurement baseline for the message-cost
-//!   experiment and as a correctness oracle for the semantics tests;
-//! * [`metrics`] — process-global slow-path counters (enqueue/dequeue
-//!   spins, parks, wakeups).
-//!
-//! When swapping in the real crossbeam, the workspace code that touches
-//! these extensions is confined to `plp_core::Database::sync_channel_metrics`
-//! and the `fig_msgcost` benchmark; everything else uses the real crate's
-//! API surface.
+//! [`channel::mutex_baseline`] exists only in the shim: the previous
+//! mutex+condvar implementation, kept as the measurement baseline for the
+//! message-cost experiment and as a correctness oracle for the semantics
+//! tests.  Everything else is the real crate's API surface.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod channel;
-pub mod metrics;
 #[cfg(all(test, any(plp_loom, feature = "loom-model")))]
 mod model_tests;
 mod primitives;

@@ -15,7 +15,7 @@ use loom::sync::Arc;
 use loom::thread;
 
 use crate::channel;
-use crate::queue::{Bounded, Spsc, Unbounded, BLOCK_CAP};
+use crate::queue::{Bounded, Unbounded, BLOCK_CAP};
 
 /// A request/ack handshake: request over one `bounded(1)` channel, ack back
 /// over another.  The lap-marker livelock (a `bounded(1)` consumer and
@@ -150,94 +150,6 @@ fn model_disconnect_wakes_all_receivers() {
         for r in receivers {
             assert_eq!(r.join().unwrap(), Err(channel::RecvError));
         }
-    });
-}
-
-/// SPSC publication: the producer's Release stamp store must make the value
-/// write visible to the consumer's Acquire load, across a lap boundary
-/// (capacity 1 forces slot reuse on the second push).  A missing
-/// Release/Acquire pair manifests as an uninitialized or stale read.
-#[test]
-fn model_spsc_publication() {
-    loom::model(|| {
-        let q = Arc::new(Spsc::new(1));
-        let producer = {
-            let q = q.clone();
-            thread::spawn(move || {
-                for v in [11u32, 22] {
-                    let mut v = v;
-                    // SAFETY: this thread is the ring's unique producer.
-                    while let Err(back) = unsafe { q.try_push(v) } {
-                        v = back;
-                        thread::yield_now();
-                    }
-                }
-            })
-        };
-        let mut got = Vec::new();
-        while got.len() < 2 {
-            match q.try_pop() {
-                Some(v) => got.push(v),
-                None => thread::yield_now(),
-            }
-        }
-        producer.join().unwrap();
-        // Single producer: FIFO, no loss, no duplication.
-        assert_eq!(got, [11, 22]);
-        assert!(q.try_pop().is_none());
-    });
-}
-
-/// Lane-side lost-wakeup freedom: a receiver parked in `wait_any` on an
-/// empty channel must be woken by a concurrent *lane* send (the gate's
-/// Dekker pairing extended with the `SeqCst` fence in `Shared::lane_ready`).
-/// A lost wakeup manifests as a model deadlock.
-#[test]
-fn model_lane_send_wakes_parked_receiver() {
-    loom::model(|| {
-        let (tx, rx) = channel::unbounded::<u32>();
-        let lane = tx.fast_lane(1);
-        let sender = thread::spawn(move || {
-            lane.send(42).expect("receiver alive");
-        });
-        loop {
-            rx.wait_any();
-            if let Some(v) = rx.try_recv_lane() {
-                assert_eq!(v, 42);
-                break;
-            }
-            thread::yield_now();
-        }
-        sender.join().unwrap();
-    });
-}
-
-/// Lane-vs-control ordering handshake: a message pushed onto a fast lane
-/// *before* a main-queue (control) message from the same producer must be
-/// visible to a receiver that drains lanes after popping the control
-/// message.  This is the invariant the engine's shutdown drain relies on
-/// when actions ride lanes while `Shutdown` stays on the MPMC queue.
-#[test]
-fn model_lane_vs_control_ordering() {
-    loom::model(|| {
-        let (tx, rx) = channel::unbounded::<u32>();
-        let lane = tx.fast_lane(1);
-        let sender = thread::spawn(move || {
-            assert!(lane.send(1).is_ok()); // "action" on the lane
-            tx.send(2).expect("receiver alive"); // "control" on the main queue
-        });
-        // Receive the control message from the main queue first…
-        let control = loop {
-            match rx.try_recv() {
-                Ok(v) => break v,
-                Err(_) => thread::yield_now(),
-            }
-        };
-        assert_eq!(control, 2);
-        // …then the lane message must already be there: no yield-loop — a
-        // single drain pass has to find it.
-        assert_eq!(rx.try_recv_lane(), Some(1));
-        sender.join().unwrap();
     });
 }
 

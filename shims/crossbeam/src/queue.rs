@@ -44,7 +44,6 @@
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 
-use crate::metrics;
 // std in normal builds, the loom model checker under the model-check lane;
 // see `crate::primitives`.
 use crate::primitives::{fence, spin_wait, yield_now, AtomicPtr, AtomicUsize, Ordering};
@@ -196,7 +195,6 @@ impl<T> Bounded<T> {
                     }
                     Err(current) => {
                         pos = current;
-                        metrics::enqueue_spin();
                         backoff.spin();
                     }
                 }
@@ -205,7 +203,6 @@ impl<T> Bounded<T> {
                 return Err(value);
             } else {
                 // Another producer claimed this position; catch up.
-                metrics::enqueue_spin();
                 backoff.spin();
                 pos = self.enqueue_pos.0.load(Ordering::Relaxed);
             }
@@ -241,7 +238,6 @@ impl<T> Bounded<T> {
                     }
                     Err(current) => {
                         pos = current;
-                        metrics::dequeue_spin();
                         backoff.spin();
                     }
                 }
@@ -249,7 +245,6 @@ impl<T> Bounded<T> {
                 return None;
             } else {
                 // Another consumer claimed this position; catch up.
-                metrics::dequeue_spin();
                 backoff.spin();
                 pos = self.dequeue_pos.0.load(Ordering::Relaxed);
             }
@@ -333,7 +328,6 @@ impl<T> Block<T> {
             if !next.is_null() {
                 return next;
             }
-            metrics::dequeue_spin();
             backoff.snooze();
         }
     }
@@ -429,7 +423,6 @@ impl<T> Unbounded<T> {
             if offset == BLOCK_CAP {
                 // Another producer claimed the last slot and is installing
                 // the next block; wait for it to bump the index.
-                metrics::enqueue_spin();
                 backoff.snooze();
                 tail = self.tail.0.index.load(Ordering::Acquire);
                 block = self.tail.0.block.load(Ordering::Acquire);
@@ -469,7 +462,6 @@ impl<T> Unbounded<T> {
                 Err(current) => {
                     tail = current;
                     block = self.tail.0.block.load(Ordering::Acquire);
-                    metrics::enqueue_spin();
                     backoff.spin();
                 }
             }
@@ -486,7 +478,6 @@ impl<T> Unbounded<T> {
             if offset == BLOCK_CAP {
                 // The consumer of the last slot is moving head to the next
                 // block; wait for the bump.
-                metrics::dequeue_spin();
                 backoff.snooze();
                 head = self.head.0.index.load(Ordering::Acquire);
                 block = self.head.0.block.load(Ordering::Acquire);
@@ -525,7 +516,6 @@ impl<T> Unbounded<T> {
                     // tail) but may not have finished writing; wait for it.
                     let mut write_backoff = Backoff::new();
                     while slot.state.load(Ordering::Acquire) & WRITE == 0 {
-                        metrics::dequeue_spin();
                         write_backoff.snooze();
                     }
                     let value = slot.value.get().read().assume_init();
@@ -541,7 +531,6 @@ impl<T> Unbounded<T> {
                 Err(current) => {
                     head = current;
                     block = self.head.0.block.load(Ordering::Acquire);
-                    metrics::dequeue_spin();
                     backoff.spin();
                 }
             }
@@ -565,147 +554,6 @@ impl<T> Unbounded<T> {
 
     pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Spsc: single-producer bounded ring (the channel layer's fast lanes).
-// ---------------------------------------------------------------------------
-
-/// A Vyukov-style bounded ring with the producer-side CAS removed: each slot
-/// carries the same doubled-lap `sequence` stamp as [`Bounded`], but because
-/// there is exactly one producer, claiming a position is a plain load of the
-/// producer-private tail counter — no ticket CAS, no cache-line contention
-/// with other producers.  The consumer side keeps the CAS claim so that a
-/// cloned `Receiver` cannot double-read a slot (in the engine there is one
-/// consumer per worker queue and the CAS is uncontended).
-///
-/// # Memory-ordering argument
-///
-/// Identical to [`Bounded`] obligations 1 and 2: the producer publishes the
-/// value with a `Release` store of `2*pos + 1` *after* writing the cell; the
-/// consumer `Acquire`-loads that stamp before reading, and frees the slot
-/// with a `Release` store of `2*(pos + capacity)` *after* moving the value
-/// out, which the producer `Acquire`-loads before reusing the slot.
-/// Obligation 3 (unique position claim) holds on the producer side by the
-/// unique-producer contract of [`Spsc::try_push`] (enforced by the channel
-/// layer: the producer handle is neither `Clone` nor `Sync`) and on the
-/// consumer side by the head CAS.  `model_spsc_publication` explores the
-/// protocol under the checker; the wakeup handshake with the channel gate is
-/// pinned by `model_lane_send_wakes_parked_receiver`.
-pub(crate) struct Spsc<T> {
-    slots: Box<[BoundedSlot<T>]>,
-    capacity: usize,
-    /// Producer's next position.  Written only by the (unique) producer.
-    tail: CachePadded<AtomicUsize>,
-    /// Consumer's next position.  CAS-claimed by consumers.
-    head: CachePadded<AtomicUsize>,
-}
-
-// SAFETY: slot value cells are handed off through the doubled-lap sequence
-// stamps exactly as in `Bounded` (Release publish, Acquire read); the
-// unique-producer contract of `try_push` plus the consumer-side head CAS
-// ensure one writer and one reader per (slot, lap).  `T: Send` because
-// values move across threads.
-unsafe impl<T: Send> Send for Spsc<T> {}
-// SAFETY: as above — all shared slot access is serialized by the stamp
-// protocol; the positions are atomics.
-unsafe impl<T: Send> Sync for Spsc<T> {}
-
-impl<T> Spsc<T> {
-    pub(crate) fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let slots = (0..capacity)
-            .map(|i| BoundedSlot {
-                sequence: AtomicUsize::new(2 * i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
-        Self {
-            slots,
-            capacity,
-            tail: CachePadded(AtomicUsize::new(0)),
-            head: CachePadded(AtomicUsize::new(0)),
-        }
-    }
-
-    /// Wait-free push; hands the value back when the ring is full (the
-    /// caller falls back to the shared MPMC queue).
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the ring's unique producer: two concurrent
-    /// `try_push` calls would claim the same position and race on the slot
-    /// cell.  The channel layer enforces this by construction — the only
-    /// producer handle (`channel::LaneSender`) is neither `Clone` nor `Sync`.
-    pub(crate) unsafe fn try_push(&self, value: T) -> Result<(), T> {
-        // Relaxed: only the unique producer writes `tail`, so this load sees
-        // our own previous store.
-        let pos = self.tail.0.load(Ordering::Relaxed);
-        let slot = &self.slots[pos % self.capacity];
-        if slot.sequence.load(Ordering::Acquire) != 2 * pos {
-            // The slot still holds last lap's value: the ring is full.
-            return Err(value);
-        }
-        // SAFETY: the sequence stamp `2*pos` says the consumer freed this
-        // slot for lap `pos`, and the unique-producer contract makes us the
-        // sole writer; the consumer reads only after the Release store below.
-        unsafe { slot.value.get().write(MaybeUninit::new(value)) };
-        slot.sequence.store(2 * pos + 1, Ordering::Release);
-        self.tail.0.store(pos + 1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Lock-free pop; `None` when the ring is empty.
-    pub(crate) fn try_pop(&self) -> Option<T> {
-        let mut backoff = Backoff::new();
-        let mut pos = self.head.0.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos % self.capacity];
-            if slot.sequence.load(Ordering::Acquire) != 2 * pos + 1 {
-                return None;
-            }
-            match self.head.0.compare_exchange_weak(
-                pos,
-                pos + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    // SAFETY: the Acquire load of `2*pos + 1` above saw the
-                    // producer's Release store, so the value write
-                    // happens-before this read; the CAS claimed position
-                    // `pos`, so no other consumer reads this (slot, lap).
-                    let value = unsafe { slot.value.get().read().assume_init() };
-                    slot.sequence
-                        .store(2 * (pos + self.capacity), Ordering::Release);
-                    return Some(value);
-                }
-                Err(current) => {
-                    pos = current;
-                    metrics::dequeue_spin();
-                    backoff.spin();
-                }
-            }
-        }
-    }
-
-    /// Whether the slot at the consumer position holds a value.  Used by the
-    /// channel gate's sleep predicate; the caller issues the `SeqCst` fence
-    /// that pairs this check with the producer's post-push fence (see
-    /// `channel::Shared::lane_ready`).
-    pub(crate) fn has_message(&self) -> bool {
-        let pos = self.head.0.load(Ordering::Relaxed);
-        self.slots[pos % self.capacity]
-            .sequence
-            .load(Ordering::Acquire)
-            == 2 * pos + 1
-    }
-}
-
-impl<T> Drop for Spsc<T> {
-    fn drop(&mut self) {
-        while self.try_pop().is_some() {}
     }
 }
 
@@ -806,77 +654,6 @@ mod tests {
             q.try_pop().unwrap();
         }
         drop(q);
-    }
-
-    #[test]
-    fn spsc_fifo_full_and_lap_reuse() {
-        let q = Spsc::new(2);
-        // SAFETY: this test thread is the unique producer.
-        unsafe {
-            assert!(q.try_push(1).is_ok());
-            assert!(q.try_push(2).is_ok());
-            assert_eq!(q.try_push(3), Err(3));
-        }
-        assert!(q.has_message());
-        assert_eq!(q.try_pop(), Some(1));
-        assert_eq!(q.try_pop(), Some(2));
-        assert_eq!(q.try_pop(), None);
-        assert!(!q.has_message());
-        for lap in 0..100u64 {
-            // SAFETY: as above — single producer.
-            unsafe {
-                assert!(q.try_push(lap).is_ok());
-            }
-            assert_eq!(q.try_pop(), Some(lap));
-        }
-    }
-
-    #[test]
-    fn spsc_drop_releases_pending_values() {
-        let q = Spsc::new(8);
-        for i in 0..5u64 {
-            // SAFETY: single producer.
-            unsafe {
-                q.try_push(vec![i; 4]).unwrap();
-            }
-        }
-        q.try_pop().unwrap();
-        drop(q);
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "20k-element spin transfer is too slow under miri")]
-    fn spsc_concurrent_transfer() {
-        let q = std::sync::Arc::new(Spsc::new(4));
-        let total = 20_000u64;
-        let producer = {
-            let q = q.clone();
-            std::thread::spawn(move || {
-                for i in 0..total {
-                    let mut v = i;
-                    loop {
-                        // SAFETY: this thread is the unique producer.
-                        match unsafe { q.try_push(v) } {
-                            Ok(()) => break,
-                            Err(back) => {
-                                v = back;
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                }
-            })
-        };
-        let mut expected = 0u64;
-        while expected < total {
-            if let Some(v) = q.try_pop() {
-                assert_eq!(v, expected);
-                expected += 1;
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        producer.join().unwrap();
     }
 
     #[test]

@@ -70,6 +70,10 @@ const ORDERING_ALLOWLIST: &[(&str, &str)] = &[
         "model-checked reply rendezvous (docs/concurrency.md)",
     ),
     (
+        "crates/core/src/inbox.rs",
+        "model-checked worker inbox: lane ring stamps and the park/stop/close word (docs/concurrency.md)",
+    ),
+    (
         "crates/core/src/engine.rs",
         "relaxed fetch_add allocating unique agent ids; uniqueness needs atomicity only",
     ),
