@@ -46,7 +46,7 @@ fn main() {
     let tatp = Tatp::new(scale.subscribers);
     let config = EngineConfig::new(Design::PlpRegular)
         .with_partitions(OBS_THREADS)
-        .with_dlb(plp_core::DlbConfig::aggressive())
+        .with_dlb()
         .with_obs_endpoint("127.0.0.1:0");
     let engine = prepare_engine(config, &tatp);
     let addr = engine.obs_addr().expect("endpoint configured");

@@ -647,7 +647,6 @@ const SUBSCRIBER_TABLE: TableId = TableId(0);
 /// injected sibling failure leaves every table on its old boundaries and the
 /// engine still serving transactions.
 pub fn fig_dlb_skew(scale: Scale) -> Vec<Table> {
-    use plp_core::DlbConfig;
     use plp_workloads::micro::SkewedProbe;
     use plp_workloads::skew::SkewKind;
 
@@ -702,7 +701,7 @@ pub fn fig_dlb_skew(scale: Scale) -> Vec<Table> {
             .with_partitions(threads)
             .with_fanout(128);
         if dlb_on {
-            config = config.with_dlb(DlbConfig::aggressive());
+            config = config.with_dlb();
         }
         let engine = prepare_engine(config, &workload);
         // Settle window: with DLB on, the controller adapts to the initial

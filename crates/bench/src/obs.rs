@@ -184,8 +184,8 @@ pub fn scrape(addr: std::net::SocketAddr, path: &str) -> std::io::Result<String>
     Ok(response)
 }
 
-/// Run one TATP burst with the aggressive §5 load-balancer settings and
-/// return `(decisions_json, slow_json)`: the DLB decision audit log and the
+/// Run one TATP burst with the §5 load balancer on and return
+/// `(decisions_json, slow_json)`: the DLB decision audit log and the
 /// slow-transaction reservoir.  `fig_obs --audit` writes these as the
 /// nightly CI artifacts, so a regression report always comes with the
 /// controller's reasoning and the worst round trips attached.
@@ -193,7 +193,7 @@ pub fn audit_artifacts(scale: Scale) -> (String, String) {
     let tatp = Tatp::new(scale.subscribers);
     let config = EngineConfig::new(Design::PlpRegular)
         .with_partitions(OBS_THREADS)
-        .with_dlb(plp_core::DlbConfig::aggressive());
+        .with_dlb();
     let engine = prepare_engine(config, &tatp);
     let _ = run_fixed(
         &engine,
@@ -203,7 +203,7 @@ pub fn audit_artifacts(scale: Scale) -> (String, String) {
         0x0B5,
     );
     // The controller evaluates on its own thread every other aging tick
-    // (~40ms aggressive); give it a few ticks past the burst so the audit
+    // (~40ms); give it a few ticks past the burst so the audit
     // log holds post-load verdicts too.
     std::thread::sleep(Duration::from_millis(150));
     let stats = engine.db().stats();

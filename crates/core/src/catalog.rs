@@ -204,10 +204,9 @@ pub struct EngineConfig {
     /// TPC-B with padding disabled).
     pub pad_records: bool,
     /// Dynamic load balancing (Section 5): aging access histograms plus a
-    /// background repartition controller.  Disabled by default; see
-    /// [`crate::dlb::DlbConfig`] for the knobs (aging interval, trigger
-    /// threshold, minimum time between repartitions, …).
-    pub dlb: crate::dlb::DlbConfig,
+    /// background repartition controller.  Off by default; its timings and
+    /// thresholds are constants in [`crate::dlb::controller`].
+    pub dlb: bool,
     /// Directory for the file-backed log device.  `None` (the default) keeps
     /// the log memory-only — durability is simulated, nothing survives a
     /// process exit.  Required for [`DurabilityMode::Strict`].
@@ -251,7 +250,7 @@ impl EngineConfig {
             log_protocol: InsertProtocol::Consolidated,
             durability: DurabilityMode::Lazy,
             pad_records: false,
-            dlb: crate::dlb::DlbConfig::default(),
+            dlb: false,
             log_dir: None,
             log_segment_bytes: plp_wal::segment::DEFAULT_SEGMENT_BYTES,
             checkpoint_interval: None,
@@ -314,10 +313,10 @@ impl EngineConfig {
         self
     }
 
-    /// Configure dynamic load balancing (only meaningful for the partitioned
+    /// Turn on dynamic load balancing (only meaningful for the partitioned
     /// designs; the conventional design has no partitions to balance).
-    pub fn with_dlb(mut self, dlb: crate::dlb::DlbConfig) -> Self {
-        self.dlb = dlb;
+    pub fn with_dlb(mut self) -> Self {
+        self.dlb = true;
         self
     }
 

@@ -1,18 +1,18 @@
 //! The background load-balancer controller (Section 5.2–5.3 of the paper).
 //!
-//! A dedicated thread periodically ages the access histograms, checks the
-//! per-worker load balance of every alignment-group root table, and — when
-//! the observed imbalance exceeds the trigger threshold and the analytical
-//! cost model predicts the move pays for itself — invokes
+//! A periodic background thread ages the access histograms every tick,
+//! checks the per-worker load balance of every alignment-group root table,
+//! and — when the observed imbalance exceeds the trigger threshold and the
+//! analytical cost model predicts the move pays for itself — invokes
 //! [`PartitionManager::repartition`] with boundaries that equalize predicted
-//! load.  Every decision (taken or skipped, and why) is counted in
+//! load.  It does nothing until the partition manager admits transactions,
+//! so loading and recovery never trigger a repartition.  Every decision
+//! (taken or skipped, and why) is counted in
 //! [`plp_instrument::stats::DlbStats`].
 
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use plp_btree::costmodel::CostModelParams;
 use plp_instrument::trace::now_nanos;
 use plp_instrument::{DecisionLog, DlbDecision, DlbOutcome};
@@ -21,197 +21,76 @@ use crate::catalog::Design;
 use crate::database::Database;
 use crate::dlb::histogram::HistogramSet;
 use crate::dlb::planner::{self, LoadSnapshot};
+use crate::engine::Periodic;
 use crate::partition::PartitionManager;
 use crate::table::Table;
 
-/// Configuration knobs of the dynamic load balancer.
-///
-/// The defaults favour stability (conservative trigger, 1 s between
-/// repartitions); benchmarks and tests dial the intervals down.  All knobs
-/// are plain data so a config can be built once and cloned into
-/// [`crate::catalog::EngineConfig`].
-#[derive(Debug, Clone)]
-pub struct DlbConfig {
-    /// Master switch.  When `false` (the default) no histograms are
-    /// allocated, the routing path records nothing, and no controller thread
-    /// is spawned — the engine behaves exactly as before this subsystem
-    /// existed.
-    pub enabled: bool,
-    /// Coarse buckets per table histogram (max 64).
-    pub top_buckets: usize,
-    /// Fine sub-buckets inside each refined (hot) coarse bucket.
-    pub sub_buckets: usize,
-    /// A coarse bucket is refined when its load exceeds this multiple of the
-    /// fair per-bucket share.
-    pub refine_hot_factor: f64,
-    /// Period of one aging tick (histogram decay + refinement refresh).
-    pub aging_interval: Duration,
-    /// Counters are right-shifted by this much per aging tick (1 = halve).
-    pub decay_shift: u32,
-    /// Evaluate balance every this many aging ticks.
-    pub evaluate_every: u32,
-    /// Act only when observed imbalance (hottest worker / mean) exceeds this.
-    pub trigger_imbalance: f64,
-    /// Require the plan to cut imbalance by at least this much.
-    pub min_gain: f64,
-    /// How many histogram windows of predicted gain a plan may amortize its
-    /// movement cost over.  A hotspot's gain persists for as long as the
-    /// skew does, so this is a floor on how long the controller assumes the
-    /// observed pattern will last (64 windows is well under a second at the
-    /// default aging interval).
-    pub benefit_horizon: f64,
-    /// Cost-model units (≈ one record move) per access of predicted gain;
-    /// higher values make the controller more reluctant to move data.
-    pub move_cost_weight: f64,
-    /// Minimum wall-clock time between controller-triggered repartitions.
-    pub min_repartition_gap: Duration,
-    /// Ignore histograms with fewer total samples than this.
-    pub min_samples: u64,
+/// Coarse buckets per table histogram: the most the refinement bitmap covers.
+const TOP_BUCKETS: usize = 64;
+/// Fine sub-buckets per refined coarse bucket, so a boundary can land inside
+/// a hot bucket.
+const SUB_BUCKETS: usize = 8;
+
+/// The access histograms of every table in `db`, for the partition manager
+/// to feed and the controller to read.
+pub(crate) fn histograms(db: &Database) -> Arc<HistogramSet> {
+    let key_spaces: Vec<u64> = db.tables().iter().map(|t| t.spec().key_space).collect();
+    Arc::new(HistogramSet::new(&key_spaces, TOP_BUCKETS, SUB_BUCKETS))
 }
 
-impl Default for DlbConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            top_buckets: 64,
-            sub_buckets: 8,
-            refine_hot_factor: 2.0,
-            aging_interval: Duration::from_millis(100),
-            decay_shift: 1,
-            evaluate_every: 2,
-            trigger_imbalance: 1.5,
-            min_gain: 0.1,
-            benefit_horizon: 64.0,
-            move_cost_weight: 1.0,
-            min_repartition_gap: Duration::from_secs(1),
-            min_samples: 256,
-        }
-    }
-}
+/// Period of one aging tick: a shifted hotspot is acted on within a few
+/// hundred milliseconds.
+const AGING_INTERVAL: Duration = Duration::from_millis(20);
+/// Evaluate balance every this many ticks, so a decision sees more than one
+/// tick's accesses.
+const EVALUATE_EVERY: u32 = 2;
+/// Counters are right-shifted by this much per tick: halving lets a stale
+/// hotspot fade within a few ticks.
+const DECAY_SHIFT: u32 = 1;
+/// A coarse bucket is refined when its load exceeds this multiple of the
+/// fair per-bucket share.
+const REFINE_HOT_FACTOR: f64 = 2.0;
 
-impl DlbConfig {
-    /// An enabled controller with the default knobs.
-    pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// Aggressive intervals for tests and CI-friendly benchmarks: tight aging
-    /// ticks and a short repartition cooldown so convergence happens within a
-    /// few hundred milliseconds.
-    pub fn aggressive() -> Self {
-        Self {
-            enabled: true,
-            aging_interval: Duration::from_millis(20),
-            evaluate_every: 2,
-            min_repartition_gap: Duration::from_millis(100),
-            min_samples: 128,
-            ..Self::default()
-        }
-    }
-}
-
-enum DlbCommand {
-    Resume,
-    Stop,
-}
-
-/// Handle to the running controller thread.  Owned by the engine; dropping it
-/// stops the thread.
-pub struct LoadBalancerHandle {
-    sender: Sender<DlbCommand>,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl LoadBalancerHandle {
-    /// Spawn the controller, paused: the engine resumes it in
-    /// `finish_loading`, so the loading phase never triggers a repartition.
-    pub(crate) fn start(
-        db: Arc<Database>,
-        pm: Arc<PartitionManager>,
-        histograms: Arc<HistogramSet>,
-        design: Design,
-        config: DlbConfig,
-    ) -> Self {
-        let (tx, rx) = channel();
-        let thread = std::thread::Builder::new()
-            .name("plp-dlb".to_string())
-            .spawn(move || controller_loop(db, pm, histograms, design, config, rx))
-            .expect("spawn dlb controller");
-        Self {
-            sender: tx,
-            thread: Mutex::new(Some(thread)),
-        }
-    }
-
-    /// Resume aging and evaluation.
-    pub fn resume(&self) {
-        let _ = self.sender.send(DlbCommand::Resume);
-    }
-
-    /// Stop the controller and join its thread (idempotent).
-    pub fn stop(&self) {
-        let _ = self.sender.send(DlbCommand::Stop);
-        if let Some(t) = self.thread.lock().take() {
-            crate::worker::join_unless_self(t);
-        }
-    }
-}
-
-impl Drop for LoadBalancerHandle {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-impl std::fmt::Debug for LoadBalancerHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LoadBalancerHandle").finish()
-    }
-}
-
-fn controller_loop(
+/// Start the controller thread; dropping the returned handle stops it.
+pub(crate) fn start(
     db: Arc<Database>,
     pm: Arc<PartitionManager>,
     histograms: Arc<HistogramSet>,
     design: Design,
-    config: DlbConfig,
-    rx: Receiver<DlbCommand>,
-) {
-    let mut paused = true;
+) -> Periodic {
     let mut ticks = 0u32;
     let mut last_repartition: Option<Instant> = None;
-    loop {
-        match rx.recv_timeout(config.aging_interval) {
-            Ok(DlbCommand::Stop) | Err(RecvTimeoutError::Disconnected) => return,
-            Ok(DlbCommand::Resume) => {
-                paused = false;
-                continue;
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-        if paused {
-            continue;
+    Periodic::start("plp-dlb", AGING_INTERVAL, move || {
+        if !pm.loaded() {
+            return;
         }
         ticks = ticks.wrapping_add(1);
         // Evaluate before decaying so the decision sees the full window.
-        if ticks.is_multiple_of(config.evaluate_every.max(1)) {
-            evaluate_once(
-                &db,
-                &pm,
-                &histograms,
-                design,
-                &config,
-                &mut last_repartition,
-            );
+        if ticks.is_multiple_of(EVALUATE_EVERY) {
+            evaluate_once(&db, &pm, &histograms, design, &mut last_repartition);
         }
-        histograms.decay_all(config.decay_shift);
-        histograms.refresh_refinement_all(config.refine_hot_factor);
+        histograms.decay_all(DECAY_SHIFT);
+        histograms.refresh_refinement_all(REFINE_HOT_FACTOR);
         db.stats().dlb().decay_round();
-    }
+    })
 }
+
+/// Ignore histograms with fewer samples than this: too few to tell skew from
+/// noise.
+const MIN_SAMPLES: u64 = 128;
+/// Act only when observed imbalance (hottest worker / mean) exceeds this.
+const TRIGGER_IMBALANCE: f64 = 1.5;
+/// Require a plan to cut imbalance by at least this much, so a near-balanced
+/// table is not reshuffled for nothing.
+const MIN_GAIN: f64 = 0.1;
+/// Histogram windows of predicted gain a plan may amortize its movement cost
+/// over: a floor on how long the controller assumes a hotspot lasts.
+const BENEFIT_HORIZON: f64 = 64.0;
+/// Cost-model units (about one record move) per access of predicted gain.
+const MOVE_COST_WEIGHT: f64 = 1.0;
+/// Minimum time between controller-triggered repartitions, so the load can
+/// settle on the new boundaries before it is judged again.
+const MIN_REPARTITION_GAP: Duration = Duration::from_millis(100);
 
 /// One evaluation round over every alignment-group root table.
 fn evaluate_once(
@@ -219,7 +98,6 @@ fn evaluate_once(
     pm: &PartitionManager,
     histograms: &HistogramSet,
     design: Design,
-    config: &DlbConfig,
     last_repartition: &mut Option<Instant>,
 ) {
     let stats = db.stats().dlb();
@@ -263,7 +141,7 @@ fn evaluate_once(
         }
         let snapshot = LoadSnapshot::new(spec.key_space, weights);
         stats.evaluation();
-        if snapshot.total() < config.min_samples {
+        if snapshot.total() < MIN_SAMPLES {
             continue;
         }
         let bounds = pm.bounds(spec.id);
@@ -272,7 +150,7 @@ fn evaluate_once(
         }
         let observed = planner::imbalance(&snapshot.partition_loads(&bounds));
         worst_observed = Some(worst_observed.map_or(observed, |w: f64| w.max(observed)));
-        if observed < config.trigger_imbalance {
+        if observed < TRIGGER_IMBALANCE {
             stats.skipped_balanced();
             record_decision(
                 decisions,
@@ -286,7 +164,7 @@ fn evaluate_once(
             continue;
         }
         if let Some(last) = *last_repartition {
-            if last.elapsed() < config.min_repartition_gap {
+            if last.elapsed() < MIN_REPARTITION_GAP {
                 stats.skipped_cooldown();
                 record_decision(
                     decisions,
@@ -327,8 +205,8 @@ fn evaluate_once(
             );
             continue;
         };
-        let net_benefit = plan.net_benefit(config.benefit_horizon, config.move_cost_weight);
-        if observed - plan.imbalance_after < config.min_gain || net_benefit <= 0.0 {
+        let net_benefit = plan.net_benefit(BENEFIT_HORIZON, MOVE_COST_WEIGHT);
+        if observed - plan.imbalance_after < MIN_GAIN || net_benefit <= 0.0 {
             stats.skipped_cost();
             record_decision(
                 decisions,
@@ -425,5 +303,39 @@ fn cost_params_for(table: &Table) -> CostModelParams {
         record_size: 100,
         entry_size: plp_btree::ENTRY_SIZE as u64,
         has_secondary: table.secondary().is_some(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::{Duration, Instant};
+
+    use super::AGING_INTERVAL;
+    use crate::catalog::{Design, EngineConfig, TableSpec};
+    use crate::engine::Engine;
+
+    /// The controller idles until the engine admits transactions: three
+    /// aging ticks before `finish_loading` neither evaluate nor decay, and
+    /// the ticks after it do.
+    #[test]
+    fn the_controller_idles_until_loading_finishes() {
+        let config = EngineConfig::new(Design::PlpRegular)
+            .with_partitions(2)
+            .with_dlb();
+        let mut engine = Engine::start(config, &[TableSpec::new(0, "t", 64)]);
+        let dlb = |engine: &Engine| engine.db().stats().snapshot().dlb;
+        std::thread::sleep(3 * AGING_INTERVAL + AGING_INTERVAL / 2);
+        let loading = dlb(&engine);
+        assert_eq!((loading.evaluations, loading.decay_rounds), (0, 0));
+        engine.finish_loading();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while dlb(&engine).decay_rounds == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the controller never aged its histograms after loading"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        engine.shutdown();
     }
 }

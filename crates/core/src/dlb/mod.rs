@@ -17,8 +17,8 @@
 //! * **The load balancer** (§5.2 — [`planner`], [`controller`]): a
 //!   background thread snapshots the histograms, computes the per-worker
 //!   imbalance (hottest worker's predicted load over the mean), and when it
-//!   exceeds the configured trigger proposes boundaries that equalize
-//!   predicted load.  The proposal is priced with the analytical
+//!   exceeds a fixed trigger proposes boundaries that equalize predicted
+//!   load.  The proposal is priced with the analytical
 //!   repartitioning cost model (`plp_btree::costmodel`, Table 2): the
 //!   execution design determines how many records a boundary move physically
 //!   relocates (PLP-Regular none, PLP-Leaf only boundary leaves,
@@ -31,17 +31,13 @@
 //!   boundaries across the alignment group and journals old boundaries so a
 //!   failed sibling repartition rolls back instead of wedging the engine.
 //!
-//! The whole subsystem is off by default ([`DlbConfig::enabled`] is
-//! `false`): no histograms are allocated and the routing path is unchanged.
-//! Enable it with [`crate::catalog::EngineConfig::with_dlb`]; observe it via
-//! [`plp_instrument::stats::DlbStats`] (decisions taken/skipped, predicted vs.
-//! observed imbalance) and drive it manually with
-//! [`crate::engine::Engine::dlb`].
+//! The whole subsystem is off by default: no histograms are allocated and
+//! the routing path is unchanged.  [`crate::catalog::EngineConfig::with_dlb`]
+//! turns it on; its timings and thresholds are constants in [`controller`].
+//! Observe it via [`plp_instrument::stats::DlbStats`] (decisions
+//! taken/skipped, predicted vs. observed imbalance) and the decision audit
+//! log (`/decisions.json`).
 
 pub mod controller;
 pub mod histogram;
 pub mod planner;
-
-pub use controller::{DlbConfig, LoadBalancerHandle};
-pub use histogram::HistogramSet;
-pub use planner::{imbalance, LoadSnapshot};

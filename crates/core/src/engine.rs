@@ -20,7 +20,7 @@ use crate::action::{Action, ActionFn, ActionOutput, PlanContinuation, Transactio
 use crate::catalog::{Design, EngineConfig, TableId, TableSpec};
 use crate::ctx::ActionCtx;
 use crate::database::Database;
-use crate::dlb::{HistogramSet, LoadBalancerHandle};
+use crate::dlb::controller;
 use crate::error::EngineError;
 use crate::partition::PartitionManager;
 use crate::reply::BatchReplySlot;
@@ -48,7 +48,8 @@ pub struct Engine {
     /// Autopsy path registered with the panic hook (see
     /// [`EngineConfig::flight_dump`]).
     flight_dump: Option<PathBuf>,
-    dlb: Option<LoadBalancerHandle>,
+    /// The load-balancer controller, when [`EngineConfig::dlb`] is on.
+    dlb: Option<Periodic>,
     partition_mgr: Option<Arc<PartitionManager>>,
     /// Links no session holds (see [`Session`]).
     links: Mutex<Vec<Vec<WorkerLink>>>,
@@ -83,8 +84,8 @@ impl Engine {
     /// when a log device and [`EngineConfig::checkpoint_interval`] are
     /// configured).  Load data through [`Database::load_record`] (or a
     /// workload loader) and then call [`Engine::finish_loading`] before
-    /// measuring — the DLB controller starts paused and only begins
-    /// observing load after `finish_loading`.
+    /// measuring — the DLB controller idles until `finish_loading` admits
+    /// transactions.
     pub fn start(config: EngineConfig, schema: &[TableSpec]) -> Self {
         let db = Database::create(config, schema);
         Self::build(db)
@@ -106,24 +107,15 @@ impl Engine {
         let config = db.config().clone();
         let design = config.design;
         let partitions = config.partitions;
-        let dlb_config = config.dlb.clone();
         let (partition_mgr, dlb) = if design.is_partitioned() {
             let mut pm = PartitionManager::new(db.clone(), design, partitions);
-            let histograms = if dlb_config.enabled {
-                let key_spaces: Vec<u64> = db.tables().iter().map(|t| t.spec().key_space).collect();
-                let h = Arc::new(HistogramSet::new(
-                    &key_spaces,
-                    dlb_config.top_buckets,
-                    dlb_config.sub_buckets,
-                ));
+            let histograms = config.dlb.then(|| {
+                let h = controller::histograms(&db);
                 pm.attach_histograms(h.clone());
-                Some(h)
-            } else {
-                None
-            };
+                h
+            });
             let pm = Arc::new(pm);
-            let dlb = histograms
-                .map(|h| LoadBalancerHandle::start(db.clone(), pm.clone(), h, design, dlb_config));
+            let dlb = histograms.map(|h| controller::start(db.clone(), pm.clone(), h, design));
             (Some(pm), dlb)
         } else {
             (None, None)
@@ -362,14 +354,6 @@ impl Engine {
         self.partition_mgr.as_deref()
     }
 
-    /// Handle to the dynamic-load-balancing controller, when enabled via
-    /// [`EngineConfig::dlb`].  The controller starts paused and
-    /// [`Engine::finish_loading`] resumes it; its activity counters live in
-    /// the shared stats registry (`db().stats().dlb()`).
-    pub fn dlb(&self) -> Option<&LoadBalancerHandle> {
-        self.dlb.as_ref()
-    }
-
     /// The flight recorder, when [`EngineConfig::metrics_interval`] or
     /// [`EngineConfig::flight_dump`] is configured.  Holds the bounded
     /// time-series of stats deltas the background sampler produces; use
@@ -394,10 +378,9 @@ impl Engine {
 
     /// Finish the loading phase: assign latch-free page ownership (PLP),
     /// admit transactions (before this every one answers
-    /// [`EngineError::NotReady`]), reset all statistics so the measured run
-    /// starts from zero, and unpause the DLB controller (if enabled) now
-    /// that the load phase's access pattern can no longer pollute the
-    /// histograms.
+    /// [`EngineError::NotReady`]; the DLB controller, if enabled, starts
+    /// acting from here too) and reset all statistics so the measured run
+    /// starts from zero.
     pub fn finish_loading(&self) {
         if let Some(pm) = &self.partition_mgr {
             pm.assign_ownership();
@@ -406,17 +389,14 @@ impl Engine {
         self.db.reset_stats();
     }
 
-    /// Admit transactions from now on and unpause the DLB controller, for
-    /// [`Self::finish_loading`] and [`Self::recover`] alike.  Each design
+    /// Admit transactions from now on, for [`Self::finish_loading`] and
+    /// [`Self::recover`] alike.  Each design
     /// keeps the flag where its transactions already look: the partition
     /// manager's ticket gate, or the central lock manager.
     fn mark_loaded(&self) {
         match &self.partition_mgr {
             Some(pm) => pm.mark_loaded(),
             None => self.db.lock_manager().mark_loaded(),
-        }
-        if let Some(dlb) = &self.dlb {
-            dlb.resume();
         }
     }
 
@@ -489,9 +469,7 @@ impl Engine {
             }
             plp_instrument::unregister_flight_dump(&rec);
         }
-        if let Some(dlb) = self.dlb.take() {
-            dlb.stop();
-        }
+        drop(self.dlb.take());
         if let Some(pm) = &self.partition_mgr {
             pm.shutdown();
         }
@@ -522,15 +500,19 @@ fn gather_checkpoint(db: &Database, pm: Option<&PartitionManager>) -> Checkpoint
 }
 
 /// A named background thread that runs `tick` every `interval` until the
-/// handle drops, which stops and joins it (the checkpointer and the metrics
-/// sampler).
-struct Periodic {
+/// handle drops, which stops and joins it (the checkpointer, the metrics
+/// sampler and the DLB controller).
+pub(crate) struct Periodic {
     stop: Arc<(Mutex<bool>, Condvar)>,
     thread: Option<JoinHandle<()>>,
 }
 
 impl Periodic {
-    fn start(name: &str, interval: Duration, mut tick: impl FnMut() + Send + 'static) -> Self {
+    pub(crate) fn start(
+        name: &str,
+        interval: Duration,
+        mut tick: impl FnMut() + Send + 'static,
+    ) -> Self {
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let stop2 = stop.clone();
         let thread = std::thread::Builder::new()

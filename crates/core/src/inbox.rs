@@ -571,7 +571,7 @@ mod tests {
 
 /// Model-checked inbox protocols (the `loom-model` lane); see the module
 /// docs and `docs/concurrency.md`.
-#[cfg(all(test, any(plp_loom, feature = "loom-model")))]
+#[cfg(all(test, feature = "loom-model"))]
 mod model_tests {
     use super::*;
     use crate::reply::{ReplyClosed, ReplyPromise, ReplySlot};

@@ -41,7 +41,6 @@ pub mod worker;
 pub use action::{Action, ActionOutput, DataContext, TransactionPlan};
 pub use catalog::{Design, EngineConfig, IndexKind, TableId, TableSpec};
 pub use database::Database;
-pub use dlb::{DlbConfig, LoadBalancerHandle};
 pub use engine::Engine;
 pub use error::EngineError;
 pub use partition::PartitionManager;

@@ -20,7 +20,7 @@ use plp_storage::{Access, OwnerToken, PageId, PlacementHint, PlacementPolicy, Ri
 
 use crate::catalog::{Design, TableId, TableSpec};
 use crate::database::Database;
-use crate::dlb::HistogramSet;
+use crate::dlb::histogram::HistogramSet;
 use crate::error::EngineError;
 use crate::worker::WorkerHandle;
 
@@ -172,6 +172,12 @@ impl PartitionManager {
     /// ownership is assigned.
     pub(crate) fn mark_loaded(&self) {
         self.drain.lock().loaded = true;
+    }
+
+    /// Whether [`Self::mark_loaded`] has run (the DLB controller idles
+    /// until then).
+    pub(crate) fn loaded(&self) -> bool {
+        self.drain.lock().loaded
     }
 
     /// Transactions currently holding a ticket (diagnostic helper).
@@ -546,7 +552,9 @@ impl PartitionManager {
         new_bounds: &[u64],
         inject: Option<usize>,
     ) -> Result<usize, EngineError> {
-        let old_bounds = self.bounds(table_id);
+        let old_routing = Routing {
+            starts: self.bounds(table_id),
+        };
         let mut records_moved = 0usize;
         let mut ops_done = 0usize;
         let table = self.db.table(table_id)?;
@@ -613,7 +621,7 @@ impl PartitionManager {
             && table.primary().as_mrb().is_some()
             && table.heap().policy() == PlacementPolicy::PartitionOwned
         {
-            records_moved += self.rebucket_partition_records(table_id, &old_bounds)?;
+            records_moved += self.rebucket_partition_records(table_id, &old_routing)?;
         }
         Ok(records_moved)
     }
@@ -656,16 +664,11 @@ impl PartitionManager {
     fn rebucket_partition_records(
         &self,
         table_id: TableId,
-        old_bounds: &[u64],
+        old: &Routing,
     ) -> Result<usize, EngineError> {
         let table = self.db.table(table_id)?;
-        let new_bounds = self.bounds(table_id);
-        let route = |bounds: &[u64], key: u64| -> usize {
-            match bounds.binary_search(&key) {
-                Ok(i) => i,
-                Err(0) => 0,
-                Err(i) => i - 1,
-            }
+        let new = Routing {
+            starts: self.bounds(table_id),
         };
         // Find the keys whose partition assignment changed.
         let mut moved = 0usize;
@@ -674,8 +677,8 @@ impl PartitionManager {
             .range_scan(0, u64::MAX - 1, Access::Latched)
             .map_err(|e| EngineError::from_btree(table_id, e))?;
         for (key, packed) in entries {
-            let old_p = route(old_bounds, key);
-            let new_p = route(&new_bounds, key);
+            let old_p = old.route(key);
+            let new_p = new.route(key);
             if old_p == new_p {
                 continue;
             }

@@ -1,7 +1,6 @@
 //! Concurrency-primitive facade for the reply rendezvous, the worker inbox
 //! and the partition claim: `std` + `parking_lot` in normal builds, the
-//! `loom`-subset model checker under `--cfg plp_loom` or the `loom-model`
-//! feature.
+//! `loom`-subset model checker under the `loom-model` feature.
 //!
 //! [`crate::reply`] and [`crate::inbox`] import their atomics, fences,
 //! park/unpark handles and mutexes from here instead of naming `std`
@@ -10,7 +9,7 @@
 //! in production is the one the model checker explores.  In normal builds
 //! everything below is a plain re-export: zero cost, no behavior change.
 
-#[cfg(not(any(plp_loom, feature = "loom-model")))]
+#[cfg(not(feature = "loom-model"))]
 mod imp {
     pub use parking_lot::{Mutex, MutexGuard};
     pub use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
@@ -36,7 +35,7 @@ mod imp {
     }
 }
 
-#[cfg(any(plp_loom, feature = "loom-model"))]
+#[cfg(feature = "loom-model")]
 mod imp {
     pub use loom::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
     pub use loom::sync::{Arc, MutexGuard};

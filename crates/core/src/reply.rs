@@ -522,7 +522,7 @@ mod tests {
 
 /// Model-checked protocol tests (the `loom-model` lane); see the module docs
 /// and `docs/concurrency.md`.
-#[cfg(all(test, any(plp_loom, feature = "loom-model")))]
+#[cfg(all(test, feature = "loom-model"))]
 mod model_tests {
     use super::*;
 

@@ -61,9 +61,8 @@
 //! and one reply slot per worker (`WorkerLink`) — from the engine's pool
 //! the first time it sends and gives it back when it drops, so lanes are
 //! bounded by how many sessions send at once.  A stage sends at most one
-//! message per worker and waits for every reply, so a lane holds at most
-//! one message of its link, plus any left by sessions that unwound
-//! mid-stage; a full lane makes the sender wait for room.
+//! message per worker and waits for every reply, also when it unwinds, so
+//! no message outlives its stage and a lane holds at most one message.
 //!
 //! Shutdown is the inbox's stop flag: `WorkerHandle::shutdown` sets it and
 //! wakes the worker, which drains every lane once more and exits, so a
@@ -94,10 +93,10 @@ use crate::inbox::{Inbox, LaneSender, Receiver};
 use crate::primitives::{Mutex, MutexGuard};
 use crate::reply::{BatchReplyPromise, BatchReplySlot};
 
-/// Slots in each lane.  A link has at most one message per worker in flight
-/// (module docs), so a lane fills only behind messages left by sessions
-/// that unwound mid-stage; a sender that finds it full waits for room.
-pub(crate) const LANE_CAP: usize = 64;
+/// Slots in each lane: a link has at most one message per worker in flight
+/// (module docs).  A sender that found its lane full would wait for room,
+/// and `plp_msg_enqueue_spins_total` would count it.
+pub(crate) const LANE_CAP: usize = 1;
 
 /// Reply sent back to the coordinator when an action finishes.
 pub struct ActionReply {
@@ -433,7 +432,7 @@ mod tests {
 /// the worker side replays `worker_loop`'s shape (each request under a
 /// blocking `lock`, release, publish) over the same inbox, lane and
 /// reply-slot code.
-#[cfg(all(test, any(plp_loom, feature = "loom-model")))]
+#[cfg(all(test, feature = "loom-model"))]
 mod model_tests {
     use super::*;
     use crate::reply::{ReplyPromise, ReplySlot};

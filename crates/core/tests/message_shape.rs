@@ -502,3 +502,52 @@ fn a_wakeup_shows_in_metrics_without_a_sync_call() {
     assert!(metric(&engine, "plp_msg_wakeups_total") >= 1.0);
     engine.shutdown();
 }
+
+/// A lane holds at most one message: every stage waits for the messages it
+/// sent, so no sender ever finds its lane full, over single- and
+/// multi-stage transactions, sessions that share a link one after another,
+/// and sessions that send to both workers at once.
+#[test]
+fn no_sender_finds_its_lane_full() {
+    let mut engine = loaded_engine();
+    let sent_before = messages_sent(&engine);
+    for i in 0..8 {
+        let two_stages = TransactionPlan::parallel(vec![read_value(P1 + i), read_value(i)])
+            .followed_by(|outputs: &[ActionOutput]| {
+                TransactionPlan::parallel(
+                    outputs
+                        .iter()
+                        .map(|o| read_value(o.values[0] + 1))
+                        .collect(),
+                )
+            });
+        let (result, _) = execute_with_claims_held(&engine, &[5, P1 + 5], two_stages);
+        result.expect("commits");
+        let (result, _) =
+            execute_with_claims_held(&engine, &[5], TransactionPlan::single(read_value(i)));
+        result.expect("commits");
+    }
+    std::thread::scope(|scope| {
+        let engine = &engine;
+        let holders = [5, P1 + 5].map(|key| Holder::start(scope, engine, key));
+        let before = messages_sent(engine);
+        let senders: Vec<_> = (0..4)
+            .map(|i| {
+                scope.spawn(move || {
+                    engine.session().execute(TransactionPlan::parallel(vec![
+                        read_value(i),
+                        read_value(P1 + i),
+                    ]))
+                })
+            })
+            .collect();
+        await_messages(engine, before, 8);
+        holders.into_iter().for_each(Holder::release);
+        for sender in senders {
+            sender.join().expect("sender thread").expect("commits");
+        }
+    });
+    assert!(messages_sent(&engine) >= sent_before + 8 * 3 + 8);
+    assert_eq!(metric(&engine, "plp_msg_enqueue_spins_total"), 0.0);
+    engine.shutdown();
+}

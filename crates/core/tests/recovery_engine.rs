@@ -8,8 +8,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use plp_core::{
-    Action, ActionOutput, Design, DlbConfig, Engine, EngineConfig, TableId, TableSpec,
-    TransactionPlan,
+    Action, ActionOutput, Design, Engine, EngineConfig, TableId, TableSpec, TransactionPlan,
 };
 use plp_wal::test_support::TempDir;
 use plp_wal::DurabilityMode;
@@ -369,7 +368,7 @@ fn a_recovered_engine_serves_without_finish_loading() {
 fn a_recovered_engine_resumes_its_load_balancer() {
     let dir = TempDir::new("plp-recovery-engine-dlb");
     let dir = dir.path();
-    let with_dlb = || config(Design::PlpRegular, dir).with_dlb(DlbConfig::aggressive());
+    let with_dlb = || config(Design::PlpRegular, dir).with_dlb();
     let mut engine = Engine::start(with_dlb(), &schema());
     engine.db().load_record(TABLE, 1, b"row", None).unwrap();
     engine.finish_loading();

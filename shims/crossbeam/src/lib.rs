@@ -32,7 +32,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod channel;
-#[cfg(all(test, any(plp_loom, feature = "loom-model")))]
+#[cfg(all(test, feature = "loom-model"))]
 mod model_tests;
 mod primitives;
 mod queue;

@@ -6,10 +6,10 @@
 //! races the comment proofs in [`crate::queue`] and [`crate::channel`]
 //! argue about; `docs/concurrency.md` maps protocol → invariant → test.
 //!
-//! Run with `cargo test -p crossbeam --features loom-model model_` (or
-//! `RUSTFLAGS=--cfg plp_loom`).  Under the model cfg, `BLOCK_CAP` is 3 so
-//! the segmented queue's block-boundary and reclamation paths are reachable
-//! within a few operations.
+//! Run with `cargo test -p crossbeam --features loom-model model_`.  Under
+//! the model feature, `BLOCK_CAP` is 3 so the segmented queue's
+//! block-boundary and reclamation paths are reachable within a few
+//! operations.
 
 use loom::sync::Arc;
 use loom::thread;

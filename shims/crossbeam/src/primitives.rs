@@ -1,5 +1,5 @@
 //! Concurrency-primitive facade: `std` in normal builds, the `loom`-subset
-//! model checker under `--cfg plp_loom` or the `loom-model` feature.
+//! model checker under the `loom-model` feature.
 //!
 //! Everything in `queue` and `channel` that the model checker needs to
 //! observe — atomics, fences, mutexes, condvars, yields — is imported from
@@ -13,7 +13,7 @@
 //! active, so even with the feature enabled the ordinary test suite behaves
 //! identically; only code inside a `loom::model(..)` closure is checked.
 
-#[cfg(not(any(plp_loom, feature = "loom-model")))]
+#[cfg(not(feature = "loom-model"))]
 mod imp {
     pub use std::sync::atomic::{fence, AtomicPtr, AtomicUsize, Ordering};
     pub use std::sync::{Arc, Condvar, Mutex};
@@ -28,7 +28,7 @@ mod imp {
     }
 }
 
-#[cfg(any(plp_loom, feature = "loom-model"))]
+#[cfg(feature = "loom-model")]
 mod imp {
     pub use loom::sync::atomic::{fence, AtomicPtr, AtomicUsize, Ordering};
     pub use loom::sync::{Arc, Condvar, Mutex};

@@ -284,12 +284,12 @@ impl<T> Drop for Bounded<T> {
 /// Messages per block.  One position per lap ([`LAP`]) is a sentinel no
 /// message occupies: the producer that claims the last real slot of a block
 /// installs the next block and bumps the index past the sentinel.
-#[cfg(not(any(plp_loom, feature = "loom-model")))]
+#[cfg(not(feature = "loom-model"))]
 pub(crate) const BLOCK_CAP: usize = 31;
 /// Shrunk under the model checker so a model test crosses block boundaries
 /// and reaches the WRITE/READ/DESTROY reclamation protocol within a few
 /// operations (the arithmetic nowhere assumes a particular block size).
-#[cfg(any(plp_loom, feature = "loom-model"))]
+#[cfg(feature = "loom-model")]
 pub(crate) const BLOCK_CAP: usize = 3;
 const LAP: usize = BLOCK_CAP + 1;
 
