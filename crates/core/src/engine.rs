@@ -390,9 +390,9 @@ impl Engine {
     }
 
     /// Admit transactions from now on, for [`Self::finish_loading`] and
-    /// [`Self::recover`] alike.  Each design
-    /// keeps the flag where its transactions already look: the partition
-    /// manager's ticket gate, or the central lock manager.
+    /// [`Self::recover`] alike.  Each design keeps the flag where its
+    /// transactions already look: the partition manager's ticket gate
+    /// (which the DLB controller reads too), or the central lock manager.
     fn mark_loaded(&self) {
         match &self.partition_mgr {
             Some(pm) => pm.mark_loaded(),

@@ -427,12 +427,27 @@ fn messages_to_a_dead_worker_answer_shutdown() {
         std::thread::spawn(move || engine.session().execute(plan))
     };
     std::thread::scope(|scope| {
+        // X is sent while a holder has partition 0, so the worker runs it;
+        // A and V are sent only once the worker is inside X.  Otherwise a
+        // worker that woke between A's send and V's could take A first.
         let holder = Holder::start(scope, &engine, 5);
         let before = messages_sent(&engine);
-        // X is ahead of A in partition 0's inbox: taken by the worker,
-        // which blocks on the held claim, or still in its own lane.
-        let x = send(TransactionPlan::single(read_value(1)));
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_x, release_rx) = mpsc::channel::<()>();
+        let x = send(TransactionPlan::single(Action::new(
+            TABLE,
+            1,
+            move |_ctx| {
+                entered_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                Ok(ActionOutput::empty())
+            },
+        )));
         await_messages(&engine, before, 1);
+        holder.release();
+        entered_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the worker runs X");
         let a = send(TransactionPlan::single(read_value(2)));
         await_messages(&engine, before, 2);
         // V's lane is the newest, so the worker drains it before A's.
@@ -440,14 +455,10 @@ fn messages_to_a_dead_worker_answer_shutdown() {
             panic!("injected worker fault")
         })));
         await_messages(&engine, before, 3);
-        holder.release();
+        release_x.send(()).unwrap();
         assert_eq!(answer_within(v, "V"), Err(EngineError::Shutdown));
         assert_eq!(answer_within(a, "A"), Err(EngineError::Shutdown));
-        let x = answer_within(x, "X");
-        assert!(
-            matches!(x, Ok(_) | Err(EngineError::Shutdown)),
-            "X answered {x:?}"
-        );
+        assert!(answer_within(x, "X").is_ok(), "X ran before V");
         // B finds the partition held, so its group goes to the dead worker.
         let holder = Holder::start(scope, &engine, 5);
         let b = send(TransactionPlan::single(read_value(6)));
